@@ -75,6 +75,7 @@ from .errors import (
 from .simulation import (
     BcScheme,
     NetworkCodedVector,
+    PreparedPipeline,
     SimResult,
     SymbolFrame,
     bc_phase,
@@ -87,7 +88,9 @@ from .simulation import (
     mac_phase,
     make_frame,
     pairwise_rates,
+    prepare,
     relay_decode,
+    simulate,
     stack_network_coded,
     sum_rate_curve,
 )

@@ -24,7 +24,6 @@ import numpy as np
 
 from .alignment import (
     allocate_streams,
-    assemble_scheme,
     required_row_counts,
     save_scheme,
     verify_alignment_conditions,
@@ -40,14 +39,14 @@ from .bounds import (
     slope_interval,
     upper_bound,
 )
-from .channel import plan_extension, sample_channels
 from .config import SystemConfig
 from .errors import YChannelError
 from .simulation import (
     RECOVERY_TOL,
-    end_to_end,
     fit_slope,
+    prepare,
     result_record,
+    simulate,
     write_records_csv,
 )
 
@@ -81,8 +80,8 @@ def _snr_grid(text: str) -> list[float]:
         grid = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}: {exc}") from exc
-    if not grid:
-        raise argparse.ArgumentTypeError("SNR grid is empty")
+    if len(grid) < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 SNR points, got {len(grid)}")
     return grid
 
 
@@ -242,17 +241,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
-    alloc = allocate_streams(cfg, args.beta)
-    counts = required_row_counts(cfg, alloc, args.beta)
-    ch = sample_channels(cfg, args.seed)
-    scheme = assemble_scheme(ch, alloc, args.beta)
-    print(f"streams per pair: {alloc.per_pair} (total {alloc.d_total})")
+    allocate_streams(cfg, args.beta)  # below the corner: names the N it needs
+    # above the corner this is the scheme deactivated down to it
+    prep = prepare(cfg, args.beta, args.seed, max_extension=1)
+    scheme = prep.scheme
+    counts = required_row_counts(prep.ch.cfg, scheme.alloc, args.beta)
+    print(f"streams per pair: {scheme.alloc.per_pair} (total {scheme.alloc.d_total})")
     print(f"compression rows: {counts.rows} ({counts.q} per subset)")
     print(f"alignment residual: {scheme.alignment_residual:.3e}")
     print(f"basis condition: {scheme.basis_condition:.3e}")
-    report = verify_alignment_conditions(scheme, ch)
+    report = verify_alignment_conditions(scheme, prep.ch)
     print(f"alignment conditions verified: {'pass' if report.passed else 'FAIL'}")
-    result = end_to_end(cfg, args.beta, args.seed, 0.0, max_extension=1)
+    result = simulate(prep, 0.0)
     print(f"noiseless relay recovery error: {result.relay_recovery_error:.3e}")
     if result.bc_failure is None:
         print(f"noiseless user recovery error: {result.user_recovery_error:.3e}")
@@ -271,17 +271,12 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
     grid = args.snr_grid
     seeds = [args.base_seed + s for s in range(args.seeds)]
-    target_corner = next((c for c in corner_points(cfg.K) if c.beta == args.beta), None)
-    if target_corner is None:
-        raise YChannelError(f"beta={args.beta} has no corner for K={cfg.K}")
-    plan = plan_extension(cfg, target_corner)
-    effective = SystemConfig(cfg.K, plan.ext.effective_M, plan.ext.effective_N)
-    d_total = allocate_streams(effective, args.beta).d_total
     records = []
     curve = np.zeros(len(grid))
     for seed in seeds:
+        prep = prepare(cfg, args.beta, seed)
         for col, snr in enumerate(grid):
-            result = end_to_end(cfg, args.beta, seed, 10.0 ** (-snr / 10.0))
+            result = simulate(prep, 10.0 ** (-snr / 10.0))
             records.append(result_record(result))
             if result.sum_rate is None:
                 raise YChannelError(f"no rate available at seed {seed}, {snr} dB")
@@ -298,7 +293,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     for snr, rate in zip(grid, curve):
         print(f"snr {snr:g} dB: mean sum rate {rate:.4f} bits/use")
     print(f"fitted slope: {slope:.4f}")
-    print(f"target stream total: {d_total}")
+    print(f"target stream total: {prep.scheme.alloc.d_total}")
     return 0
 
 

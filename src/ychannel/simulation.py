@@ -21,8 +21,6 @@ users; per-stream zero-forcing rates feed the DoF slope estimate.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -63,6 +61,9 @@ __all__ = [
     "bc_phase",
     "decode_user",
     "cancel_self_interference",
+    "PreparedPipeline",
+    "prepare",
+    "simulate",
     "end_to_end",
     "pairwise_rates",
     "sum_rate_curve",
@@ -218,22 +219,14 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     # into a transmit precoder; composing with the inverse dual basis makes
     # each user filter output the wanted pair block of the input.
     precoder = np.linalg.solve(dual.aligned_basis, dual.compression.matrix).T
-    filters = {}
-    for i in range(cfg.K):
-        for j in range(cfg.K):
-            if i != j:
-                filters[(i, j)] = dual.precoders[(i, j)].T
+    filters = {pair: v.T for pair, v in dual.precoders.items()}
     rows = scheme.alloc.rows
     residual = 0.0
-    for i in range(cfg.K):
-        for j in range(cfg.K):
-            if i == j:
-                continue
-            pair = (min(i, j), max(i, j))
-            start, stop = _block_bounds(scheme, pair)
-            selector = filters[(i, j)] @ ch.downlink[i] @ precoder
-            want = np.zeros((stop - start, rows))
-            want[:, start:stop] = np.eye(stop - start)
+    for (i, j), start, stop in scheme.pair_blocks:
+        want = np.zeros((stop - start, rows))
+        want[:, start:stop] = np.eye(stop - start)
+        for user, partner in ((i, j), (j, i)):
+            selector = filters[(user, partner)] @ ch.downlink[user] @ precoder
             residual = max(residual, float(np.abs(selector - want).max()))
     if residual > SELECTOR_TOL:
         raise BroadcastInfeasibleError(
@@ -249,13 +242,6 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
         selector_residual=residual,
         dual_basis_condition=dual.basis_condition,
     )
-
-
-def _block_bounds(scheme: AlignmentScheme, pair: tuple[int, int]) -> tuple[int, int]:
-    for p, start, stop in scheme.pair_blocks:
-        if p == pair:
-            return start, stop
-    raise DimensionError(f"pair {pair} not in scheme")
 
 
 def bc_phase(
@@ -327,18 +313,101 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _prepare(
-    cfg: SystemConfig, beta: int, seed: int, max_extension: int
-) -> tuple[ChannelSet, AlignmentScheme, int]:
-    target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
-    if target is None:
-        raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
-    plan = plan_extension(cfg, target, max_extension)
-    base = sample_channels(cfg, seed)
-    ch = apply_extension_plan(base, plan)
-    alloc = allocate_streams(ch.cfg, beta)
-    scheme = assemble_scheme(ch, alloc, beta)
-    return ch, scheme, plan.ext.t
+@dataclass(frozen=True)
+class PreparedPipeline:
+    """What one channel realization fixes; noise plays no part in it.
+
+    ``ch`` is the planned channel set and ``scheme`` the certified uplink
+    scheme on it; ``bc`` is the certified downlink scheme, or None with the
+    dual construction's failure text in ``bc_failure``.
+    """
+
+    cfg: SystemConfig
+    beta: int
+    seed: int
+    t: int
+    ch: ChannelSet
+    scheme: AlignmentScheme
+    bc: BcScheme | None
+    bc_failure: str | None
+
+
+def prepare(
+    cfg: SystemConfig, beta: int, seed: int, *, max_extension: int = 64
+) -> PreparedPipeline:
+    """Plan the extension, sample, and build both certified schemes.
+
+    Synthesis errors are tagged ``"synthesis"`` and downlink errors other
+    than ``BroadcastInfeasibleError`` are tagged ``"bc"``.
+    """
+    with _stage("synthesis"):
+        target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
+        if target is None:
+            raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
+        plan = plan_extension(cfg, target, max_extension)
+        ch = apply_extension_plan(sample_channels(cfg, seed), plan)
+        scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
+    bc, bc_failure = None, None
+    try:
+        with _stage("bc"):
+            bc = build_bc_scheme(scheme, ch)
+    except StageError as exc:
+        if not isinstance(exc.cause, BroadcastInfeasibleError):
+            raise
+        bc_failure = str(exc.cause)
+    return PreparedPipeline(cfg, beta, seed, plan.ext.t, ch, scheme, bc, bc_failure)
+
+
+def simulate(
+    prep: PreparedPipeline, noise_var: float = 0.0, *, symbols: str = "gaussian"
+) -> SimResult:
+    """Transmit both phases of a prepared pipeline at one noise level.
+
+    Noiseless runs must recover the network-coded vector at the relay and
+    every partner stream at the users to within ``RECOVERY_TOL``.  A
+    downlink failure is recorded in ``bc_failure`` without failing the
+    uplink result.  Every call draws from a fresh noise substream.
+    """
+    if not (np.isfinite(noise_var) and noise_var >= 0.0):
+        raise ConfigurationError(f"noise_var must be finite and >= 0, got {noise_var}")
+    scheme, ch, seed, bc = prep.scheme, prep.ch, prep.seed, prep.bc
+    rng = substream(seed, LABEL_NOISE)
+    with _stage("mac"):
+        frame = make_frame(scheme, seed, symbols)
+        truth = stack_network_coded(scheme, frame)
+        y = mac_phase(scheme, ch, frame, noise_var, rng)
+    with _stage("relay_decode"):
+        decoded = relay_decode(scheme, y)
+        relay_err = float(np.abs(decoded.entries - truth.entries).max())
+    user_err: float | None = None
+    if bc is not None:
+        with _stage("bc"):
+            received, _ = bc_phase(scheme, ch, decoded, noise_var, rng, bc=bc)
+            worst = 0.0
+            for user in range(scheme.cfg.K):
+                blocks = decode_user(scheme, bc, user, received[user])
+                partners = cancel_self_interference(frame, user, blocks)
+                for partner, estimate in partners.items():
+                    err = np.abs(estimate - frame.streams[(partner, user)]).max()
+                    worst = max(worst, float(err))
+            user_err = worst
+    snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
+    rates = total = None
+    if noise_var > 0.0 and bc is not None:
+        rates = pairwise_rates(scheme, bc, snr_db)
+        total = float(sum(rates.values()))
+    return SimResult(
+        cfg=prep.cfg,
+        beta=prep.beta,
+        t=prep.t,
+        seed=seed,
+        snr_db=snr_db,
+        relay_recovery_error=relay_err,
+        user_recovery_error=user_err,
+        bc_failure=prep.bc_failure,
+        sum_rate=total,
+        rates=rates,
+    )
 
 
 def end_to_end(
@@ -350,58 +419,9 @@ def end_to_end(
     symbols: str = "gaussian",
     max_extension: int = 64,
 ) -> SimResult:
-    """Full pipeline: plan, synthesize, transmit both phases, decode.
-
-    Noiseless runs must recover the network-coded vector at the relay and
-    every partner stream at the users to within ``RECOVERY_TOL``.  A
-    downlink failure is recorded in ``bc_failure`` without failing the
-    uplink result.
-    """
-    with _stage("synthesis"):
-        ch, scheme, t = _prepare(cfg, beta, seed, max_extension)
-    rng = substream(seed, LABEL_NOISE)
-    with _stage("mac"):
-        frame = make_frame(scheme, seed, symbols)
-        truth = stack_network_coded(scheme, frame)
-        y = mac_phase(scheme, ch, frame, noise_var, rng)
-    with _stage("relay_decode"):
-        decoded = relay_decode(scheme, y)
-        relay_err = float(np.abs(decoded.entries - truth.entries).max())
-    user_err: float | None = None
-    bc_failure: str | None = None
-    try:
-        with _stage("bc"):
-            received, bc = bc_phase(scheme, ch, decoded, noise_var, rng)
-            worst = 0.0
-            for user in range(scheme.cfg.K):
-                blocks = decode_user(scheme, bc, user, received[user])
-                partners = cancel_self_interference(frame, user, blocks)
-                for partner, estimate in partners.items():
-                    err = np.abs(estimate - frame.streams[(partner, user)]).max()
-                    worst = max(worst, float(err))
-            user_err = worst
-    except StageError as exc:
-        if not isinstance(exc.cause, BroadcastInfeasibleError):
-            raise
-        bc_failure = str(exc.cause)
-    snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
-    rates = None
-    total = None
-    if noise_var > 0.0 and bc_failure is None:
-        rates = pairwise_rates(scheme, bc, snr_db)
-        total = float(sum(rates.values()))
-    return SimResult(
-        cfg=cfg,
-        beta=beta,
-        t=t,
-        seed=seed,
-        snr_db=snr_db,
-        relay_recovery_error=relay_err,
-        user_recovery_error=user_err,
-        bc_failure=bc_failure,
-        sum_rate=total,
-        rates=rates,
-    )
+    """Full pipeline for one noise level: ``prepare`` then ``simulate``."""
+    prep = prepare(cfg, beta, seed, max_extension=max_extension)
+    return simulate(prep, noise_var, symbols=symbols)
 
 
 def pairwise_rates(
@@ -439,14 +459,6 @@ def pairwise_rates(
     return rates
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GSA_DOF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sum_rate_curve(
     cfg: SystemConfig,
     beta: int,
@@ -455,27 +467,17 @@ def sum_rate_curve(
     *,
     max_extension: int = 64,
 ) -> np.ndarray:
-    """Mean sum rate per SNR point, averaged over seeds.
-
-    Seeds fan out over GSA_DOF_THREADS worker threads; results merge in
-    seed order, so the output is independent of the thread count.
-    """
+    """Mean sum rate per SNR point, averaged over seeds."""
     if not seeds:
         raise ConfigurationError("need at least one seed")
-
-    def one_seed(seed: int) -> np.ndarray:
-        ch, scheme, _ = _prepare(cfg, beta, seed, max_extension)
-        bc = build_bc_scheme(scheme, ch)
-        return np.array(
-            [sum(pairwise_rates(scheme, bc, snr).values()) for snr in snr_grid_db]
+    curves = []
+    for seed in seeds:
+        prep = prepare(cfg, beta, seed, max_extension=max_extension)
+        if prep.bc is None:
+            raise BroadcastInfeasibleError(prep.bc_failure)
+        curves.append(
+            [sum(pairwise_rates(prep.scheme, prep.bc, snr).values()) for snr in snr_grid_db]
         )
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(one_seed, seeds))
-    else:
-        curves = [one_seed(s) for s in seeds]
     return np.mean(curves, axis=0)
 
 

@@ -7,7 +7,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from ychannel import load_scheme
+from ychannel import (
+    SystemConfig,
+    assemble_scheme,
+    end_to_end,
+    load_scheme,
+    prepare,
+    verify_alignment_conditions,
+)
+from ychannel import cli, simulation
+from ychannel.simulation import result_record, write_records_csv
 
 
 def run_cli(*args, **kwargs):
@@ -126,6 +135,20 @@ class TestSynthesize:
         )
         assert proc.returncode == 0
 
+    def test_above_corner_exports_the_simulated_scheme(self, tmp_path):
+        # N=8 is above the corner N=7: the relay deactivates one antenna
+        out = tmp_path / "scheme.json"
+        proc = run_cli(
+            "synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2",
+            "--seed", "3", "--out", str(out),
+        )
+        assert proc.returncode == 0
+        scheme = load_scheme(str(out))
+        assert scheme.compression.matrix.shape == (6, 7)
+        assert f"alignment residual: {scheme.alignment_residual:.3e}" in proc.stdout
+        prep = prepare(SystemConfig(4, 3, 8), 2, 3, max_extension=1)
+        assert verify_alignment_conditions(scheme, prep.ch).passed
+
     def test_below_corner_fails_with_requirement(self):
         proc = run_cli(
             "synthesize", "--k", "5", "--m", "4", "--n", "11", "--beta", "3"
@@ -155,6 +178,49 @@ class TestMonteCarlo:
             "--seeds", "1",
         )
         assert proc.returncode == 2
+
+    def test_one_point_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "40", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "at least 2 SNR points" in proc.stderr
+        assert not out.exists()
+
+    def test_csv_matches_per_point_end_to_end(self, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        grid = [30.0, 45.5, 60.0]
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--base-seed", "5", "--snr-grid", "30,45.5,60",
+            "--out", str(out),
+        ])
+        assert code == 0
+        records = [
+            result_record(end_to_end(SystemConfig(4, 3, 7), 2, seed, 10.0 ** (-snr / 10.0)))
+            for seed in (5, 6)
+            for snr in grid
+        ]
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+    def test_two_schemes_per_seed(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].seed)
+            return assemble_scheme(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "assemble_scheme", counted)
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "3", "--snr-grid", "30,40,50",
+        ])
+        assert code == 0
+        assert calls == [0, 0, 1, 1, 2, 2]
 
     def test_deterministic(self):
         args = (

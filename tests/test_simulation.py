@@ -20,10 +20,14 @@ from ychannel import (
     fit_slope,
     mac_phase,
     make_frame,
+    prepare,
     relay_decode,
     sample_channels,
+    simulate,
     stack_network_coded,
+    sum_rate_curve,
 )
+from ychannel import simulation
 from ychannel.simulation import result_record, write_records_csv
 
 
@@ -231,6 +235,14 @@ class TestEndToEnd:
             end_to_end(SystemConfig(5, 4, 11), 3, 0, 0.0, max_extension=1)
         assert err.value.stage == "synthesis"
 
+    @pytest.mark.parametrize("noise_var", [-1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_noise_var(self, noise_var):
+        with pytest.raises(ConfigurationError, match="noise_var"):
+            end_to_end(SystemConfig(4, 3, 7), 2, 1, noise_var)
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        with pytest.raises(ConfigurationError, match="noise_var"):
+            simulate(prep, noise_var)
+
     def test_monotone_degradation(self):
         cfg = SystemConfig(4, 3, 7)
         levels = [1e-4, 1e-2, 1.0]
@@ -271,17 +283,59 @@ class TestRates:
         shifted = estimate_dof_slope(cfg, 2, seeds, [50, 60, 70, 80])
         assert abs(shifted - base) / base <= 0.05
 
-    def test_thread_fanout_is_deterministic(self, monkeypatch):
-        from ychannel import sum_rate_curve
 
+class TestPreparedPipeline:
+    def test_one_record_serves_every_noise_level(self):
         cfg = SystemConfig(4, 3, 7)
-        seeds = list(range(6))
-        grid = [30.0, 50.0]
-        monkeypatch.delenv("GSA_DOF_THREADS", raising=False)
-        serial = sum_rate_curve(cfg, 2, seeds, grid)
-        monkeypatch.setenv("GSA_DOF_THREADS", "4")
-        threaded = sum_rate_curve(cfg, 2, seeds, grid)
-        assert np.array_equal(serial, threaded)
+        prep = prepare(cfg, 2, 3)
+        for noise in (0.0, 1e-4, 1e-2):
+            assert simulate(prep, noise) == end_to_end(cfg, 2, 3, noise)
+
+    def test_downlink_failures(self, monkeypatch):
+        from ychannel import BroadcastInfeasibleError, DecodabilityError, StageError
+
+        def failing(error):
+            def build(scheme, ch):
+                raise error
+
+            return build
+
+        monkeypatch.setattr(
+            simulation, "build_bc_scheme", failing(BroadcastInfeasibleError("no dual"))
+        )
+        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-3)
+        assert result.bc_failure == "no dual"
+        assert result.user_recovery_error is None and result.sum_rate is None
+        with pytest.raises(BroadcastInfeasibleError, match="no dual"):
+            sum_rate_curve(SystemConfig(4, 3, 7), 2, [1], [30.0, 40.0])
+        monkeypatch.setattr(
+            simulation, "build_bc_scheme", failing(DecodabilityError("singular"))
+        )
+        with pytest.raises(StageError) as err:
+            prepare(SystemConfig(4, 3, 7), 2, 1)
+        assert err.value.stage == "bc"
+
+    def test_sum_rate_curve_matches_end_to_end(self):
+        cfg = SystemConfig(4, 3, 7)
+        seeds = [0, 1]
+        grid = [30.0, 40.0, 50.0]
+        per_point = [
+            [end_to_end(cfg, 2, seed, 10.0 ** (-snr / 10.0)).sum_rate for snr in grid]
+            for seed in seeds
+        ]
+        curve = sum_rate_curve(cfg, 2, seeds, grid)
+        assert np.array_equal(curve, np.mean(per_point, axis=0))
+
+    def test_two_schemes_per_seed(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].seed)
+            return assemble_scheme(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "assemble_scheme", counted)
+        sum_rate_curve(SystemConfig(4, 3, 7), 2, [0, 1, 2], [30.0, 40.0, 50.0])
+        assert calls == [0, 0, 1, 1, 2, 2]
 
 
 class TestRecords:
