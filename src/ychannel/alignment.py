@@ -83,52 +83,29 @@ VERIFY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class StreamAllocation:
-    """Stream counts per ordered user pair.
-
-    Symmetric allocations (the only kind produced here) carry the same
-    count ``x`` in both directions of every pair.
-    """
+    """The symmetric stream count ``per_pair`` of every ordered user pair."""
 
     cfg: SystemConfig
-    d: dict[tuple[int, int], int]
+    per_pair: int
 
     @property
     def d_total(self) -> int:
-        return sum(self.d.values())
+        return self.cfg.K * (self.cfg.K - 1) * self.per_pair
 
     @property
     def rows(self) -> int:
         """Row count of the compression matrix, d_total / 2."""
-        total = self.d_total
-        if total % 2:
-            raise ConfigurationError(f"total stream count must be even, got {total}")
-        return total // 2
+        return self.d_total // 2
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
         """Unordered pairs (i < j) in lexicographic order."""
         return list(itertools.combinations(range(self.cfg.K), 2))
 
-    @property
-    def is_symmetric(self) -> bool:
-        values = set(self.d.values())
-        return len(values) == 1
-
-    @property
-    def per_pair(self) -> int:
-        if not self.is_symmetric:
-            raise ConfigurationError("allocation is not symmetric")
-        return next(iter(self.d.values()))
-
     def blocks(self) -> list[tuple[tuple[int, int], int, int]]:
         """(pair, start, stop) column blocks in the aligned basis."""
-        out = []
-        start = 0
-        for pair in self.pairs:
-            width = self.d[pair]
-            out.append((pair, start, start + width))
-            start += width
-        return out
+        x = self.per_pair
+        return [(pair, k * x, (k + 1) * x) for k, pair in enumerate(self.pairs)]
 
 
 def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
@@ -157,20 +134,19 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
             f"{x.denominator}-symbol extension",
             factor=x.denominator,
         )
-    d = {(i, j): int(x) for i in range(K) for j in range(K) if i != j}
-    return StreamAllocation(cfg=cfg, d=d)
+    return StreamAllocation(cfg=cfg, per_pair=int(x))
 
 
 @dataclass(frozen=True)
 class RowCounts:
     """Compression-row bookkeeping for one branch index.
 
-    ``q`` rows go to each of the ``subsets`` antenna subsets; ``p[(i, j)]``
-    counts the rows annihilating both channels of a pair.
+    ``q`` rows go to each of the ``subsets`` antenna subsets; ``p`` counts
+    the rows annihilating both channels of any one pair.
     """
 
     q: int
-    p: dict[tuple[int, int], int]
+    p: int
     rows: int
     subsets: int
 
@@ -186,8 +162,6 @@ def required_row_counts(
     (the left null space is big enough) and ``p >= rows - 2M + d_ij``
     (enough rows to shrink the pair channel's rank).
     """
-    if not alloc.is_symmetric:
-        raise ConfigurationError("row counting requires a symmetric allocation")
     K = cfg.K
     rows = alloc.rows
     subsets = comb(K, beta)
@@ -205,17 +179,13 @@ def required_row_counts(
             f"{cfg.N - beta * cfg.M}",
             inequality="q <= N - beta*M",
         )
-    per_pair_rows = q * comb(K - 2, beta - 2)
-    p = {}
-    for i, j in itertools.combinations(range(K), 2):
-        need = rows - 2 * cfg.M + alloc.d[(i, j)]
-        if per_pair_rows < need:
-            raise InfeasibleConfigurationError(
-                f"pair ({i},{j}) is covered by {per_pair_rows} rows but needs "
-                f"{need} (rows - 2M + d_ij)",
-                inequality="p >= rows - 2M + d_ij",
-            )
-        p[(i, j)] = per_pair_rows
+    p = q * comb(K - 2, beta - 2)
+    need = rows - 2 * cfg.M + alloc.per_pair
+    if p < need:
+        raise InfeasibleConfigurationError(
+            f"each pair is covered by {p} rows but needs {need} (rows - 2M + d_ij)",
+            inequality="p >= rows - 2M + d_ij",
+        )
     return RowCounts(q=q, p=p, rows=rows, subsets=subsets)
 
 
@@ -315,7 +285,7 @@ def build_precoders(
         sigma[: s.size] = s
         cutoff = NULL_SPACE_RTOL * (s[0] if s.size else 0.0)
         null_dim = int(np.count_nonzero(sigma <= cutoff))
-        need = alloc.d[(i, j)]
+        need = alloc.per_pair
         if null_dim < need:
             raise AlignmentInfeasibleError(
                 f"pair ({i},{j}): null space dimension {null_dim} < {need} streams"
@@ -371,14 +341,7 @@ class AlignmentScheme:
         return self.alloc.blocks()
 
 
-def assemble_scheme(
-    ch: ChannelSet,
-    alloc: StreamAllocation,
-    beta: int,
-    *,
-    tol_align: float = ALIGNMENT_TOL,
-    cond_max: float = BASIS_COND_MAX,
-) -> AlignmentScheme:
+def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
     """Build and certify the full scheme for one channel realization."""
     compression = build_compression_matrix(ch, alloc, beta)
     precoders = build_precoders(ch, compression, alloc)
@@ -394,21 +357,17 @@ def assemble_scheme(
         )
         residual = max(residual, np.abs(left - right).max() / scale)
         blocks.append(left)
-    if residual > tol_align:
+    if residual > ALIGNMENT_TOL:
         raise AlignmentVerificationError(
-            f"alignment residual {residual:.3e} exceeds {tol_align:.1e}"
+            f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL:.1e}"
         )
-    basis = np.hstack(blocks)
-    if basis.shape[0] != basis.shape[1]:
-        raise ConfigurationError(
-            f"aligned basis is {basis.shape}, expected square; allocation must "
-            f"be symmetric"
-        )
+    basis = np.hstack(blocks)  # rows x rows: one column per network-coded sum
     sv = np.linalg.svd(basis, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if condition > cond_max:
+    if condition > BASIS_COND_MAX:
         raise DecodabilityError(
-            f"aligned basis condition number {condition:.3e} exceeds {cond_max:.1e}"
+            f"aligned basis condition number {condition:.3e} exceeds "
+            f"{BASIS_COND_MAX:.1e}"
         )
     basis.setflags(write=False)
     return AlignmentScheme(
@@ -450,9 +409,7 @@ class AlignmentReport:
         return all(check.passed for check in self.per_pair.values())
 
 
-def verify_alignment_conditions(
-    scheme: AlignmentScheme, ch: ChannelSet, *, tol: float = VERIFY_TOL
-) -> AlignmentReport:
+def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> AlignmentReport:
     """Re-derive both alignment conditions from the raw matrices.
 
     Condition 1 counts the compression rows that annihilate the stacked
@@ -471,13 +428,13 @@ def verify_alignment_conditions(
         scale = np.linalg.norm(target, 2)
         found = 0
         for row in P:
-            if np.linalg.norm(row @ target) <= tol * scale * np.linalg.norm(row):
+            if np.linalg.norm(row @ target) <= VERIFY_TOL * scale * np.linalg.norm(row):
                 found += 1
-        required = rows - 2 * M + scheme.alloc.d[(i, j)]
+        required = rows - 2 * M + scheme.alloc.per_pair
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
         stacked = np.vstack([scheme.precoders[(i, j)], scheme.precoders[(j, i)]])
         residual = float(np.abs(a @ stacked).max()) if stacked.size else 0.0
-        tolerance = tol * max(1.0, np.linalg.norm(a, 2))
+        tolerance = VERIFY_TOL * max(1.0, np.linalg.norm(a, 2))
         report[(i, j)] = PairCheck(
             null_rows_found=found,
             null_rows_required=required,
@@ -494,7 +451,10 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     return {
         "cfg": {"K": scheme.cfg.K, "M": scheme.cfg.M, "N": scheme.cfg.N},
         "beta": scheme.beta,
-        "allocation": {f"{i},{j}": v for (i, j), v in sorted(scheme.alloc.d.items())},
+        "allocation": {
+            f"{i},{j}": scheme.alloc.per_pair
+            for i, j in itertools.permutations(range(scheme.cfg.K), 2)
+        },
         "compression": {
             "matrix": complex_matrix_to_pairs(scheme.compression.matrix),
             "row_subsets": [list(s) for s in scheme.compression.row_subsets],
@@ -514,11 +474,15 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
     cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
-    d = {
-        tuple(int(k) for k in key.split(",")): int(v)
-        for key, v in data["allocation"].items()
-    }
-    alloc = StreamAllocation(cfg=cfg, d=d)
+    keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}
+    counts = set(data["allocation"].values())
+    x = counts.pop() if len(counts) == 1 else None
+    if set(data["allocation"]) != keys or type(x) is not int or x < 1:
+        raise ConfigurationError(
+            "scheme allocation must give one positive integer stream count for "
+            "every ordered pair"
+        )
+    alloc = StreamAllocation(cfg=cfg, per_pair=x)
     matrix = complex_matrix_from_pairs(data["compression"]["matrix"])
     matrix.setflags(write=False)
     compression = CompressionMatrix(

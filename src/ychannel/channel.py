@@ -17,7 +17,12 @@ import numpy as np
 
 from .bounds import CornerPoint
 from .config import SystemConfig
-from .errors import DegenerateChannelError, DimensionError, InfeasibleConfigurationError
+from .errors import (
+    ConfigurationError,
+    DegenerateChannelError,
+    DimensionError,
+    InfeasibleConfigurationError,
+)
 from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs
 
 __all__ = [
@@ -37,8 +42,6 @@ __all__ = [
     "complex_gaussian",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 # Substream labels; frame/noise labels live here so all RNG keying is in one place.
 LABEL_UPLINK = 0
 LABEL_DOWNLINK = 1
@@ -48,8 +51,13 @@ LABEL_NOISE = 4
 
 
 def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for one (seed, label, index) triple."""
-    key = (seed & _MASK64) | (((label << 32) | index) << 64)
+    """Independent generator for one (seed, label, index) triple.
+
+    The seed fills the low 64 key bits, so it must lie in [0, 2^64).
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"seed must be in [0, 2^64), got {seed}")
+    key = seed | (((label << 32) | index) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -157,12 +165,11 @@ class ExtensionSpec:
 class ExtensionPlan:
     """How to reach a target corner ratio from a given configuration.
 
-    ``deactivation`` holds the antenna counts to keep, expressed in the
-    t-extended system (equal to the original counts when t == 1).
-    ``side`` records which end gives up antennas.
+    ``ext`` holds the extension factor and the antenna counts to keep,
+    expressed in the t-extended system (equal to the original counts when
+    t == 1).  ``side`` records which end gives up antennas.
     """
 
-    deactivation: tuple[int, int]
     ext: ExtensionSpec
     side: str  # "relay", "source" or "none"
 
@@ -197,9 +204,7 @@ def plan_extension(
             inequality="t <= max_extension",
         )
     return ExtensionPlan(
-        deactivation=(m_eff, n_eff),
-        ext=ExtensionSpec(t=t, effective_M=m_eff, effective_N=n_eff),
-        side=side,
+        ext=ExtensionSpec(t=t, effective_M=m_eff, effective_N=n_eff), side=side
     )
 
 
@@ -220,8 +225,7 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
     effective_M/effective_N usable dimensions, which is all the DoF
     argument needs.
     """
-    t = plan.ext.t
-    m_eff, n_eff = plan.deactivation
+    t, m_eff, n_eff = plan.ext.t, plan.ext.effective_M, plan.ext.effective_N
     if t == 1:
         return deactivate(ch, m_eff, n_eff)
     extended = symbol_extend(ch, t)

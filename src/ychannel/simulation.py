@@ -21,6 +21,7 @@ users; per-stream zero-forcing rates feed the DoF slope estimate.
 from __future__ import annotations
 
 import csv
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -116,8 +117,8 @@ def make_frame(scheme: AlignmentScheme, seed: int, kind: str = "gaussian") -> Sy
     """
     rng = substream(seed, LABEL_FRAME)
     streams = {}
-    for pair in sorted(scheme.alloc.d):
-        count = scheme.alloc.d[pair]
+    count = scheme.alloc.per_pair
+    for pair in itertools.permutations(range(scheme.cfg.K), 2):
         if kind == "gaussian":
             sym = complex_gaussian(rng, (count,))
         elif kind == "qpsk":
@@ -245,36 +246,26 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
 
 
 def bc_phase(
-    scheme: AlignmentScheme,
+    bc: BcScheme,
     ch: ChannelSet,
     s_plus: NetworkCodedVector,
     noise_var: float = 0.0,
     rng: np.random.Generator | None = None,
-    bc: BcScheme | None = None,
-) -> tuple[list[np.ndarray], BcScheme]:
+) -> list[np.ndarray]:
     """Broadcast the network-coded vector; returns raw per-user receptions."""
-    if bc is None:
-        bc = build_bc_scheme(scheme, ch)
     x = bc.power_scale * (bc.relay_precoder @ s_plus.entries)
-    received = []
-    for i in range(scheme.cfg.K):
-        y = ch.downlink[i] @ x + _awgn(rng, scheme.cfg.M, noise_var)
-        received.append(y)
-    return received, bc
+    return [g @ x + _awgn(rng, ch.cfg.M, noise_var) for g in ch.downlink]
 
 
 def decode_user(
     scheme: AlignmentScheme, bc: BcScheme, user: int, y: np.ndarray
 ) -> dict[tuple[int, int], np.ndarray]:
     """Filter a user's reception into its pair blocks of the sum vector."""
-    out = {}
-    for j in range(scheme.cfg.K):
-        if j == user:
-            continue
-        pair = (min(user, j), max(user, j))
-        if pair not in out:
-            out[pair] = (bc.filters[(user, j)] @ y) / bc.power_scale
-    return out
+    return {
+        (min(user, j), max(user, j)): (bc.filters[(user, j)] @ y) / bc.power_scale
+        for j in range(scheme.cfg.K)
+        if j != user
+    }
 
 
 def cancel_self_interference(
@@ -382,7 +373,7 @@ def simulate(
     user_err: float | None = None
     if bc is not None:
         with _stage("bc"):
-            received, _ = bc_phase(scheme, ch, decoded, noise_var, rng, bc=bc)
+            received = bc_phase(bc, ch, decoded, noise_var, rng)
             worst = 0.0
             for user in range(scheme.cfg.K):
                 blocks = decode_user(scheme, bc, user, received[user])
@@ -417,10 +408,9 @@ def end_to_end(
     noise_var: float = 0.0,
     *,
     symbols: str = "gaussian",
-    max_extension: int = 64,
 ) -> SimResult:
     """Full pipeline for one noise level: ``prepare`` then ``simulate``."""
-    prep = prepare(cfg, beta, seed, max_extension=max_extension)
+    prep = prepare(cfg, beta, seed)
     return simulate(prep, noise_var, symbols=symbols)
 
 
@@ -460,19 +450,14 @@ def pairwise_rates(
 
 
 def sum_rate_curve(
-    cfg: SystemConfig,
-    beta: int,
-    seeds: list[int],
-    snr_grid_db: list[float],
-    *,
-    max_extension: int = 64,
+    cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> np.ndarray:
     """Mean sum rate per SNR point, averaged over seeds."""
     if not seeds:
         raise ConfigurationError("need at least one seed")
     curves = []
     for seed in seeds:
-        prep = prepare(cfg, beta, seed, max_extension=max_extension)
+        prep = prepare(cfg, beta, seed)
         if prep.bc is None:
             raise BroadcastInfeasibleError(prep.bc_failure)
         curves.append(
@@ -490,15 +475,10 @@ def fit_slope(snr_grid_db: list[float], sum_rates: np.ndarray) -> float:
 
 
 def estimate_dof_slope(
-    cfg: SystemConfig,
-    beta: int,
-    seeds: list[int],
-    snr_grid_db: list[float],
-    *,
-    max_extension: int = 64,
+    cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> float:
     """Fitted sum-rate slope in DoF units; approaches the stream total."""
-    curve = sum_rate_curve(cfg, beta, seeds, snr_grid_db, max_extension=max_extension)
+    curve = sum_rate_curve(cfg, beta, seeds, snr_grid_db)
     return fit_slope(snr_grid_db, curve)
 
 

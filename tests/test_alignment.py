@@ -96,7 +96,6 @@ class TestAllocate:
         alloc = allocate_streams(SystemConfig(K, M, N), beta)
         assert alloc.per_pair == x
         assert alloc.d_total == d_total
-        assert alloc.is_symmetric
         assert alloc.rows == d_total // 2
 
     def test_fractional_x_reports_extension(self):
@@ -126,7 +125,7 @@ class TestRowCounts:
         alloc = allocate_streams(cfg, beta)
         counts = required_row_counts(cfg, alloc, beta)
         assert counts.q == q
-        assert all(v == p for v in counts.p.values())
+        assert counts.p == p
         # counting identities
         assert counts.q * comb(K, beta) == alloc.rows
         assert p == q * comb(K - 2, beta - 2)
@@ -188,7 +187,7 @@ class TestPrecoders:
             sv = np.linalg.svd(a, compute_uv=False)
             rank = int(np.sum(sv > 1e-10 * sv[0]))
             assert rank == 9
-            assert 2 * 5 - rank >= alloc.d[(i, j)]
+            assert 2 * 5 - rank >= alloc.per_pair
 
     def test_dimension_oracle_row_reduction(self):
         # SVD null dimension equals 2M - rank from an independent
@@ -348,9 +347,24 @@ class TestSchemeSerialization:
         back = scheme_from_dict(data)
         assert back.cfg == scheme.cfg
         assert back.beta == scheme.beta
-        assert back.alloc.d == scheme.alloc.d
+        assert back.alloc == scheme.alloc
         assert np.allclose(back.compression.matrix, scheme.compression.matrix)
         assert np.allclose(back.aligned_basis, scheme.aligned_basis)
         for key, v in scheme.precoders.items():
             assert np.allclose(back.precoders[key], v)
         assert scheme_to_dict(back) == data
+        assert len(data["allocation"]) == 12
+        assert set(data["allocation"].values()) == {1}
+
+    @pytest.mark.parametrize("mutate", ["non_uniform", "missing_pair", "fractional"])
+    def test_rejects_malformed_allocation(self, mutate):
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        if mutate == "non_uniform":
+            data["allocation"]["2,3"] = 2
+        elif mutate == "missing_pair":
+            del data["allocation"]["3,2"]
+        else:
+            data["allocation"] = {key: 1.5 for key in data["allocation"]}
+        with pytest.raises(ConfigurationError, match="allocation"):
+            scheme_from_dict(data)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ychannel import (
+    ConfigurationError,
     DimensionError,
     InfeasibleConfigurationError,
     SystemConfig,
@@ -32,6 +33,15 @@ class TestSampling:
         b = sample_channels(SystemConfig(4, 2, 5), 99)
         for x, y in zip((*a.uplink, *a.downlink), (*b.uplink, *b.downlink)):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            sample_channels(SystemConfig(4, 3, 7), seed)
+
+    def test_largest_seed_accepted(self):
+        ch = sample_channels(SystemConfig(4, 3, 7), 2**64 - 1)
+        assert ch.seed == 2**64 - 1
 
     def test_seeds_differ(self):
         a = sample_channels(SystemConfig(4, 2, 5), 1)
@@ -155,7 +165,7 @@ class TestPlanExtension:
     def test_integer_relay_deactivation(self):
         plan = plan_extension(SystemConfig(5, 5, 12), corner(5, 2))
         assert plan.ext.t == 1
-        assert plan.deactivation == (5, 11)
+        assert (plan.ext.effective_M, plan.ext.effective_N) == (5, 11)
         assert plan.side == "relay"
 
     def test_fractional_needs_extension(self):
@@ -167,7 +177,7 @@ class TestPlanExtension:
     def test_already_at_corner(self):
         plan = plan_extension(SystemConfig(4, 3, 7), corner(4, 2))
         assert plan.ext.t == 1
-        assert plan.deactivation == (3, 7)
+        assert (plan.ext.effective_M, plan.ext.effective_N) == (3, 7)
         assert plan.side == "none"
 
     def test_source_side(self):

@@ -156,6 +156,14 @@ class TestSynthesize:
         assert proc.returncode == 1
         assert "needs N >= 13" in proc.stderr
 
+    def test_negative_seed_fails(self):
+        proc = run_cli(
+            "synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seed", "-1",
+        )
+        assert proc.returncode == 1
+        assert "seed" in proc.stderr
+
 
 class TestMonteCarlo:
     def test_small_run_flags_low_confidence(self, tmp_path):
@@ -187,6 +195,18 @@ class TestMonteCarlo:
         )
         assert proc.returncode == 2
         assert "at least 2 SNR points" in proc.stderr
+        assert not out.exists()
+
+    def test_seed_past_2_64_fails_without_csv(self, tmp_path):
+        # seeds 2^64-2 and 2^64-1 are valid; the third one is not
+        out = tmp_path / "mc.csv"
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "3", "--base-seed", str(2**64 - 2), "--snr-grid", "40,50",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "seed" in proc.stderr
         assert not out.exists()
 
     def test_csv_matches_per_point_end_to_end(self, tmp_path, capsys):

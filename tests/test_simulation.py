@@ -1,6 +1,7 @@
 """Two-phase simulation tests: identities, round trips, noise, rates."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -39,9 +40,14 @@ def corner_setup(K, M, N, beta, seed):
     return ch, scheme
 
 
+def ordered_pairs(scheme):
+    return list(itertools.permutations(range(scheme.cfg.K), 2))
+
+
 def zero_frame(scheme):
+    x = scheme.alloc.per_pair
     return SymbolFrame(
-        streams={k: np.zeros(v, dtype=complex) for k, v in scheme.alloc.d.items()}
+        streams={k: np.zeros(x, dtype=complex) for k in ordered_pairs(scheme)}
     )
 
 
@@ -50,7 +56,8 @@ class TestFrames:
         _, scheme = corner_setup(4, 3, 7, 2, 1)
         a = make_frame(scheme, 5)
         b = make_frame(scheme, 5)
-        for key in scheme.alloc.d:
+        assert list(a.streams) == ordered_pairs(scheme)
+        for key in ordered_pairs(scheme):
             assert np.array_equal(a.streams[key], b.streams[key])
 
     def test_qpsk_constellation(self):
@@ -165,7 +172,7 @@ class TestBroadcastPhase:
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = zero_frame(scheme)
         nc = stack_network_coded(scheme, frame)
-        received, bc = bc_phase(scheme, ch, nc, 0.0)
+        received = bc_phase(build_bc_scheme(scheme, ch), ch, nc, 0.0)
         for y in received:
             assert np.all(y == 0)
 
@@ -173,7 +180,8 @@ class TestBroadcastPhase:
         ch, scheme = corner_setup(5, 4, 13, 3, 2)
         frame = make_frame(scheme, 4)
         nc = stack_network_coded(scheme, frame)
-        received, bc = bc_phase(scheme, ch, nc, 0.0)
+        bc = build_bc_scheme(scheme, ch)
+        received = bc_phase(bc, ch, nc, 0.0)
         for user in range(5):
             blocks = decode_user(scheme, bc, user, received[user])
             for (i, j), value in blocks.items():
@@ -184,7 +192,8 @@ class TestBroadcastPhase:
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = make_frame(scheme, 8)
         nc = stack_network_coded(scheme, frame)
-        received, bc = bc_phase(scheme, ch, nc, 0.0)
+        bc = build_bc_scheme(scheme, ch)
+        received = bc_phase(bc, ch, nc, 0.0)
         for user in range(4):
             blocks = decode_user(scheme, bc, user, received[user])
             partners = cancel_self_interference(frame, user, blocks)
@@ -212,7 +221,7 @@ class TestEndToEnd:
 
     def test_source_side_extension_path(self):
         # ratio below the corner: sources give up fractional antennas
-        result = end_to_end(SystemConfig(4, 3, 2), 2, 0, 0.0, max_extension=8)
+        result = end_to_end(SystemConfig(4, 3, 2), 2, 0, 0.0)
         assert result.t == 7
         assert result.relay_recovery_error <= 1e-6
         assert result.user_recovery_error <= 1e-6
@@ -232,7 +241,7 @@ class TestEndToEnd:
         from ychannel import StageError
 
         with pytest.raises(StageError) as err:
-            end_to_end(SystemConfig(5, 4, 11), 3, 0, 0.0, max_extension=1)
+            prepare(SystemConfig(5, 4, 11), 3, 0, max_extension=1)
         assert err.value.stage == "synthesis"
 
     @pytest.mark.parametrize("noise_var", [-1e-3, float("nan"), float("inf")])
