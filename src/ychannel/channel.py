@@ -38,6 +38,7 @@ __all__ = [
     "channel_from_dict",
     "save_channels",
     "load_channels",
+    "check_seed",
     "substream",
     "complex_gaussian",
 ]
@@ -50,13 +51,15 @@ LABEL_FRAME = 3
 LABEL_NOISE = 4
 
 
-def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for one (seed, label, index) triple.
-
-    The seed fills the low 64 key bits, so it must lie in [0, 2^64).
-    """
+def check_seed(seed: int) -> None:
+    """A seed fills the low 64 Philox key bits: reject any outside [0, 2^64)."""
     if not 0 <= seed < 1 << 64:
         raise ConfigurationError(f"seed must be in [0, 2^64), got {seed}")
+
+
+def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
+    """Independent generator for one (seed, label, index) triple."""
+    check_seed(seed)
     key = seed | (((label << 32) | index) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -39,6 +39,7 @@ from .bounds import (
     slope_interval,
     upper_bound,
 )
+from .channel import check_seed
 from .config import SystemConfig
 from .errors import YChannelError
 from .simulation import (
@@ -271,6 +272,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
     grid = args.snr_grid
     seeds = [args.base_seed + s for s in range(args.seeds)]
+    check_seed(seeds[0])  # the whole range, before any seed is prepared
+    check_seed(seeds[-1])
     records = []
     curve = np.zeros(len(grid))
     for seed in seeds:

@@ -14,8 +14,10 @@ makes every filter output a clean selector of the wanted sums.  The
 downlink path is certified per instance by residual and rank checks and
 is kept isolated: uplink recovery never depends on it.
 
-Noisy runs reuse the same machinery with AWGN added at the relay and the
-users; per-stream zero-forcing rates feed the DoF slope estimate.
+Noisy runs add AWGN at the relay and the users.  Every node sends total
+power (K-1)x over unit-power streams and noise_var = 10^(-snr_db/10) is
+unit noise over that total, so the simulator and the zero-forcing rates
+behind the DoF slope estimate share the per-stream noise (K-1)*x*noise_var.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class NetworkCodedVector:
     """Stacked pairwise sums in the scheme's pair order."""
 
     entries: np.ndarray
-    labels: list[tuple[int, int, int]]  # (i, j, stream index) per entry, i < j
 
 
 def make_frame(scheme: AlignmentScheme, seed: int, kind: str = "gaussian") -> SymbolFrame:
@@ -133,12 +134,14 @@ def make_frame(scheme: AlignmentScheme, seed: int, kind: str = "gaussian") -> Sy
 def stack_network_coded(scheme: AlignmentScheme, frame: SymbolFrame) -> NetworkCodedVector:
     """Stack s_ij + s_ji over unordered pairs in scheme order."""
     chunks = []
-    labels = []
-    for (i, j), start, stop in scheme.pair_blocks:
+    for (i, j), _, _ in scheme.pair_blocks:
         chunks.append(frame.streams[(i, j)] + frame.streams[(j, i)])
-        labels.extend((i, j, k) for k in range(stop - start))
     entries = np.concatenate(chunks) if chunks else np.empty(0, dtype=complex)
-    return NetworkCodedVector(entries=entries, labels=labels)
+    return NetworkCodedVector(entries=entries)
+
+
+def _stream_noise_var(scheme: AlignmentScheme, noise_var: float) -> float:
+    return (scheme.cfg.K - 1) * scheme.alloc.per_pair * noise_var
 
 
 def _awgn(rng: np.random.Generator | None, size: int, noise_var: float) -> np.ndarray:
@@ -180,25 +183,21 @@ def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
         entries = np.linalg.solve(scheme.aligned_basis, compressed)
     except np.linalg.LinAlgError as exc:
         raise DecodabilityError(f"aligned basis is singular: {exc}") from exc
-    labels = []
-    for (i, j), start, stop in scheme.pair_blocks:
-        labels.extend((i, j, k) for k in range(stop - start))
-    return NetworkCodedVector(entries=entries, labels=labels)
+    return NetworkCodedVector(entries=entries)
 
 
 @dataclass(frozen=True)
 class BcScheme:
     """Downlink precoder, per-user receive filters and certification.
 
-    ``relay_precoder`` maps the network-coded vector to relay antennas;
-    ``filters[(i, j)]`` recovers the (i, j) pair block at user i.
-    ``power_scale`` is applied at the relay and undone in the filters so
-    the mean transmit power matches one unit per stream dimension.
+    ``relay_precoder`` maps the network-coded vector to relay antennas and
+    is scaled so the relay sends total power (K-1)x, the same as each
+    source, when every sum entry has variance 2; ``filters[(i, j)]``
+    recovers the (i, j) pair block at user i.
     """
 
     relay_precoder: np.ndarray
     filters: dict[tuple[int, int], np.ndarray]
-    power_scale: float
     selector_residual: float
     dual_basis_condition: float
 
@@ -220,11 +219,14 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     # into a transmit precoder; composing with the inverse dual basis makes
     # each user filter output the wanted pair block of the input.
     precoder = np.linalg.solve(dual.aligned_basis, dual.compression.matrix).T
-    filters = {pair: v.T for pair, v in dual.precoders.items()}
-    rows = scheme.alloc.rows
+    # sum entries have variance 2: send total power (K-1)x, as each source does
+    per_node = (cfg.K - 1) * scheme.alloc.per_pair
+    gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
+    precoder *= gamma
+    filters = {pair: v.T / gamma for pair, v in dual.precoders.items()}
     residual = 0.0
     for (i, j), start, stop in scheme.pair_blocks:
-        want = np.zeros((stop - start, rows))
+        want = np.zeros((stop - start, scheme.alloc.rows))
         want[:, start:stop] = np.eye(stop - start)
         for user, partner in ((i, j), (j, i)):
             selector = filters[(user, partner)] @ ch.downlink[user] @ precoder
@@ -233,13 +235,10 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
         raise BroadcastInfeasibleError(
             f"downlink selector residual {residual:.3e} exceeds {SELECTOR_TOL:.1e}"
         )
-    power = np.linalg.norm(precoder, "fro") ** 2
-    scale = float(np.sqrt(rows / (2.0 * power))) if power > 0 else 1.0
     precoder.setflags(write=False)
     return BcScheme(
         relay_precoder=precoder,
         filters=filters,
-        power_scale=scale,
         selector_residual=residual,
         dual_basis_condition=dual.basis_condition,
     )
@@ -253,7 +252,7 @@ def bc_phase(
     rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
     """Broadcast the network-coded vector; returns raw per-user receptions."""
-    x = bc.power_scale * (bc.relay_precoder @ s_plus.entries)
+    x = bc.relay_precoder @ s_plus.entries
     return [g @ x + _awgn(rng, ch.cfg.M, noise_var) for g in ch.downlink]
 
 
@@ -262,7 +261,7 @@ def decode_user(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Filter a user's reception into its pair blocks of the sum vector."""
     return {
-        (min(user, j), max(user, j)): (bc.filters[(user, j)] @ y) / bc.power_scale
+        (min(user, j), max(user, j)): bc.filters[(user, j)] @ y
         for j in range(scheme.cfg.K)
         if j != user
     }
@@ -354,6 +353,8 @@ def simulate(
 ) -> SimResult:
     """Transmit both phases of a prepared pipeline at one noise level.
 
+    AWGN of per-stream variance (K-1)*x*noise_var, the noise ``pairwise_rates``
+    assumes, is added at the relay and the users, so errors and rates share one SNR.
     Noiseless runs must recover the network-coded vector at the relay and
     every partner stream at the users to within ``RECOVERY_TOL``.  A
     downlink failure is recorded in ``bc_failure`` without failing the
@@ -363,17 +364,18 @@ def simulate(
         raise ConfigurationError(f"noise_var must be finite and >= 0, got {noise_var}")
     scheme, ch, seed, bc = prep.scheme, prep.ch, prep.seed, prep.bc
     rng = substream(seed, LABEL_NOISE)
+    sigma2 = _stream_noise_var(scheme, noise_var)
     with _stage("mac"):
         frame = make_frame(scheme, seed, symbols)
         truth = stack_network_coded(scheme, frame)
-        y = mac_phase(scheme, ch, frame, noise_var, rng)
+        y = mac_phase(scheme, ch, frame, sigma2, rng)
     with _stage("relay_decode"):
         decoded = relay_decode(scheme, y)
         relay_err = float(np.abs(decoded.entries - truth.entries).max())
     user_err: float | None = None
     if bc is not None:
         with _stage("bc"):
-            received = bc_phase(bc, ch, decoded, noise_var, rng)
+            received = bc_phase(bc, ch, decoded, sigma2, rng)
             worst = 0.0
             for user in range(scheme.cfg.K):
                 blocks = decode_user(scheme, bc, user, received[user])
@@ -419,33 +421,22 @@ def pairwise_rates(
 ) -> dict[tuple[int, int], float]:
     """Zero-forcing rate of every ordered message at one SNR.
 
-    Both hops decode by solving the (square, well-conditioned) aligned
-    systems, so each stream sees only its own scaled noise.  A message's
-    rate is the minimum of its uplink network-coded rate and its downlink
-    filter rate, summed over the pair's streams; per-stream transmit power
-    is the budget split uniformly over each node's streams.
+    Both hops zero-force, so with the per-stream noise sigma2 that ``simulate``
+    adds, a sum entry (power 2) has SINR 2/(sigma2 ||solver row||^2) at the
+    relay and a partner stream 1/(sigma2 ||filter row||^2) at its user.  A
+    message's rate is the minimum of the two, summed over the pair's streams.
     """
-    cfg = scheme.cfg
-    power = 10.0 ** (snr_db / 10.0)
-    per_user_streams = (cfg.K - 1) * scheme.alloc.per_pair
-    p_stream = power / per_user_streams
+    sigma2 = _stream_noise_var(scheme, 10.0 ** (-snr_db / 10.0))
     solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
-    mac_noise = np.linalg.norm(solver, axis=1) ** 2
-    mac_rate = np.log2(1.0 + 2.0 * p_stream / mac_noise)
-    # Relay transmit power: scale so E||x_r||^2 = power with 2*p_stream
-    # energy per network-coded entry.
-    u_energy = np.linalg.norm(bc.relay_precoder, "fro") ** 2
-    gamma2 = power / (2.0 * p_stream * u_energy)
+    mac_noise = sigma2 * np.linalg.norm(solver, axis=1) ** 2
+    mac_rate = np.log2(1.0 + 2.0 / mac_noise)
     rates: dict[tuple[int, int], float] = {}
     for (i, j), start, stop in scheme.pair_blocks:
         for user, src in ((j, i), (i, j)):
             # message src -> user, decoded at `user`
-            f = bc.filters[(user, src)]
-            bc_noise = np.linalg.norm(f, axis=1) ** 2 / gamma2
-            bc_rate = np.log2(1.0 + p_stream / bc_noise)
-            rates[(src, user)] = float(
-                np.minimum(mac_rate[start:stop], bc_rate).sum()
-            )
+            bc_noise = sigma2 * np.linalg.norm(bc.filters[(user, src)], axis=1) ** 2
+            bc_rate = np.log2(1.0 + 1.0 / bc_noise)
+            rates[(src, user)] = float(np.minimum(mac_rate[start:stop], bc_rate).sum())
     return rates
 
 

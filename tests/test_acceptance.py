@@ -9,6 +9,7 @@ import io
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from test_bounds import k3_closed_form, k4_closed_form, scan_upper
 
 from ychannel import (
     SystemConfig,
+    YChannelError,
     allocate_streams,
     apply_extension_plan,
     assemble_scheme,
@@ -121,8 +123,13 @@ def test_criterion_2_tightness_region():
 
 
 def _corner_checks(cfg, beta, seeds, build_channels):
-    """Criterion-3 battery: returns (successes, worst metrics)."""
+    """Criterion-3 battery: returns (successes, worst metrics, failures).
+
+    Domain errors are counted by exception class; any other error is a bug
+    and propagates.
+    """
     successes = 0
+    failures = Counter()
     worst_resid = 0.0
     worst_cond = 0.0
     worst_err = 0.0
@@ -135,13 +142,18 @@ def _corner_checks(cfg, beta, seeds, build_channels):
             decoded = relay_decode(scheme, mac_phase(scheme, ch, frame, 0.0))
             truth = stack_network_coded(scheme, frame)
             err = float(np.abs(decoded.entries - truth.entries).max())
-        except Exception:
+        except YChannelError as exc:
+            failures[type(exc).__name__] += 1
             continue
         successes += 1
         worst_resid = max(worst_resid, scheme.alignment_residual)
         worst_cond = max(worst_cond, scheme.basis_condition)
         worst_err = max(worst_err, err)
-    return successes, worst_resid, worst_cond, worst_err
+    return successes, worst_resid, worst_cond, worst_err, failures
+
+
+def _failure_text(failures):
+    return ", ".join(f"{name} {n}" for name, n in sorted(failures.items())) or "none"
 
 
 def test_criterion_3_constructive_corners():
@@ -149,14 +161,16 @@ def test_criterion_3_constructive_corners():
         summary = []
         for K, M, N, beta in CORNER_INSTANCES:
             cfg = SystemConfig(K, M, N)
-            ok, resid, cond, err = _corner_checks(
+            ok, resid, cond, err, failures = _corner_checks(
                 cfg, beta, range(100), lambda seed: sample_channels(cfg, seed)
             )
             assert ok >= 99, f"{(K, M, N, beta)}: only {ok}/100 seeds"
             assert resid <= 1e-8, f"{(K, M, N, beta)}: residual {resid:.2e}"
             assert cond < 1e8, f"{(K, M, N, beta)}: condition {cond:.2e}"
             assert err <= 1e-6, f"{(K, M, N, beta)}: relay error {err:.2e}"
-            summary.append(f"{K}/{M}/{N} b{beta}: {ok}/100")
+            summary.append(
+                f"{K}/{M}/{N} b{beta}: {ok}/100, failures: {_failure_text(failures)}"
+            )
         return "; ".join(summary)
 
     elapsed = _report("3 (constructive corners)", check)
@@ -233,10 +247,10 @@ def test_criterion_6_extension_path():
         def build(seed):
             return apply_extension_plan(sample_channels(cfg, seed), plan)
 
-        ok, resid, cond, err = _corner_checks(cfg, 2, range(100), build)
+        ok, resid, cond, err, failures = _corner_checks(cfg, 2, range(100), build)
         assert ok >= 99, f"extension path: only {ok}/100 seeds"
         assert resid <= 1e-8 and cond < 1e8 and err <= 1e-6
-        return f"t=5 -> (5, 11), {ok}/100 seeds"
+        return f"t=5 -> (5, 11), {ok}/100 seeds, failures: {_failure_text(failures)}"
 
     elapsed = _report("6 (extension path)", check)
     assert elapsed < 5.0

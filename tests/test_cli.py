@@ -197,17 +197,27 @@ class TestMonteCarlo:
         assert "at least 2 SNR points" in proc.stderr
         assert not out.exists()
 
-    def test_seed_past_2_64_fails_without_csv(self, tmp_path):
-        # seeds 2^64-2 and 2^64-1 are valid; the third one is not
+    def test_seed_past_2_64_fails_without_csv(self, tmp_path, monkeypatch, capsys):
+        # seeds 2^64-2 and 2^64-1 are valid, the third one is not; a base of
+        # -1 fails on the first.  Either way no seed is prepared.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "prepare", counted)
         out = tmp_path / "mc.csv"
-        proc = run_cli(
-            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
-            "--seeds", "3", "--base-seed", str(2**64 - 2), "--snr-grid", "40,50",
-            "--out", str(out),
-        )
-        assert proc.returncode == 1
-        assert "seed" in proc.stderr
-        assert not out.exists()
+        for base, count in ((2**64 - 2, "3"), (-1, "2")):
+            code = cli.main([
+                "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+                "--seeds", count, "--base-seed", str(base), "--snr-grid", "40,50",
+                "--out", str(out),
+            ])
+            assert code == 1
+            assert "seed" in capsys.readouterr().err
+            assert calls == []
+            assert not out.exists()
 
     def test_csv_matches_per_point_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
