@@ -46,15 +46,12 @@ from .bounds import (
 from .channel import (
     ChannelSet,
     ExtensionPlan,
-    ExtensionSpec,
     apply_extension_plan,
     channel_from_dict,
     channel_to_dict,
     deactivate,
-    load_channels,
     plan_extension,
     sample_channels,
-    save_channels,
     symbol_extend,
 )
 from .config import SystemConfig

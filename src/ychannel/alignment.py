@@ -12,11 +12,15 @@ Construction order, for a branch index ``beta``:
 1. ``allocate_streams`` fixes the symmetric per-pair stream count.
 2. ``required_row_counts`` distributes compression rows over the
    ``C(K, beta)`` antenna subsets and checks the feasibility inequalities.
-3. ``build_compression_matrix`` extracts the rows by SVD.
+3. ``build_compression_matrix`` takes q left-null rows of each subset's
+   stacked channel.
 4. ``build_precoders`` pulls each pair's joint precoder from the null
    space of the compressed pair channel.
 5. ``assemble_scheme`` stacks the aligned basis and certifies residual and
    conditioning.
+
+Steps 3 and 4 share one null-space routine (one SVD per matrix, with the
+``NULL_SPACE_RTOL`` cutoff) and one lost-rank rule.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -202,23 +206,25 @@ class CompressionMatrix:
     row_residuals: np.ndarray
 
 
-def _left_null_rows(stack: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """First ``count`` left-null rows of ``stack``, ascending singular value.
+def _null_rows(a: np.ndarray, count: int, *, left: bool) -> tuple[np.ndarray, int, float]:
+    """First ``count`` null directions of ``a`` as rows, ascending singular value.
 
-    Returns the rows and the full left-null dimension.
+    ``left`` picks the left null space (conjugated columns of U), otherwise
+    the right one (conjugated rows of V^H).  One SVD gives the rows, the
+    null dimension under ``NULL_SPACE_RTOL`` and the spectral norm s[0].
     """
-    n = stack.shape[0]
-    u, s, _ = np.linalg.svd(stack)
-    sigma = np.zeros(n)
+    u, s, vh = np.linalg.svd(a)
+    sigma = np.zeros(a.shape[0] if left else a.shape[1])
     sigma[: s.size] = s
-    cutoff = NULL_SPACE_RTOL * (s[0] if s.size else 0.0)
-    null_dim = int(np.count_nonzero(sigma <= cutoff))
-    order = np.argsort(sigma, kind="stable")
-    if count:
-        rows = np.stack([u[:, k].conj() for k in order[:count]])
-    else:
-        rows = np.empty((0, n), dtype=complex)
-    return rows, null_dim
+    null_dim = int(np.count_nonzero(sigma <= NULL_SPACE_RTOL * s[0]))
+    order = np.argsort(sigma, kind="stable")[:count]
+    return (u.T if left else vh)[order].conj(), null_dim, s[0]
+
+
+def _rank_lost(m: np.ndarray, floor: float = 0.0) -> bool:
+    """True when the smallest singular value of ``m`` counts as zero."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv.size == 0 or sv[-1] <= NULL_SPACE_RTOL * max(sv[0], floor)
 
 
 def build_compression_matrix(
@@ -232,13 +238,12 @@ def build_compression_matrix(
     residuals = []
     for subset in itertools.combinations(range(cfg.K), beta):
         stack = np.hstack([ch.uplink[g] for g in subset])
-        picked, null_dim = _left_null_rows(stack, counts.q)
+        picked, null_dim, scale = _null_rows(stack, counts.q, left=True)
         if null_dim < counts.q:
             raise InfeasibleConfigurationError(
                 f"subset {subset}: left null space has dimension {null_dim} < q={counts.q}",
                 inequality="null dimension >= q",
             )
-        scale = np.linalg.norm(stack, 2)
         for row in picked:
             residual = np.linalg.norm(row @ stack)
             if residual > ROW_RESIDUAL_TOL * scale:
@@ -249,13 +254,11 @@ def build_compression_matrix(
             rows.append(row)
             provenance.append(subset)
             residuals.append(residual)
-    matrix = np.vstack(rows) if rows else np.empty((0, cfg.N))
-    if matrix.shape[0]:
-        sv = np.linalg.svd(matrix, compute_uv=False)
-        if sv[-1] <= NULL_SPACE_RTOL * sv[0]:
-            raise DegenerateChannelError(
-                "compression matrix lost row rank (probability-zero event); reseed"
-            )
+    matrix = np.vstack(rows)  # q >= 1, so never empty
+    if _rank_lost(matrix):
+        raise DegenerateChannelError(
+            "compression matrix lost row rank (probability-zero event); reseed"
+        )
     matrix.setflags(write=False)
     return CompressionMatrix(
         matrix=matrix,
@@ -277,24 +280,18 @@ def build_precoders(
     cfg = ch.cfg
     M = cfg.M
     P = compression.matrix
+    need = alloc.per_pair
     precoders: dict[tuple[int, int], np.ndarray] = {}
     for i, j in alloc.pairs:
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
-        _, s, vh = np.linalg.svd(a)
-        sigma = np.zeros(2 * M)
-        sigma[: s.size] = s
-        cutoff = NULL_SPACE_RTOL * (s[0] if s.size else 0.0)
-        null_dim = int(np.count_nonzero(sigma <= cutoff))
-        need = alloc.per_pair
+        null, null_dim, _ = _null_rows(a, need, left=False)
         if null_dim < need:
             raise AlignmentInfeasibleError(
                 f"pair ({i},{j}): null space dimension {null_dim} < {need} streams"
             )
-        order = np.argsort(sigma, kind="stable")
         top_cols = []
         bottom_cols = []
-        for k in order[:need]:
-            w = vh[k].conj()
+        for w in null:
             top, bottom = w[:M], w[M:]
             scale = max(np.linalg.norm(top), np.linalg.norm(bottom))
             if scale <= NULL_SPACE_RTOL:
@@ -306,8 +303,7 @@ def build_precoders(
         v_ij = np.stack(top_cols, axis=1)
         v_ji = np.stack(bottom_cols, axis=1)
         for direction, v in (((i, j), v_ij), ((j, i), v_ji)):
-            sv = np.linalg.svd(v, compute_uv=False)
-            if sv.size == 0 or sv[-1] <= NULL_SPACE_RTOL * max(sv[0], 1.0):
+            if _rank_lost(v, floor=1.0):
                 raise DegenerateSplitError(
                     f"precoder {direction} lost column rank; reseed or re-pick "
                     f"basis vectors"
@@ -348,23 +344,27 @@ def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> Align
     P = compression.matrix
     p_norm = np.linalg.norm(P, 2)
     blocks = []
-    residual = 0.0
+    residuals = []
     for i, j in alloc.pairs:
         left = P @ ch.uplink[i] @ precoders[(i, j)]
         right = P @ ch.uplink[j] @ precoders[(j, i)]
-        scale = p_norm * np.linalg.norm(ch.uplink[i], 2) * np.linalg.norm(
-            precoders[(i, j)], 2
-        )
-        residual = max(residual, np.abs(left - right).max() / scale)
+        diff = np.abs(left - right).max()
+        # the spectral norms need a finite precoder; a NaN diff fails unscaled
+        if np.isfinite(diff):
+            diff /= p_norm * np.linalg.norm(ch.uplink[i], 2) * np.linalg.norm(
+                precoders[(i, j)], 2
+            )
+        residuals.append(diff)
         blocks.append(left)
-    if residual > ALIGNMENT_TOL:
+    residual = np.max(residuals)  # np.max keeps a NaN, builtin max drops it
+    if not residual <= ALIGNMENT_TOL:
         raise AlignmentVerificationError(
             f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL:.1e}"
         )
     basis = np.hstack(blocks)  # rows x rows: one column per network-coded sum
     sv = np.linalg.svd(basis, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if condition > BASIS_COND_MAX:
+    if not condition <= BASIS_COND_MAX:
         raise DecodabilityError(
             f"aligned basis condition number {condition:.3e} exceeds "
             f"{BASIS_COND_MAX:.1e}"
@@ -423,13 +423,12 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     rows = P.shape[0]
     M = scheme.cfg.M
     report: dict[tuple[int, int], PairCheck] = {}
+    row_norms = np.linalg.norm(P, axis=1)
     for i, j in scheme.alloc.pairs:
         target = np.hstack([ch.uplink[i], -ch.uplink[j]])
         scale = np.linalg.norm(target, 2)
-        found = 0
-        for row in P:
-            if np.linalg.norm(row @ target) <= VERIFY_TOL * scale * np.linalg.norm(row):
-                found += 1
+        annihilated = np.linalg.norm(P @ target, axis=1) <= VERIFY_TOL * scale * row_norms
+        found = int(np.count_nonzero(annihilated))
         required = rows - 2 * M + scheme.alloc.per_pair
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
         stacked = np.vstack([scheme.precoders[(i, j)], scheme.precoders[(j, i)]])

@@ -9,7 +9,6 @@ byte stream is stable across library versions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs
 
 __all__ = [
     "ChannelSet",
-    "ExtensionSpec",
     "ExtensionPlan",
     "sample_channels",
     "deactivate",
@@ -36,8 +34,6 @@ __all__ = [
     "apply_extension_plan",
     "channel_to_dict",
     "channel_from_dict",
-    "save_channels",
-    "load_channels",
     "check_seed",
     "substream",
     "complex_gaussian",
@@ -156,25 +152,20 @@ def symbol_extend(ch: ChannelSet, t: int) -> ChannelSet:
 
 
 @dataclass(frozen=True)
-class ExtensionSpec:
-    """Extension factor and the resulting effective dimensions."""
+class ExtensionPlan:
+    """How to reach a target corner ratio from a given configuration.
+
+    ``t`` is the symbol-extension factor; ``effective_M`` and ``effective_N``
+    are the antenna counts to keep, expressed in the t-extended system.
+    ``side`` records which end gives up antennas: "relay" above the corner,
+    "source" below it, and "none" exactly at it, where t == 1 and the
+    effective counts are the original ones.
+    """
 
     t: int
     effective_M: int
     effective_N: int
-
-
-@dataclass(frozen=True)
-class ExtensionPlan:
-    """How to reach a target corner ratio from a given configuration.
-
-    ``ext`` holds the extension factor and the antenna counts to keep,
-    expressed in the t-extended system (equal to the original counts when
-    t == 1).  ``side`` records which end gives up antennas.
-    """
-
-    ext: ExtensionSpec
-    side: str  # "relay", "source" or "none"
+    side: str
 
 
 def plan_extension(
@@ -199,16 +190,14 @@ def plan_extension(
         t = keep.denominator
         m_eff = int(keep * t)
         n_eff = t * cfg.N
-        side = "none" if m_eff == t * cfg.M else "source"
+        side = "source"
     if t > max_extension:
         raise InfeasibleConfigurationError(
             f"reaching ratio {alpha} needs a {t}-symbol extension, above the cap "
             f"{max_extension}",
             inequality="t <= max_extension",
         )
-    return ExtensionPlan(
-        ext=ExtensionSpec(t=t, effective_M=m_eff, effective_N=n_eff), side=side
-    )
+    return ExtensionPlan(t=t, effective_M=m_eff, effective_N=n_eff, side=side)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -228,12 +217,10 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
     effective_M/effective_N usable dimensions, which is all the DoF
     argument needs.
     """
-    t, m_eff, n_eff = plan.ext.t, plan.ext.effective_M, plan.ext.effective_N
+    t, m_eff, n_eff = plan.t, plan.effective_M, plan.effective_N
     if t == 1:
         return deactivate(ch, m_eff, n_eff)
     extended = symbol_extend(ch, t)
-    if plan.side == "none":
-        return extended
     cfg = SystemConfig(ch.cfg.K, m_eff, n_eff)
     if plan.side == "relay":
         mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, 0), t * ch.cfg.N)
@@ -273,13 +260,3 @@ def channel_from_dict(data: dict) -> ChannelSet:
         if g.shape != (cfg.M, cfg.N):
             raise DimensionError(f"downlink matrix shape {g.shape} != {(cfg.M, cfg.N)}")
     return ChannelSet(cfg=cfg, seed=int(data["seed"]), uplink=uplink, downlink=downlink)
-
-
-def save_channels(ch: ChannelSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_dict(ch), fh)
-
-
-def load_channels(path: str) -> ChannelSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_dict(json.load(fh))

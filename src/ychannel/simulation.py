@@ -110,24 +110,13 @@ class NetworkCodedVector:
     entries: np.ndarray
 
 
-def make_frame(scheme: AlignmentScheme, seed: int, kind: str = "gaussian") -> SymbolFrame:
-    """Draw a deterministic symbol frame.
-
-    ``gaussian`` gives unit-variance complex Gaussian symbols; ``qpsk``
-    gives (+-1 +-1j)/sqrt(2), handy for crisp exact-recovery checks.
-    """
+def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
+    """Draw a deterministic frame of unit-variance complex Gaussian symbols."""
     rng = substream(seed, LABEL_FRAME)
     streams = {}
     count = scheme.alloc.per_pair
     for pair in itertools.permutations(range(scheme.cfg.K), 2):
-        if kind == "gaussian":
-            sym = complex_gaussian(rng, (count,))
-        elif kind == "qpsk":
-            bits = rng.integers(0, 2, size=(2, count))
-            sym = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2)
-        else:
-            raise ConfigurationError(f"unknown symbol kind {kind!r}")
-        streams[pair] = sym
+        streams[pair] = complex_gaussian(rng, (count,))
     return SymbolFrame(streams=streams)
 
 
@@ -224,14 +213,15 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
     precoder *= gamma
     filters = {pair: v.T / gamma for pair, v in dual.precoders.items()}
-    residual = 0.0
+    residuals = []
     for (i, j), start, stop in scheme.pair_blocks:
         want = np.zeros((stop - start, scheme.alloc.rows))
         want[:, start:stop] = np.eye(stop - start)
         for user, partner in ((i, j), (j, i)):
             selector = filters[(user, partner)] @ ch.downlink[user] @ precoder
-            residual = max(residual, float(np.abs(selector - want).max()))
-    if residual > SELECTOR_TOL:
+            residuals.append(np.abs(selector - want).max())
+    residual = float(np.max(residuals))  # np.max keeps a NaN, builtin max drops it
+    if not residual <= SELECTOR_TOL:
         raise BroadcastInfeasibleError(
             f"downlink selector residual {residual:.3e} exceeds {SELECTOR_TOL:.1e}"
         )
@@ -345,12 +335,10 @@ def prepare(
         if not isinstance(exc.cause, BroadcastInfeasibleError):
             raise
         bc_failure = str(exc.cause)
-    return PreparedPipeline(cfg, beta, seed, plan.ext.t, ch, scheme, bc, bc_failure)
+    return PreparedPipeline(cfg, beta, seed, plan.t, ch, scheme, bc, bc_failure)
 
 
-def simulate(
-    prep: PreparedPipeline, noise_var: float = 0.0, *, symbols: str = "gaussian"
-) -> SimResult:
+def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
     """Transmit both phases of a prepared pipeline at one noise level.
 
     AWGN of per-stream variance (K-1)*x*noise_var, the noise ``pairwise_rates``
@@ -366,7 +354,7 @@ def simulate(
     rng = substream(seed, LABEL_NOISE)
     sigma2 = _stream_noise_var(scheme, noise_var)
     with _stage("mac"):
-        frame = make_frame(scheme, seed, symbols)
+        frame = make_frame(scheme, seed)
         truth = stack_network_coded(scheme, frame)
         y = mac_phase(scheme, ch, frame, sigma2, rng)
     with _stage("relay_decode"):
@@ -403,17 +391,10 @@ def simulate(
     )
 
 
-def end_to_end(
-    cfg: SystemConfig,
-    beta: int,
-    seed: int,
-    noise_var: float = 0.0,
-    *,
-    symbols: str = "gaussian",
-) -> SimResult:
+def end_to_end(cfg: SystemConfig, beta: int, seed: int, noise_var: float = 0.0) -> SimResult:
     """Full pipeline for one noise level: ``prepare`` then ``simulate``."""
     prep = prepare(cfg, beta, seed)
-    return simulate(prep, noise_var, symbols=symbols)
+    return simulate(prep, noise_var)
 
 
 def pairwise_rates(

@@ -241,8 +241,8 @@ def test_criterion_6_extension_path():
         cfg = SystemConfig(5, 1, 3)
         target = next(c for c in corner_points(5) if c.beta == 2)
         plan = plan_extension(cfg, target)
-        assert plan.ext.t == 5
-        assert (plan.ext.effective_M, plan.ext.effective_N) == (5, 11)
+        assert plan.t == 5
+        assert (plan.effective_M, plan.effective_N) == (5, 11)
 
         def build(seed):
             return apply_extension_plan(sample_channels(cfg, seed), plan)

@@ -16,6 +16,7 @@ import pytest
 
 from ychannel import (
     AlignmentInfeasibleError,
+    AlignmentVerificationError,
     ConfigurationError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
@@ -30,6 +31,7 @@ from ychannel import (
     scheme_to_dict,
     verify_alignment_conditions,
 )
+from ychannel import alignment
 from ychannel.alignment import CompressionMatrix
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
@@ -243,6 +245,22 @@ class TestAssembledScheme:
                         * np.linalg.norm(scheme.precoders[(i, j)], 2)
                     )
                     assert np.abs(left - right).max() / scale <= 1e-8
+
+    @pytest.mark.parametrize("direction", [(0, 1), (1, 0)])
+    def test_nan_precoder_fails_certification(self, monkeypatch, direction):
+        # either side of the alignment identity may carry the NaN
+        ch, alloc, _ = build_all(4, 3, 7, 2, 1)
+        real = alignment.build_precoders
+
+        def poisoned(*args):
+            precoders = real(*args)
+            v = precoders[direction].copy()
+            v[0, 0] = np.nan
+            return {**precoders, direction: v}
+
+        monkeypatch.setattr(alignment, "build_precoders", poisoned)
+        with pytest.raises(AlignmentVerificationError):
+            assemble_scheme(ch, alloc, 2)
 
     def test_exact_arithmetic_residual_is_zero(self):
         # Rational-channel mirror of the whole construction in sympy: the

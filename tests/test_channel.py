@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ychannel import (
     ConfigurationError,
@@ -164,28 +166,43 @@ class TestSymbolExtend:
 class TestPlanExtension:
     def test_integer_relay_deactivation(self):
         plan = plan_extension(SystemConfig(5, 5, 12), corner(5, 2))
-        assert plan.ext.t == 1
-        assert (plan.ext.effective_M, plan.ext.effective_N) == (5, 11)
+        assert plan.t == 1
+        assert (plan.effective_M, plan.effective_N) == (5, 11)
         assert plan.side == "relay"
 
     def test_fractional_needs_extension(self):
         plan = plan_extension(SystemConfig(5, 1, 3), corner(5, 2))
-        assert plan.ext.t == 5
-        assert (plan.ext.effective_M, plan.ext.effective_N) == (5, 11)
+        assert plan.t == 5
+        assert (plan.effective_M, plan.effective_N) == (5, 11)
         assert plan.side == "relay"
 
     def test_already_at_corner(self):
         plan = plan_extension(SystemConfig(4, 3, 7), corner(4, 2))
-        assert plan.ext.t == 1
-        assert (plan.ext.effective_M, plan.ext.effective_N) == (3, 7)
+        assert plan.t == 1
+        assert (plan.effective_M, plan.effective_N) == (3, 7)
         assert plan.side == "none"
 
     def test_source_side(self):
         # ratio below the corner: sources give up antennas
         plan = plan_extension(SystemConfig(5, 10, 11), corner(5, 2))
         assert plan.side == "source"
-        eff = Fraction(plan.ext.effective_N, plan.ext.effective_M)
+        eff = Fraction(plan.effective_N, plan.effective_M)
         assert eff == corner(5, 2).abscissa
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(3, 8), st.integers(1, 29), st.integers(1, 119), st.booleans())
+    def test_side_none_means_unchanged(self, data, K, M, N, at_corner):
+        # "none" only at the corner ratio, where nothing is extended or dropped
+        target = data.draw(st.sampled_from(corner_points(K)))
+        alpha = target.abscissa
+        if at_corner:
+            M = alpha.denominator * (M % 4 + 1)
+            N = alpha.numerator * M // alpha.denominator
+        plan = plan_extension(SystemConfig(K, M, N), target, max_extension=10**6)
+        assert (plan.side == "none") == (Fraction(N, M) == alpha)
+        if plan.side == "none":
+            assert plan.t == 1
+            assert (plan.effective_M, plan.effective_N) == (M, N)
 
     def test_extension_cap(self):
         with pytest.raises(InfeasibleConfigurationError):
@@ -211,7 +228,7 @@ class TestPlanExtension:
         for K, M, N, beta in [(5, 5, 12, 2), (5, 1, 3, 2), (5, 7, 30, 3), (6, 4, 30, 4)]:
             cfg = SystemConfig(K, M, N)
             plan = plan_extension(cfg, corner(K, beta), max_extension=128)
-            eff = Fraction(plan.ext.effective_N, plan.ext.effective_M)
+            eff = Fraction(plan.effective_N, plan.effective_M)
             assert eff == corner(K, beta).abscissa
 
 

@@ -1,5 +1,6 @@
 """Two-phase simulation tests: identities, round trips, noise, rates."""
 
+import dataclasses
 import io
 import itertools
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ychannel import (
+    BroadcastInfeasibleError,
     ConfigurationError,
     SymbolFrame,
     SystemConfig,
@@ -59,20 +61,6 @@ class TestFrames:
         assert list(a.streams) == ordered_pairs(scheme)
         for key in ordered_pairs(scheme):
             assert np.array_equal(a.streams[key], b.streams[key])
-
-    def test_qpsk_constellation(self):
-        _, scheme = corner_setup(4, 3, 7, 2, 1)
-        frame = make_frame(scheme, 3, kind="qpsk")
-        points = {
-            complex(re, im) / np.sqrt(2) for re in (-1, 1) for im in (-1, 1)
-        }
-        for sym in frame.streams.values():
-            assert all(any(abs(s - p) < 1e-12 for p in points) for s in sym)
-
-    def test_unknown_kind(self):
-        _, scheme = corner_setup(4, 3, 7, 2, 1)
-        with pytest.raises(ConfigurationError):
-            make_frame(scheme, 0, kind="bpsk")
 
     def test_network_coded_stacking(self):
         _, scheme = corner_setup(4, 3, 7, 2, 1)
@@ -167,6 +155,21 @@ class TestBroadcastPhase:
                 assert np.abs(desired - np.eye(stop - start)).max() <= 1e-8
                 assert np.abs(other).max() <= 1e-8
 
+    def test_nan_dual_precoder_fails_certification(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a builtin fold would certify NaN filters
+        ch, scheme = corner_setup(4, 3, 7, 2, 1)
+        real = simulation.assemble_scheme
+
+        def poisoned(*args):
+            dual = real(*args)
+            v = dual.precoders[(0, 1)].copy()
+            v[0, 0] = np.nan
+            return dataclasses.replace(dual, precoders={**dual.precoders, (0, 1): v})
+
+        monkeypatch.setattr(simulation, "assemble_scheme", poisoned)
+        with pytest.raises(BroadcastInfeasibleError):
+            build_bc_scheme(scheme, ch)
+
     def test_zero_vector_received_as_zero(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = zero_frame(scheme)
@@ -224,10 +227,6 @@ class TestEndToEnd:
         assert result.t == 7
         assert result.relay_recovery_error <= 1e-6
         assert result.user_recovery_error <= 1e-6
-
-    def test_qpsk_symbols(self):
-        result = end_to_end(SystemConfig(4, 3, 7), 2, 6, 0.0, symbols="qpsk")
-        assert result.relay_recovery_error <= 1e-6
 
     def test_noisy_run_reports_rates(self):
         result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-4)
