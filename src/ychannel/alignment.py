@@ -19,8 +19,11 @@ Construction order, for a branch index ``beta``:
 5. ``assemble_scheme`` stacks the aligned basis and certifies residual and
    conditioning.
 
-Steps 3 and 4 share one null-space routine (one SVD per matrix, with the
-``NULL_SPACE_RTOL`` cutoff) and one lost-rank rule.
+Steps 3 and 4 share one null-space routine and one lost-rank rule.  The
+routine completes each wide matrix to a square one with a fixed random
+block, takes one LU solve with partial pivoting per matrix and one batched
+QR, and needs no SVD; step 4 first drops the rows that the provenance says
+annihilate both channels of the pair, and checks that they do.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -29,6 +32,7 @@ independently of how the scheme was built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -74,7 +78,7 @@ __all__ = [
 # A singular value counts as zero below this fraction of the largest one.
 NULL_SPACE_RTOL = 1e-10
 # Residual ceiling for rows placed in a left null space, relative to the
-# stacked matrix norm.
+# largest spectral norm among the stacked channels.
 ROW_RESIDUAL_TOL = 1e-9
 # Normalized alignment residual ceiling for an assembled scheme.
 ALIGNMENT_TOL = 1e-8
@@ -206,55 +210,68 @@ class CompressionMatrix:
     row_residuals: np.ndarray
 
 
-def _null_rows(a: np.ndarray, count: int, *, left: bool) -> tuple[np.ndarray, int, float]:
-    """First ``count`` null directions of ``a`` as rows, ascending singular value.
+@functools.lru_cache(maxsize=64)
+def _complement(rows: int, n: int) -> np.ndarray:
+    """Fixed real Gaussian (n - rows) x n block, seeded by its shape."""
+    block = np.random.default_rng([rows, n]).standard_normal((n - rows, n))
+    block.setflags(write=False)
+    return block
 
-    ``left`` picks the left null space (conjugated columns of U), otherwise
-    the right one (conjugated rows of V^H).  One SVD gives the rows, the
-    null dimension under ``NULL_SPACE_RTOL`` and the spectral norm s[0].
+
+def _null_space(mats: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal null-space bases of equally shaped wide matrices, (B, n, n - R).
+
+    For an R x n matrix ``a`` of full row rank, the last n - R columns of
+    ``inv([a; E])`` span its null space, E being the fixed complement of
+    that shape (the variable-reduction basis of Nocedal & Wright).  Each
+    matrix takes one LU solve with partial pivoting over all n rows, and
+    one batched thin QR orthonormalizes the results.  A rank-deficient
+    ``a`` makes the solve singular, or leaves residuals the callers' gates
+    reject.
     """
-    u, s, vh = np.linalg.svd(a)
-    sigma = np.zeros(a.shape[0] if left else a.shape[1])
-    sigma[: s.size] = s
-    null_dim = int(np.count_nonzero(sigma <= NULL_SPACE_RTOL * s[0]))
-    order = np.argsort(sigma, kind="stable")[:count]
-    return (u.T if left else vh)[order].conj(), null_dim, s[0]
+    rows, n = mats[0].shape
+    complement = _complement(rows, n)
+    rhs = np.eye(n, n - rows, -rows)  # [0; I]
+    try:
+        z = np.stack([np.linalg.solve(np.vstack([a, complement]), rhs) for a in mats])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateChannelError(f"null-space solve failed ({exc}); reseed") from exc
+    return np.linalg.qr(z)[0]
 
 
-def _rank_lost(m: np.ndarray, floor: float = 0.0) -> bool:
-    """True when the smallest singular value of ``m`` counts as zero."""
+def _rank_lost(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """True where the smallest singular value counts as zero, per matrix of a stack."""
     sv = np.linalg.svd(m, compute_uv=False)
-    return sv.size == 0 or sv[-1] <= NULL_SPACE_RTOL * max(sv[0], floor)
+    return sv[..., -1] <= NULL_SPACE_RTOL * np.maximum(sv[..., 0], floor)
 
 
 def build_compression_matrix(
     ch: ChannelSet, alloc: StreamAllocation, beta: int
 ) -> CompressionMatrix:
-    """Extract q left-null rows per antenna subset, lexicographic order."""
+    """Extract q left-null rows per antenna subset, lexicographic order.
+
+    A row annihilating the N x beta*M stack H_S is a null vector of H_S^T.
+    The row-residual gate scales with max over g in S of ||H_g||_2, a lower
+    bound on ||H_S||_2.
+    """
     cfg = ch.cfg
-    counts = required_row_counts(cfg, alloc, beta)
-    rows = []
-    provenance = []
-    residuals = []
-    for subset in itertools.combinations(range(cfg.K), beta):
-        stack = np.hstack([ch.uplink[g] for g in subset])
-        picked, null_dim, scale = _null_rows(stack, counts.q, left=True)
-        if null_dim < counts.q:
-            raise InfeasibleConfigurationError(
-                f"subset {subset}: left null space has dimension {null_dim} < q={counts.q}",
-                inequality="null dimension >= q",
-            )
-        for row in picked:
-            residual = np.linalg.norm(row @ stack)
-            if residual > ROW_RESIDUAL_TOL * scale:
-                raise DegenerateChannelError(
-                    f"subset {subset}: null row residual {residual:.3e} above "
-                    f"tolerance; reseed"
-                )
-            rows.append(row)
-            provenance.append(subset)
-            residuals.append(residual)
-    matrix = np.vstack(rows)  # q >= 1, so never empty
+    q = required_row_counts(cfg, alloc, beta).q
+    subsets = list(itertools.combinations(range(cfg.K), beta))
+    stacks = [np.hstack([ch.uplink[g] for g in subset]) for subset in subsets]
+    null = _null_space([stack.T for stack in stacks])
+    picked = np.ascontiguousarray(null[:, :, :q].transpose(0, 2, 1))  # B x q x N rows
+    residuals = np.array(
+        [np.linalg.norm(rows @ stack, axis=1) for rows, stack in zip(picked, stacks)]
+    )
+    scales = np.array([ch.uplink_norms[list(subset)].max() for subset in subsets])
+    failed = ~(residuals <= ROW_RESIDUAL_TOL * scales[:, None]).all(axis=1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise DegenerateChannelError(
+            f"subset {subsets[k]}: null row residual {residuals[k].max():.3e} above "
+            f"tolerance; reseed"
+        )
+    matrix = picked.reshape(-1, cfg.N)
     if _rank_lost(matrix):
         raise DegenerateChannelError(
             "compression matrix lost row rank (probability-zero event); reseed"
@@ -262,8 +279,8 @@ def build_compression_matrix(
     matrix.setflags(write=False)
     return CompressionMatrix(
         matrix=matrix,
-        row_subsets=tuple(provenance),
-        row_residuals=np.asarray(residuals),
+        row_subsets=tuple(subset for subset in subsets for _ in range(q)),
+        row_residuals=residuals.reshape(-1),
     )
 
 
@@ -272,45 +289,57 @@ def build_precoders(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Per-pair precoders from the compressed pair channel's null space.
 
-    For each unordered pair the stacked null vector splits into the two
-    directions' precoder columns; both halves are scaled jointly so the
-    larger one has unit norm, keeping the alignment identity intact while
-    bounding per-stream transmit power.
+    The rows whose provenance subset holds both i and j annihilate H_i and
+    H_j.  They are checked against ``[P H_i, -P H_j]`` and dropped; at the
+    corner the 2M - x rows left have a null space of dimension exactly x.
+    Each stacked null vector splits into the two directions' precoder
+    columns; both halves are scaled jointly so the larger one has unit
+    norm, keeping the alignment identity intact while bounding per-stream
+    transmit power.
     """
-    cfg = ch.cfg
-    M = cfg.M
+    K, M = ch.cfg.K, ch.cfg.M
     P = compression.matrix
     need = alloc.per_pair
-    precoders: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in alloc.pairs:
-        a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
-        null, null_dim, _ = _null_rows(a, need, left=False)
-        if null_dim < need:
+    pairs = alloc.pairs
+    row_norms = np.linalg.norm(P, axis=1)
+    compressed = P @ np.stack(ch.uplink)  # K x rows x M
+    member = np.array([[g in s for g in range(K)] for s in compression.row_subsets])
+    reduced = []
+    for i, j in pairs:
+        a = np.hstack([compressed[i], -compressed[j]])
+        shared = member[:, i] & member[:, j]
+        scale = VERIFY_TOL * ch.uplink_norms[[i, j]].max() * row_norms[shared]
+        if a.shape[0] - np.count_nonzero(shared) != 2 * M - need or not np.all(
+            np.linalg.norm(a[shared], axis=1) <= scale
+        ):
             raise AlignmentInfeasibleError(
-                f"pair ({i},{j}): null space dimension {null_dim} < {need} streams"
+                f"pair ({i},{j}): the rows from subsets holding both users must "
+                f"annihilate its channels and leave {2 * M - need} rows for "
+                f"{need} streams"
             )
-        top_cols = []
-        bottom_cols = []
-        for w in null:
-            top, bottom = w[:M], w[M:]
-            scale = max(np.linalg.norm(top), np.linalg.norm(bottom))
-            if scale <= NULL_SPACE_RTOL:
-                raise DegenerateSplitError(
-                    f"pair ({i},{j}): null vector vanished on both halves; reseed"
-                )
-            top_cols.append(top / scale)
-            bottom_cols.append(bottom / scale)
-        v_ij = np.stack(top_cols, axis=1)
-        v_ji = np.stack(bottom_cols, axis=1)
-        for direction, v in (((i, j), v_ij), ((j, i), v_ji)):
-            if _rank_lost(v, floor=1.0):
-                raise DegenerateSplitError(
-                    f"precoder {direction} lost column rank; reseed or re-pick "
-                    f"basis vectors"
-                )
-            v.setflags(write=False)
-        precoders[(i, j)] = v_ij
-        precoders[(j, i)] = v_ji
+        reduced.append(a[~shared])
+    null = _null_space(reduced)  # pairs x 2M x need
+    top, bottom = null[:, :M], null[:, M:]
+    scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
+    vanished = ~(scales > NULL_SPACE_RTOL).all(axis=1)
+    if vanished.any():
+        i, j = pairs[int(np.argmax(vanished))]
+        raise DegenerateSplitError(
+            f"pair ({i},{j}): null vector vanished on both halves; reseed"
+        )
+    halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
+    lost = _rank_lost(halves, floor=1.0)
+    if lost.any():
+        directions = pairs + [(j, i) for i, j in pairs]
+        raise DegenerateSplitError(
+            f"precoder {directions[int(np.argmax(lost))]} lost column rank; reseed "
+            f"or re-pick basis vectors"
+        )
+    halves.setflags(write=False)
+    precoders: dict[tuple[int, int], np.ndarray] = {}
+    for k, (i, j) in enumerate(pairs):
+        precoders[(i, j)] = halves[k]
+        precoders[(j, i)] = halves[k + len(pairs)]
     return precoders
 
 
@@ -342,20 +371,18 @@ def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> Align
     compression = build_compression_matrix(ch, alloc, beta)
     precoders = build_precoders(ch, compression, alloc)
     P = compression.matrix
-    p_norm = np.linalg.norm(P, 2)
-    blocks = []
-    residuals = []
-    for i, j in alloc.pairs:
-        left = P @ ch.uplink[i] @ precoders[(i, j)]
-        right = P @ ch.uplink[j] @ precoders[(j, i)]
-        diff = np.abs(left - right).max()
-        # the spectral norms need a finite precoder; a NaN diff fails unscaled
-        if np.isfinite(diff):
-            diff /= p_norm * np.linalg.norm(ch.uplink[i], 2) * np.linalg.norm(
-                precoders[(i, j)], 2
-            )
-        residuals.append(diff)
-        blocks.append(left)
+    pairs = alloc.pairs
+    blocks = [P @ ch.uplink[i] @ precoders[(i, j)] for i, j in pairs]
+    residuals = np.array([
+        np.abs(left - P @ ch.uplink[j] @ precoders[(j, i)]).max()
+        for left, (i, j) in zip(blocks, pairs)
+    ])
+    # the spectral norms need finite precoders; a NaN residual fails unscaled
+    if np.isfinite(residuals).all():
+        stacked = np.stack([precoders[pair] for pair in pairs])
+        v_norms = np.linalg.norm(stacked, 2, axis=(1, 2))
+        first = [i for i, _ in pairs]
+        residuals /= np.linalg.norm(P, 2) * ch.uplink_norms[first] * v_norms
     residual = np.max(residuals)  # np.max keeps a NaN, builtin max drops it
     if not residual <= ALIGNMENT_TOL:
         raise AlignmentVerificationError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,13 @@ class ChannelSet:
     seed: int
     uplink: tuple[np.ndarray, ...]
     downlink: tuple[np.ndarray, ...]
+
+    @cached_property
+    def uplink_norms(self) -> np.ndarray:
+        """Spectral norm ||H_g||_2 of every uplink matrix, from one batched SVD."""
+        norms = np.linalg.norm(np.stack(self.uplink), 2, axis=(1, 2))
+        norms.setflags(write=False)
+        return norms
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:

@@ -13,6 +13,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ychannel import (
     AlignmentInfeasibleError,
@@ -21,10 +23,14 @@ from ychannel import (
     InfeasibleConfigurationError,
     NeedsExtensionError,
     SystemConfig,
+    YChannelError,
     allocate_streams,
     assemble_scheme,
     build_compression_matrix,
     build_precoders,
+    channel_from_dict,
+    channel_to_dict,
+    corner_points,
     required_row_counts,
     sample_channels,
     scheme_from_dict,
@@ -262,6 +268,17 @@ class TestAssembledScheme:
         with pytest.raises(AlignmentVerificationError):
             assemble_scheme(ch, alloc, 2)
 
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4)])
+    def test_rank_deficient_fixture_raises_domain_error(self, K, M, N, beta):
+        # two users share one uplink; at (6,5,21,4) the null-space solve
+        # itself is singular, which must not surface as numpy's LinAlgError
+        cfg = SystemConfig(K, M, N)
+        data = channel_to_dict(sample_channels(cfg, 1))
+        data["uplink"][1] = data["uplink"][0]
+        ch = channel_from_dict(json.loads(json.dumps(data)))
+        with pytest.raises(YChannelError):
+            assemble_scheme(ch, allocate_streams(cfg, beta), beta)
+
     def test_exact_arithmetic_residual_is_zero(self):
         # Rational-channel mirror of the whole construction in sympy: the
         # alignment residual is exactly zero, so floating error is the
@@ -296,6 +313,37 @@ class TestAssembledScheme:
         assert residual_zero
         basis = sympy.Matrix.hstack(*basis_blocks)
         assert basis.det() != 0  # exact decodability
+
+
+def exact_corners(n_max=60):
+    """Every (K, M, N, beta), K <= 6, at a corner ratio with N <= n_max and
+    an integral per-pair count 4M / (2 + K(K-1) - beta(beta-1))."""
+    out = []
+    for K in range(4, 7):
+        for corner in corner_points(K):
+            beta = corner.beta
+            for M in range(1, n_max + 1):
+                N = corner.abscissa * M
+                if beta >= 2 and N <= n_max and N.denominator == 1 and not 4 * M % (
+                    2 + K * (K - 1) - beta * (beta - 1)
+                ):
+                    out.append((K, M, int(N), beta))
+    return out
+
+
+class TestRandomCorners:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(exact_corners()), st.integers(0, 2**64 - 1))
+    def test_verified_or_domain_error(self, instance, seed):
+        # any exception other than a YChannelError fails the draw
+        K, M, N, beta = instance
+        cfg = SystemConfig(K, M, N)
+        ch = sample_channels(cfg, seed)
+        try:
+            scheme = assemble_scheme(ch, allocate_streams(cfg, beta), beta)
+        except YChannelError:
+            return
+        assert verify_alignment_conditions(scheme, ch).passed
 
 
 class TestVerifier:
@@ -386,3 +434,10 @@ class TestSchemeSerialization:
             data["allocation"] = {key: 1.5 for key in data["allocation"]}
         with pytest.raises(ConfigurationError, match="allocation"):
             scheme_from_dict(data)
+
+    def test_rejects_non_finite_entries(self):
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        data["precoders"]["1,0"][0][0] = [0.0, float("inf")]
+        with pytest.raises(ConfigurationError, match="NaN or infinite"):
+            scheme_from_dict(json.loads(json.dumps(data)))

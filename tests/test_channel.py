@@ -242,6 +242,13 @@ class TestFixtureFormat:
         for x, y in zip((*back.uplink, *back.downlink), (*ch.uplink, *ch.downlink)):
             assert np.array_equal(x, y)
 
+    def test_rejects_non_finite_entries(self):
+        # NaN used to load and end in numpy's LinAlgError inside synthesis
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        data["uplink"][2][4][1] = [float("nan"), 0.0]
+        with pytest.raises(ConfigurationError, match="NaN or infinite"):
+            channel_from_dict(json.loads(json.dumps(data)))
+
     def test_entries_are_re_im_pairs(self):
         ch = sample_channels(SystemConfig(3, 1, 2), 0)
         data = channel_to_dict(ch)

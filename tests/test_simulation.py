@@ -222,11 +222,14 @@ class TestEndToEnd:
         assert result.user_recovery_error <= 1e-6
 
     def test_source_side_extension_path(self):
-        # ratio below the corner: sources give up fractional antennas
-        result = end_to_end(SystemConfig(4, 3, 2), 2, 0, 0.0)
-        assert result.t == 7
-        assert result.relay_recovery_error <= 1e-6
-        assert result.user_recovery_error <= 1e-6
+        # ratio below the corner: sources give up fractional antennas.
+        # (4,4,9) has N > beta*M, where block-structured rows defeat an
+        # unpivoted null-space split.
+        for M, N in [(3, 2), (4, 9)]:
+            result = end_to_end(SystemConfig(4, M, N), 2, 0, 0.0)
+            assert result.t == 7
+            assert result.relay_recovery_error <= 1e-6
+            assert result.user_recovery_error <= 1e-6
 
     def test_noisy_run_reports_rates(self):
         result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-4)
