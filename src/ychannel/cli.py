@@ -83,6 +83,8 @@ def _snr_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}: {exc}") from exc
     if len(grid) < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 SNR points, got {len(grid)}")
+    if not all(abs(snr) <= 3000.0 for snr in grid):  # keeps 10^(-snr/10) a positive float
+        raise argparse.ArgumentTypeError(f"SNR points must lie in [-3000, 3000] dB: {text}")
     return grid
 
 
@@ -275,16 +277,14 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     check_seed(seeds[0])  # the whole range, before any seed is prepared
     check_seed(seeds[-1])
     records = []
-    curve = np.zeros(len(grid))
     for seed in seeds:
         prep = prepare(cfg, args.beta, seed)
-        for col, snr in enumerate(grid):
-            result = simulate(prep, 10.0 ** (-snr / 10.0))
-            records.append(result_record(result))
-            if result.sum_rate is None:
-                raise YChannelError(f"no rate available at seed {seed}, {snr} dB")
-            curve[col] += result.sum_rate
-    curve /= len(seeds)
+        if prep.bc is None:
+            raise YChannelError(f"no rate available at seed {seed}: {prep.bc_failure}")
+        records += [result_record(simulate(prep, 10.0 ** (-snr / 10.0))) for snr in grid]
+    # mean of the CSV sum_rate column per SNR point: the curve sum_rate_curve returns
+    rates = np.reshape([rec["sum_rate"] for rec in records], (len(seeds), len(grid)))
+    curve = rates.mean(axis=0)
     slope = fit_slope(grid, curve)
     span = max(grid) - min(grid)
     if len(seeds) < 10 or span < 20.0:

@@ -26,6 +26,7 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,9 @@ from .errors import (
     BroadcastInfeasibleError,
     ConfigurationError,
     DecodabilityError,
+    DegenerateChannelError,
     DimensionError,
+    InfeasibleConfigurationError,
     StageError,
     YChannelError,
 )
@@ -311,6 +314,28 @@ class PreparedPipeline:
     bc: BcScheme | None
     bc_failure: str | None
 
+    @cached_property
+    def stream_gains(self) -> dict[tuple[int, int], np.ndarray]:
+        """SNR-free noise enhancement of every message's streams on the weaker hop.
+
+        Both hops zero-force, so the per-stream noise sigma2 that ``simulate`` adds
+        reaches a sum entry (power 2) at the relay scaled by ||solver row||^2 and a
+        partner stream (power 1) at its user by ||filter row||^2.  The gain
+        max(||solver row||^2 / 2, ||filter row||^2) gives the SINR 1/(sigma2 gain).
+        Needs ``bc``.
+        """
+        if self.bc is None:
+            raise BroadcastInfeasibleError(self.bc_failure)
+        scheme = self.scheme
+        solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
+        mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
+        gains = {}
+        for (i, j), start, stop in scheme.pair_blocks:
+            for src, user in ((i, j), (j, i)):
+                bc_gain = np.linalg.norm(self.bc.filters[(user, src)], axis=1) ** 2
+                gains[(src, user)] = np.maximum(mac_gain[start:stop], bc_gain)
+        return gains
+
 
 def prepare(
     cfg: SystemConfig, beta: int, seed: int, *, max_extension: int = 64
@@ -318,7 +343,8 @@ def prepare(
     """Plan the extension, sample, and build both certified schemes.
 
     Synthesis errors are tagged ``"synthesis"`` and downlink errors other
-    than ``BroadcastInfeasibleError`` are tagged ``"bc"``.
+    than ``BroadcastInfeasibleError`` are tagged ``"bc"``.  A rank loss under a
+    symbol extension (t > 1) is structural: ``InfeasibleConfigurationError``.
     """
     with _stage("synthesis"):
         target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
@@ -326,7 +352,16 @@ def prepare(
             raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
         plan = plan_extension(cfg, target, max_extension)
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
-        scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
+        try:
+            scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
+        except DegenerateChannelError as exc:
+            if plan.t == 1:
+                raise
+            raise InfeasibleConfigurationError(
+                f"the t={plan.t} {plan.side}-side extension to effective (M, N) = "
+                f"({plan.effective_M}, {plan.effective_N}) loses rank structurally "
+                f"({type(exc).__name__})"
+            ) from exc
     bc, bc_failure = None, None
     try:
         with _stage("bc"):
@@ -375,7 +410,7 @@ def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
     snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
     rates = total = None
     if noise_var > 0.0 and bc is not None:
-        rates = pairwise_rates(scheme, bc, snr_db)
+        rates = pairwise_rates(prep, snr_db)
         total = float(sum(rates.values()))
     return SimResult(
         cfg=prep.cfg,
@@ -397,28 +432,13 @@ def end_to_end(cfg: SystemConfig, beta: int, seed: int, noise_var: float = 0.0) 
     return simulate(prep, noise_var)
 
 
-def pairwise_rates(
-    scheme: AlignmentScheme, bc: BcScheme, snr_db: float
-) -> dict[tuple[int, int], float]:
-    """Zero-forcing rate of every ordered message at one SNR.
-
-    Both hops zero-force, so with the per-stream noise sigma2 that ``simulate``
-    adds, a sum entry (power 2) has SINR 2/(sigma2 ||solver row||^2) at the
-    relay and a partner stream 1/(sigma2 ||filter row||^2) at its user.  A
-    message's rate is the minimum of the two, summed over the pair's streams.
-    """
-    sigma2 = _stream_noise_var(scheme, 10.0 ** (-snr_db / 10.0))
-    solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
-    mac_noise = sigma2 * np.linalg.norm(solver, axis=1) ** 2
-    mac_rate = np.log2(1.0 + 2.0 / mac_noise)
-    rates: dict[tuple[int, int], float] = {}
-    for (i, j), start, stop in scheme.pair_blocks:
-        for user, src in ((j, i), (i, j)):
-            # message src -> user, decoded at `user`
-            bc_noise = sigma2 * np.linalg.norm(bc.filters[(user, src)], axis=1) ** 2
-            bc_rate = np.log2(1.0 + 1.0 / bc_noise)
-            rates[(src, user)] = float(np.minimum(mac_rate[start:stop], bc_rate).sum())
-    return rates
+def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int], float]:
+    """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
+    sigma2 = _stream_noise_var(prep.scheme, 10.0 ** (-snr_db / 10.0))
+    return {
+        msg: float(np.log2(1.0 + 1.0 / (sigma2 * gain)).sum())
+        for msg, gain in prep.stream_gains.items()
+    }
 
 
 def sum_rate_curve(
@@ -430,11 +450,7 @@ def sum_rate_curve(
     curves = []
     for seed in seeds:
         prep = prepare(cfg, beta, seed)
-        if prep.bc is None:
-            raise BroadcastInfeasibleError(prep.bc_failure)
-        curves.append(
-            [sum(pairwise_rates(prep.scheme, prep.bc, snr).values()) for snr in snr_grid_db]
-        )
+        curves.append([sum(pairwise_rates(prep, snr).values()) for snr in snr_grid_db])
     return np.mean(curves, axis=0)
 
 

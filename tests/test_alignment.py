@@ -316,10 +316,10 @@ class TestAssembledScheme:
 
 
 def exact_corners(n_max=60):
-    """Every (K, M, N, beta), K <= 6, at a corner ratio with N <= n_max and
+    """Every (K, M, N, beta), K <= 7, at a corner ratio with N <= n_max and
     an integral per-pair count 4M / (2 + K(K-1) - beta(beta-1))."""
     out = []
-    for K in range(4, 7):
+    for K in range(4, 8):
         for corner in corner_points(K):
             beta = corner.beta
             for M in range(1, n_max + 1):

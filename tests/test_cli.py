@@ -7,16 +7,21 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from ychannel import (
+    BroadcastInfeasibleError,
     SystemConfig,
     assemble_scheme,
     end_to_end,
+    estimate_dof_slope,
     load_scheme,
     prepare,
     verify_alignment_conditions,
 )
 from ychannel import cli, simulation
-from ychannel.simulation import result_record, write_records_csv
+from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
 
 def run_cli(*args, **kwargs):
@@ -236,6 +241,62 @@ class TestMonteCarlo:
         buf = io.StringIO()
         write_records_csv(records, buf)
         assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+    def test_prints_mean_of_csv_column_and_api_slope(self, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        grid = [30.0, 45.5, 60.0]
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "3", "--base-seed", "3", "--snr-grid", "30,45.5,60",
+            "--out", str(out),
+        ])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for snr in grid:
+            column = [float(row["sum_rate"]) for row in rows if float(row["snr_db"]) == snr]
+            assert len(column) == 3
+            assert f"snr {snr:g} dB: mean sum rate {np.mean(column):.4f} bits/use\n" in stdout
+        slope = estimate_dof_slope(SystemConfig(4, 3, 7), 2, [3, 4, 5], grid)
+        assert f"fitted slope: {slope:.4f}\n" in stdout
+
+    def test_missing_downlink_fails_without_csv(self, tmp_path, monkeypatch, capsys):
+        def failing(scheme, ch):
+            raise BroadcastInfeasibleError("no dual")
+
+        monkeypatch.setattr(simulation, "build_bc_scheme", failing)
+        out = tmp_path / "mc.csv"
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "30,40", "--out", str(out),
+        ])
+        assert code == 1
+        assert "no rate available at seed 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_structural_rank_loss_is_named(self, capsys):
+        # the source-side t=7 plan of (4,1,2) loses compression rank on every
+        # draw; the t=7 plan of (4,1,1) does not
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "1", "--n", "2", "--beta", "2",
+            "--seeds", "1", "--snr-grid", "30,40",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "t=7" in err and "reseed" not in err
+        result = end_to_end(SystemConfig(4, 1, 1), 2, 0)
+        assert result.t == 7 and result.relay_recovery_error <= RECOVERY_TOL
+
+    @pytest.mark.parametrize("grid", ["30,4000", "-4000,30", "30,nan"])
+    def test_snr_outside_float_range_is_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+                "--seeds", "1", f"--snr-grid={grid}",
+            ])
+        assert exit_info.value.code == 2
+        assert "[-3000, 3000] dB" in capsys.readouterr().err
 
     def test_two_schemes_per_seed(self, monkeypatch, capsys):
         calls = []

@@ -6,23 +6,28 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ychannel import (
     BroadcastInfeasibleError,
     ConfigurationError,
     SymbolFrame,
     SystemConfig,
+    YChannelError,
     allocate_streams,
     assemble_scheme,
     bc_phase,
     build_bc_scheme,
     cancel_self_interference,
+    corner_points,
     decode_user,
     end_to_end,
     estimate_dof_slope,
     fit_slope,
     mac_phase,
     make_frame,
+    plan_extension,
     prepare,
     relay_decode,
     sample_channels,
@@ -31,7 +36,7 @@ from ychannel import (
     sum_rate_curve,
 )
 from ychannel import simulation
-from ychannel.simulation import result_record, write_records_csv
+from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
 
 def corner_setup(K, M, N, beta, seed):
@@ -297,7 +302,7 @@ class TestEndToEnd:
         relay_est = np.array([r.entries for r in relay])
         v = np.mean(np.abs(relay_est - truth) ** 2, axis=0)
         K = scheme.cfg.K
-        expected = simulation.pairwise_rates(scheme, prep.bc, snr_db)
+        expected = simulation.pairwise_rates(prep, snr_db)
         assert len(expected) == K * (K - 1)
         for (i, j), start, stop in scheme.pair_blocks:
             for src, user in ((i, j), (j, i)):
@@ -309,7 +314,44 @@ class TestEndToEnd:
                 assert rate == pytest.approx(expected[(src, user)], rel=0.05), (src, user)
 
 
+def two_hop_rates(prep, snr_db):
+    """Rates from the raw matrices: each hop's zero-forcing rate, the smaller per stream."""
+    scheme = prep.scheme
+    sigma2 = (scheme.cfg.K - 1) * scheme.alloc.per_pair * 10.0 ** (-snr_db / 10.0)
+    solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
+    mac_rate = np.log2(1.0 + 2.0 / (sigma2 * np.linalg.norm(solver, axis=1) ** 2))
+    rates = {}
+    for (i, j), start, stop in scheme.pair_blocks:
+        for src, user in ((i, j), (j, i)):
+            f = np.linalg.norm(prep.bc.filters[(user, src)], axis=1)
+            bc_rate = np.log2(1.0 + 1.0 / (sigma2 * f**2))
+            rates[(src, user)] = float(np.minimum(mac_rate[start:stop], bc_rate).sum())
+    return rates
+
+
 class TestRates:
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 1, 3, 2)])
+    def test_stream_gains_match_two_hop_oracle(self, K, M, N, beta):
+        # the weaker hop's gain gives the same floats, in the same message order
+        for seed in (0, 1):
+            prep = prepare(SystemConfig(K, M, N), beta, seed)
+            for snr_db in (0.0, 17.5, 30.0, 60.0, 90.0):
+                rates = simulation.pairwise_rates(prep, snr_db)
+                assert list(rates.items()) == list(two_hop_rates(prep, snr_db).items())
+
+    def test_rates_do_no_linear_algebra_per_point(self, monkeypatch):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        gains = prep.stream_gains
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear algebra at an SNR point")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "norm", forbidden)
+        for snr_db in (30.0, 60.0):
+            simulation.pairwise_rates(prep, snr_db)
+        assert prep.stream_gains is gains
+
     def test_fit_slope_zero_rates(self):
         assert fit_slope([30, 40, 50, 60], np.zeros(4)) == 0.0
 
@@ -389,6 +431,38 @@ class TestPreparedPipeline:
         monkeypatch.setattr(simulation, "assemble_scheme", counted)
         sum_rate_curve(SystemConfig(4, 3, 7), 2, [0, 1, 2], [30.0, 40.0, 50.0])
         assert calls == [0, 0, 1, 1, 2, 2]
+
+
+def extension_instances(m_max=3, n_max=60):
+    """Every (K, M, N, beta), K <= 7, M <= m_max, N <= n_max, whose plan
+    extends by 1 < t <= 64 symbols to an effective N <= n_max."""
+    out = []
+    for K in range(4, 8):
+        for corner in corner_points(K):
+            for M, N in itertools.product(range(1, m_max + 1), range(1, n_max + 1)):
+                try:
+                    plan = plan_extension(SystemConfig(K, M, N), corner)
+                except YChannelError:
+                    continue
+                if corner.beta >= 2 and plan.t > 1 and plan.effective_N <= n_max:
+                    out.append((K, M, N, corner.beta))
+    return out
+
+
+class TestRandomExtensions:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(extension_instances()), st.integers(0, 2**64 - 1))
+    def test_recovered_or_domain_error(self, instance, seed):
+        # any exception other than a YChannelError fails the draw
+        K, M, N, beta = instance
+        try:
+            prep = prepare(SystemConfig(K, M, N), beta, seed)
+        except YChannelError:
+            return
+        result = simulate(prep, 0.0)
+        assert result.relay_recovery_error <= RECOVERY_TOL
+        if prep.bc is not None:
+            assert result.user_recovery_error <= RECOVERY_TOL
 
 
 class TestRecords:
