@@ -44,6 +44,7 @@ from .config import SystemConfig
 from .errors import YChannelError
 from .simulation import (
     RECOVERY_TOL,
+    SNR_DB_MAX,
     fit_slope,
     prepare,
     result_record,
@@ -83,8 +84,9 @@ def _snr_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}: {exc}") from exc
     if len(grid) < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 SNR points, got {len(grid)}")
-    if not all(abs(snr) <= 3000.0 for snr in grid):  # keeps 10^(-snr/10) a positive float
-        raise argparse.ArgumentTypeError(f"SNR points must lie in [-3000, 3000] dB: {text}")
+    if not all(abs(snr) <= SNR_DB_MAX for snr in grid):
+        bound = f"[-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}]"
+        raise argparse.ArgumentTypeError(f"SNR points must lie in {bound} dB: {text}")
     return grid
 
 

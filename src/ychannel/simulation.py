@@ -84,6 +84,8 @@ __all__ = [
 RECOVERY_TOL = 1e-6
 # Residual ceiling for the downlink selector certification.
 SELECTOR_TOL = 1e-8
+# Largest |SNR| in dB: beyond it 10^(-snr/10) is 0 or overflows.
+SNR_DB_MAX = 3000.0
 
 CSV_COLUMNS = [
     "K",
@@ -381,10 +383,14 @@ def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
     Noiseless runs must recover the network-coded vector at the relay and
     every partner stream at the users to within ``RECOVERY_TOL``.  A
     downlink failure is recorded in ``bc_failure`` without failing the
-    uplink result.  Every call draws from a fresh noise substream.
+    uplink result.  Every call draws from a fresh noise substream.  A
+    nonzero ``noise_var`` must put the SNR in [-SNR_DB_MAX, SNR_DB_MAX] dB.
     """
     if not (np.isfinite(noise_var) and noise_var >= 0.0):
         raise ConfigurationError(f"noise_var must be finite and >= 0, got {noise_var}")
+    snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
+    if snr_db is not None:
+        _check_snr_grid([snr_db])  # before any work, not at the rates
     scheme, ch, seed, bc = prep.scheme, prep.ch, prep.seed, prep.bc
     rng = substream(seed, LABEL_NOISE)
     sigma2 = _stream_noise_var(scheme, noise_var)
@@ -407,7 +413,6 @@ def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
                     err = np.abs(estimate - frame.streams[(partner, user)]).max()
                     worst = max(worst, float(err))
             user_err = worst
-    snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
     rates = total = None
     if noise_var > 0.0 and bc is not None:
         rates = pairwise_rates(prep, snr_db)
@@ -432,8 +437,18 @@ def end_to_end(cfg: SystemConfig, beta: int, seed: int, noise_var: float = 0.0) 
     return simulate(prep, noise_var)
 
 
+def _check_snr_grid(snr_grid_db: list[float]) -> None:
+    """Reject any SNR point outside [-SNR_DB_MAX, SNR_DB_MAX] dB, NaN included."""
+    for snr in snr_grid_db:
+        if not abs(snr) <= SNR_DB_MAX:
+            raise ConfigurationError(
+                f"SNR points must lie in [-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}] dB, got {snr}"
+            )
+
+
 def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int], float]:
     """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
+    _check_snr_grid([snr_db])
     sigma2 = _stream_noise_var(prep.scheme, 10.0 ** (-snr_db / 10.0))
     return {
         msg: float(np.log2(1.0 + 1.0 / (sigma2 * gain)).sum())
@@ -447,6 +462,7 @@ def sum_rate_curve(
     """Mean sum rate per SNR point, averaged over seeds."""
     if not seeds:
         raise ConfigurationError("need at least one seed")
+    _check_snr_grid(snr_grid_db)
     curves = []
     for seed in seeds:
         prep = prepare(cfg, beta, seed)

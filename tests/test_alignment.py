@@ -122,6 +122,12 @@ class TestAllocate:
         with pytest.raises(ConfigurationError):
             allocate_streams(SystemConfig(5, 4, 13), 1)
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_three_users_message_names_missing_corner(self, beta):
+        with pytest.raises(ConfigurationError) as err:
+            allocate_streams(SystemConfig(3, 2, 3), beta)
+        assert str(err.value) == f"K=3 has no constructible corner with beta >= 2, got {beta}"
+
 
 class TestRowCounts:
     @pytest.mark.parametrize(
@@ -389,6 +395,87 @@ class TestVerifier:
         report = verify_alignment_conditions(corrupted, ch)
         assert not report.passed
         assert not report.per_pair[(0, 1)].condition2
+
+    def test_nan_compression_row_fails_without_raising(self):
+        ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
+        bad = np.array(scheme.compression.matrix)
+        bad[0, 2] = np.nan
+        corrupted = dataclasses.replace(
+            scheme, compression=dataclasses.replace(scheme.compression, matrix=bad)
+        )
+        report = verify_alignment_conditions(corrupted, ch)
+        assert not report.passed
+        # the NaN row no longer counts for the pair it annihilated
+        assert not report.per_pair[scheme.compression.row_subsets[0]].condition1
+        assert not any(check.condition2 for check in report.per_pair.values())
+
+    def test_nan_precoder_fails(self):
+        ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
+        precoders = dict(scheme.precoders)
+        poisoned = np.array(precoders[(2, 1)])
+        poisoned[0, 0] = np.nan
+        precoders[(2, 1)] = poisoned
+        report = verify_alignment_conditions(dataclasses.replace(scheme, precoders=precoders), ch)
+        assert not report.per_pair[(1, 2)].condition2
+        assert all(report.per_pair[p].passed for p in report.per_pair if p != (1, 2))
+
+
+def reference_verifier(scheme, ch):
+    """Per-pair (null rows found, precoder residual, tolerance), scaled by the pair norms."""
+    P = scheme.compression.matrix
+    row_norms = np.linalg.norm(P, axis=1)
+    out = {}
+    for i, j in scheme.alloc.pairs:
+        target = np.hstack([ch.uplink[i], -ch.uplink[j]])
+        scale = np.linalg.norm(target, 2)
+        found = np.count_nonzero(
+            np.linalg.norm(P @ target, axis=1) <= alignment.VERIFY_TOL * scale * row_norms
+        )
+        a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
+        stacked = np.vstack([scheme.precoders[(i, j)], scheme.precoders[(j, i)]])
+        residual = float(np.abs(a @ stacked).max())
+        out[(i, j)] = (found, residual, alignment.VERIFY_TOL * max(1.0, np.linalg.norm(a, 2)))
+    return out
+
+
+class TestBatchedVerifier:
+    INSTANCES = [
+        (4, 3, 7, 2),
+        (5, 5, 11, 2),
+        (5, 4, 13, 3),
+        (6, 15, 32, 2),
+        (6, 26, 81, 3),
+        (6, 5, 21, 4),
+    ]
+
+    @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
+    def test_matches_pair_norm_oracle(self, K, M, N, beta):
+        # same counts and residuals; tolerances within [1/sqrt(2), 1] of the pair norm's
+        for seed in range(5):
+            ch, alloc, scheme = build_all(K, M, N, beta, seed)
+            reference = reference_verifier(scheme, ch)
+            report = verify_alignment_conditions(scheme, ch)
+            assert list(report.per_pair) == alloc.pairs
+            for pair, check in report.per_pair.items():
+                found, residual, tolerance = reference[pair]
+                assert check.null_rows_found == found
+                assert check.precoder_residual == residual
+                assert tolerance / np.sqrt(2) <= check.residual_tolerance <= tolerance
+                assert check.passed
+
+    def test_one_svd_call_given_user_norms(self, monkeypatch):
+        ch, alloc, scheme = build_all(6, 26, 81, 3, 0)
+        ch.uplink_norms  # cached by the channel set, shared with the construction
+        calls = []
+        svd = np.linalg._linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        assert verify_alignment_conditions(scheme, ch).passed
+        assert len(calls) <= 1, calls
 
 
 class TestStreamCountOracle:

@@ -161,6 +161,11 @@ class TestSynthesize:
         assert proc.returncode == 1
         assert "needs N >= 13" in proc.stderr
 
+    def test_three_users_have_no_constructible_corner(self):
+        proc = run_cli("synthesize", "--k", "3", "--m", "2", "--n", "3", "--beta", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: K=3 has no constructible corner with beta >= 2, got 1\n"
+
     def test_negative_seed_fails(self):
         proc = run_cli(
             "synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",

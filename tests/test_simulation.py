@@ -352,6 +352,33 @@ class TestRates:
             simulation.pairwise_rates(prep, snr_db)
         assert prep.stream_gains is gains
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -3000.5, float("nan"), float("inf")])
+    def test_out_of_range_snr_rejected(self, snr_db, monkeypatch):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+        with pytest.raises(ConfigurationError, match=r"\[-3000, 3000\] dB"):
+            simulation.pairwise_rates(prep, snr_db)
+        # the grid is checked before any seed is prepared
+        calls = []
+        monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
+        for entry in (sum_rate_curve, estimate_dof_slope):
+            with pytest.raises(ConfigurationError):
+                entry(SystemConfig(4, 3, 7), 2, [0, 1], [30.0, snr_db])
+        assert calls == []
+
+    def test_snr_bound_is_inclusive(self):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+        for snr_db in (-3000.0, 3000.0):
+            rates = simulation.pairwise_rates(prep, snr_db)
+            assert all(np.isfinite(rate) for rate in rates.values())
+        assert np.isfinite(simulate(prep, 1e-300).sum_rate)
+
+    @pytest.mark.parametrize("noise_var", [1e-305, 5e-324, 1e301])
+    def test_simulate_rejects_out_of_range_noise_first(self, noise_var, monkeypatch):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+        monkeypatch.setattr(simulation, "mac_phase", None)  # no phase may run
+        with pytest.raises(ConfigurationError, match="dB"):
+            simulate(prep, noise_var)
+
     def test_fit_slope_zero_rates(self):
         assert fit_slope([30, 40, 50, 60], np.zeros(4)) == 0.0
 
