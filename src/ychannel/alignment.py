@@ -151,14 +151,12 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
 class RowCounts:
     """Compression-row bookkeeping for one branch index.
 
-    ``q`` rows go to each of the ``subsets`` antenna subsets; ``p`` counts
+    ``q`` rows go to each of the C(K, beta) antenna subsets; ``p`` counts
     the rows annihilating both channels of any one pair.
     """
 
     q: int
     p: int
-    rows: int
-    subsets: int
 
 
 def required_row_counts(
@@ -196,7 +194,7 @@ def required_row_counts(
             f"each pair is covered by {p} rows but needs {need} (rows - 2M + d_ij)",
             inequality="p >= rows - 2M + d_ij",
         )
-    return RowCounts(q=q, p=p, rows=rows, subsets=subsets)
+    return RowCounts(q=q, p=p)
 
 
 @dataclass(frozen=True)
@@ -498,7 +496,16 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     }
 
 
+def _stored_matrix(rows: list, shape: tuple[int, int], what: str) -> np.ndarray:
+    m = complex_matrix_from_pairs(rows)
+    if m.shape != shape:
+        raise ConfigurationError(f"scheme {what} has shape {m.shape}, expected {shape}")
+    m.setflags(write=False)
+    return m
+
+
 def scheme_from_dict(data: dict) -> AlignmentScheme:
+    """Load an exported scheme; every shape must follow from cfg and the allocation."""
     cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
     keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}
     counts = set(data["allocation"].values())
@@ -509,21 +516,22 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
             "every ordered pair"
         )
     alloc = StreamAllocation(cfg=cfg, per_pair=x)
-    matrix = complex_matrix_from_pairs(data["compression"]["matrix"])
-    matrix.setflags(write=False)
+    rows = alloc.rows
+    row_subsets = tuple(tuple(s) for s in data["compression"]["row_subsets"])
+    if len(row_subsets) != rows or set(data["precoders"]) != keys:
+        raise ConfigurationError(
+            f"scheme needs {rows} row subsets and a precoder for every ordered pair"
+        )
     compression = CompressionMatrix(
-        matrix=matrix,
-        row_subsets=tuple(tuple(s) for s in data["compression"]["row_subsets"]),
+        matrix=_stored_matrix(data["compression"]["matrix"], (rows, cfg.N), "compression"),
+        row_subsets=row_subsets,
         row_residuals=np.asarray(data["compression"]["row_residuals"], dtype=float),
     )
-    precoders = {}
-    for key, rows in data["precoders"].items():
-        i, j = (int(k) for k in key.split(","))
-        v = complex_matrix_from_pairs(rows)
-        v.setflags(write=False)
-        precoders[(i, j)] = v
-    basis = complex_matrix_from_pairs(data["aligned_basis"])
-    basis.setflags(write=False)
+    precoders = {
+        tuple(int(k) for k in key.split(",")): _stored_matrix(v, (cfg.M, x), f"precoder {key}")
+        for key, v in data["precoders"].items()
+    }
+    basis = _stored_matrix(data["aligned_basis"], (rows, rows), "aligned basis")
     return AlignmentScheme(
         cfg=cfg,
         beta=int(data["beta"]),

@@ -252,12 +252,17 @@ def channel_to_dict(ch: ChannelSet) -> dict:
 
 def channel_from_dict(data: dict) -> ChannelSet:
     cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
+    seed = int(data["seed"])
+    check_seed(seed)
     uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in data["uplink"])
     downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in data["downlink"])
+    counts = (len(uplink), len(downlink))
+    if counts != (cfg.K, cfg.K):
+        raise DimensionError(f"need {cfg.K} matrices per direction, got {counts}")
     for h in uplink:
         if h.shape != (cfg.N, cfg.M):
             raise DimensionError(f"uplink matrix shape {h.shape} != {(cfg.N, cfg.M)}")
     for g in downlink:
         if g.shape != (cfg.M, cfg.N):
             raise DimensionError(f"downlink matrix shape {g.shape} != {(cfg.M, cfg.N)}")
-    return ChannelSet(cfg=cfg, seed=int(data["seed"]), uplink=uplink, downlink=downlink)
+    return ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=downlink)

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -67,14 +66,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ratio(text: str) -> Fraction:
+def _ratio_grid(text: str) -> list[Fraction]:
     try:
-        value = Fraction(text)
+        grid = [Fraction(p) for p in text.split(",") if p.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad ratio {text!r}: {exc}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"ratios must be positive, got {text}")
-    return value
+        raise argparse.ArgumentTypeError(f"bad ratio grid {text!r}: {exc}") from exc
+    # N/M in lowest terms are antenna counts; the sweep prints them exactly and as floats
+    if not grid or not all(0 < r and max(r.numerator, r.denominator) < 2**1000 for r in grid):
+        raise argparse.ArgumentTypeError(
+            f"need positive ratios with numerator and denominator below 2^1000: {text!r}"
+        )
+    return grid
 
 
 def _snr_grid(text: str) -> list[float]:
@@ -87,6 +89,8 @@ def _snr_grid(text: str) -> list[float]:
     if not all(abs(snr) <= SNR_DB_MAX for snr in grid):
         bound = f"[-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}]"
         raise argparse.ArgumentTypeError(f"SNR points must lie in {bound} dB: {text}")
+    if len(set(grid)) < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 distinct SNR points: {text}")
     return grid
 
 
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", type=_user_count, required=True)
     group = p_sweep.add_mutually_exclusive_group()
     group.add_argument(
-        "--grid", type=str, help="comma-separated exact ratios, e.g. 11/5,2,3"
+        "--grid", type=_ratio_grid, help="comma-separated exact ratios, e.g. 11/5,2,3"
     )
     group.add_argument(
         "--grid-auto",
@@ -164,20 +168,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A user count and the strictly increasing ratio grid to evaluate."""
-
-    K: int
-    ratio_grid: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.ratio_grid:
-            raise YChannelError("empty grid")
-        if any(b <= a for a, b in zip(self.ratio_grid, self.ratio_grid[1:])):
-            raise YChannelError("grid must be strictly increasing")
-
-
 def _analytic_grid_points(K: int) -> set[Fraction]:
     # branch breakpoints and corner ratios; injected into every sweep so
     # the piecewise kinks are never missed by sampling
@@ -190,25 +180,23 @@ def _analytic_grid_points(K: int) -> set[Fraction]:
     return points
 
 
-def build_sweep_spec(
-    K: int, grid: str | None = None, resolution: int | None = None
-) -> SweepSpec:
+def sweep_grid(
+    K: int, grid: list[Fraction] | None = None, resolution: int | None = None
+) -> list[Fraction]:
+    """Sorted ratios: ``grid``, else ``resolution`` points over (0, K], and the analytic ones."""
     points = _analytic_grid_points(K)
     if grid is not None:
-        extra = [p for p in grid.split(",") if p.strip()]
-        if not extra:
-            raise YChannelError("empty grid")
-        points.update(_ratio(p) for p in extra)
+        points.update(grid)
     else:
         steps = resolution or 100
         points.update(Fraction(j * K, steps) for j in range(1, steps + 1))
-    return SweepSpec(K=K, ratio_grid=tuple(sorted(points)))
+    return sorted(points)
 
 
-def sweep_rows(spec: SweepSpec) -> list[dict]:
+def sweep_rows(K: int, ratios: list[Fraction]) -> list[dict]:
     rows = []
-    for ratio in spec.ratio_grid:
-        cfg = SystemConfig(spec.K, ratio.denominator, ratio.numerator)
+    for ratio in ratios:
+        cfg = SystemConfig(K, ratio.denominator, ratio.numerator)
         report = gap_report(cfg)
         upper_per_m = report.upper / cfg.M
         ach_per_m = report.achievable / cfg.M
@@ -227,8 +215,7 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = build_sweep_spec(args.k, args.grid, args.grid_auto)
-    rows = sweep_rows(spec)
+    rows = sweep_rows(args.k, sweep_grid(args.k, args.grid, args.grid_auto))
     fieldnames = list(rows[0].keys())
 
     def emit(fh) -> None:
@@ -246,18 +233,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
-    allocate_streams(cfg, args.beta)  # below the corner: names the N it needs
-    # above the corner this is the scheme deactivated down to it
-    prep = prepare(cfg, args.beta, args.seed, max_extension=1)
-    scheme = prep.scheme
-    counts = required_row_counts(prep.ch.cfg, scheme.alloc, args.beta)
-    print(f"streams per pair: {scheme.alloc.per_pair} (total {scheme.alloc.d_total})")
-    print(f"compression rows: {counts.rows} ({counts.q} per subset)")
+    alloc = allocate_streams(cfg, args.beta)  # below the corner: names the N it needs
+    counts = required_row_counts(cfg, alloc, args.beta)  # no extension: names the factor
+    prep = prepare(cfg, args.beta, args.seed)
+    scheme = prep.scheme  # above the corner this is the scheme deactivated down to it
+    print(f"streams per pair: {alloc.per_pair} (total {alloc.d_total})")
+    print(f"compression rows: {alloc.rows} ({counts.q} per subset)")
     print(f"alignment residual: {scheme.alignment_residual:.3e}")
     print(f"basis condition: {scheme.basis_condition:.3e}")
     report = verify_alignment_conditions(scheme, prep.ch)
     print(f"alignment conditions verified: {'pass' if report.passed else 'FAIL'}")
-    result = simulate(prep, 0.0)
+    result = simulate(prep)
     print(f"noiseless relay recovery error: {result.relay_recovery_error:.3e}")
     if result.bc_failure is None:
         print(f"noiseless user recovery error: {result.user_recovery_error:.3e}")
@@ -283,7 +269,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         prep = prepare(cfg, args.beta, seed)
         if prep.bc is None:
             raise YChannelError(f"no rate available at seed {seed}: {prep.bc_failure}")
-        records += [result_record(simulate(prep, 10.0 ** (-snr / 10.0))) for snr in grid]
+        records += [result_record(simulate(prep, snr_db=snr)) for snr in grid]
     # mean of the CSV sum_rate column per SNR point: the curve sum_rate_curve returns
     rates = np.reshape([rec["sum_rate"] for rec in records], (len(seeds), len(grid)))
     curve = rates.mean(axis=0)

@@ -15,9 +15,9 @@ downlink path is certified per instance by residual and rank checks and
 is kept isolated: uplink recovery never depends on it.
 
 Noisy runs add AWGN at the relay and the users.  Every node sends total
-power (K-1)x over unit-power streams and noise_var = 10^(-snr_db/10) is
-unit noise over that total, so the simulator and the zero-forcing rates
-behind the DoF slope estimate share the per-stream noise (K-1)*x*noise_var.
+power (K-1)x over unit-power streams and an SNR of snr_db puts that total
+over unit noise, so the simulator and the zero-forcing rates behind the
+DoF slope estimate share the per-stream noise (K-1)*x*10^(-snr_db/10).
 """
 
 from __future__ import annotations
@@ -127,18 +127,19 @@ def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
 
 def stack_network_coded(scheme: AlignmentScheme, frame: SymbolFrame) -> NetworkCodedVector:
     """Stack s_ij + s_ji over unordered pairs in scheme order."""
-    chunks = []
-    for (i, j), _, _ in scheme.pair_blocks:
-        chunks.append(frame.streams[(i, j)] + frame.streams[(j, i)])
-    entries = np.concatenate(chunks) if chunks else np.empty(0, dtype=complex)
-    return NetworkCodedVector(entries=entries)
+    sums = [frame.streams[(i, j)] + frame.streams[(j, i)] for (i, j), _, _ in scheme.pair_blocks]
+    return NetworkCodedVector(entries=np.concatenate(sums))
 
 
-def _stream_noise_var(scheme: AlignmentScheme, noise_var: float) -> float:
-    return (scheme.cfg.K - 1) * scheme.alloc.per_pair * noise_var
+def _stream_noise_var(scheme: AlignmentScheme, snr_db: float) -> float:
+    """Per-stream noise variance at an SNR in dB: unit noise over each node's power (K-1)x."""
+    _check_snr_grid([snr_db])
+    return (scheme.cfg.K - 1) * scheme.alloc.per_pair * 10.0 ** (-snr_db / 10.0)
 
 
 def _awgn(rng: np.random.Generator | None, size: int, noise_var: float) -> np.ndarray:
+    if not 0.0 <= noise_var < np.inf:  # NaN fails too
+        raise ConfigurationError(f"noise variance must be finite and >= 0, got {noise_var}")
     if noise_var == 0.0:
         return np.zeros(size, dtype=complex)
     if rng is None:
@@ -339,9 +340,7 @@ class PreparedPipeline:
         return gains
 
 
-def prepare(
-    cfg: SystemConfig, beta: int, seed: int, *, max_extension: int = 64
-) -> PreparedPipeline:
+def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     """Plan the extension, sample, and build both certified schemes.
 
     Synthesis errors are tagged ``"synthesis"`` and downlink errors other
@@ -352,7 +351,7 @@ def prepare(
         target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
         if target is None:
             raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
-        plan = plan_extension(cfg, target, max_extension)
+        plan = plan_extension(cfg, target)
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
         try:
             scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
@@ -375,25 +374,21 @@ def prepare(
     return PreparedPipeline(cfg, beta, seed, plan.t, ch, scheme, bc, bc_failure)
 
 
-def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
-    """Transmit both phases of a prepared pipeline at one noise level.
+def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResult:
+    """Transmit both phases of a prepared pipeline at one SNR in dB; None is noiseless.
 
-    AWGN of per-stream variance (K-1)*x*noise_var, the noise ``pairwise_rates``
-    assumes, is added at the relay and the users, so errors and rates share one SNR.
+    AWGN of the per-stream variance ``pairwise_rates`` assumes is added at the
+    relay and the users, so errors and rates share one SNR.
     Noiseless runs must recover the network-coded vector at the relay and
     every partner stream at the users to within ``RECOVERY_TOL``.  A
     downlink failure is recorded in ``bc_failure`` without failing the
-    uplink result.  Every call draws from a fresh noise substream.  A
-    nonzero ``noise_var`` must put the SNR in [-SNR_DB_MAX, SNR_DB_MAX] dB.
+    uplink result.  Every call draws from a fresh noise substream.  The SNR
+    must lie in [-SNR_DB_MAX, SNR_DB_MAX] dB.
     """
-    if not (np.isfinite(noise_var) and noise_var >= 0.0):
-        raise ConfigurationError(f"noise_var must be finite and >= 0, got {noise_var}")
-    snr_db = None if noise_var == 0.0 else float(-10.0 * np.log10(noise_var))
-    if snr_db is not None:
-        _check_snr_grid([snr_db])  # before any work, not at the rates
     scheme, ch, seed, bc = prep.scheme, prep.ch, prep.seed, prep.bc
+    # a bad SNR fails here, before any work, not at the rates
+    sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
     rng = substream(seed, LABEL_NOISE)
-    sigma2 = _stream_noise_var(scheme, noise_var)
     with _stage("mac"):
         frame = make_frame(scheme, seed)
         truth = stack_network_coded(scheme, frame)
@@ -414,7 +409,7 @@ def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
                     worst = max(worst, float(err))
             user_err = worst
     rates = total = None
-    if noise_var > 0.0 and bc is not None:
+    if snr_db is not None and bc is not None:
         rates = pairwise_rates(prep, snr_db)
         total = float(sum(rates.values()))
     return SimResult(
@@ -431,10 +426,11 @@ def simulate(prep: PreparedPipeline, noise_var: float = 0.0) -> SimResult:
     )
 
 
-def end_to_end(cfg: SystemConfig, beta: int, seed: int, noise_var: float = 0.0) -> SimResult:
-    """Full pipeline for one noise level: ``prepare`` then ``simulate``."""
-    prep = prepare(cfg, beta, seed)
-    return simulate(prep, noise_var)
+def end_to_end(
+    cfg: SystemConfig, beta: int, seed: int, *, snr_db: float | None = None
+) -> SimResult:
+    """Full pipeline at one SNR in dB, None for noiseless: ``prepare`` then ``simulate``."""
+    return simulate(prepare(cfg, beta, seed), snr_db=snr_db)
 
 
 def _check_snr_grid(snr_grid_db: list[float]) -> None:
@@ -448,8 +444,7 @@ def _check_snr_grid(snr_grid_db: list[float]) -> None:
 
 def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int], float]:
     """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
-    _check_snr_grid([snr_db])
-    sigma2 = _stream_noise_var(prep.scheme, 10.0 ** (-snr_db / 10.0))
+    sigma2 = _stream_noise_var(prep.scheme, snr_db)
     return {
         msg: float(np.log2(1.0 + 1.0 / (sigma2 * gain)).sum())
         for msg, gain in prep.stream_gains.items()
@@ -470,10 +465,14 @@ def sum_rate_curve(
     return np.mean(curves, axis=0)
 
 
+def _check_fit_grid(snr_grid_db: list[float]) -> None:
+    if len(set(snr_grid_db)) < 2:
+        raise ConfigurationError("slope fit needs at least 2 distinct SNR points")
+
+
 def fit_slope(snr_grid_db: list[float], sum_rates: np.ndarray) -> float:
     """Least-squares slope of sum rate versus log2 of the linear SNR."""
-    if len(snr_grid_db) < 2:
-        raise ConfigurationError("slope fit needs at least 2 SNR points")
+    _check_fit_grid(snr_grid_db)
     x = np.asarray(snr_grid_db, dtype=float) * (np.log2(10.0) / 10.0)
     return float(np.polyfit(x, np.asarray(sum_rates, dtype=float), 1)[0])
 
@@ -482,6 +481,7 @@ def estimate_dof_slope(
     cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> float:
     """Fitted sum-rate slope in DoF units; approaches the stream total."""
+    _check_fit_grid(snr_grid_db)  # before any seed is prepared
     curve = sum_rate_curve(cfg, beta, seeds, snr_grid_db)
     return fit_slope(snr_grid_db, curve)
 

@@ -522,6 +522,29 @@ class TestSchemeSerialization:
         with pytest.raises(ConfigurationError, match="allocation"):
             scheme_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        ["precoder_extra_column", "precoder_missing", "compression_row_missing",
+         "row_subset_missing", "basis_row_missing"],
+    )
+    def test_rejects_shapes_off_the_allocation(self, mutate):
+        # each of these used to load; the verifier or relay_decode then raised
+        # a raw numpy ValueError or KeyError, or the short compression passed
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        if mutate == "precoder_extra_column":
+            data["precoders"]["0,1"] = [row + [[1.0, 0.0]] for row in data["precoders"]["0,1"]]
+        elif mutate == "precoder_missing":
+            del data["precoders"]["0,1"]
+        elif mutate == "compression_row_missing":
+            del data["compression"]["matrix"][-1]
+        elif mutate == "row_subset_missing":
+            del data["compression"]["row_subsets"][-1]
+        else:
+            del data["aligned_basis"][-1]
+        with pytest.raises(ConfigurationError, match="scheme"):
+            scheme_from_dict(data)
+
     def test_rejects_non_finite_entries(self):
         _, _, scheme = build_all(4, 3, 7, 2, 1)
         data = scheme_to_dict(scheme)

@@ -36,3 +36,14 @@ def test_assemble_scheme_positional_order():
 
     params = list(inspect.signature(assemble_scheme).parameters)
     assert params[:3] == ["ch", "alloc", "beta"]
+
+
+def test_benchmark_call_shapes_bind():
+    # bench/workloads.py calls these positionally; the noise level of
+    # end_to_end is keyword-only, so a fourth positional argument must fail
+    from ychannel.simulation import end_to_end, mac_phase
+
+    inspect.signature(end_to_end).bind("cfg", "beta", "seed")
+    inspect.signature(mac_phase).bind("scheme", "ch", "frame", 0.0)
+    with pytest.raises(TypeError):
+        inspect.signature(end_to_end).bind("cfg", "beta", "seed", 0.0)

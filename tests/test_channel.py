@@ -249,6 +249,21 @@ class TestFixtureFormat:
         with pytest.raises(ConfigurationError, match="NaN or infinite"):
             channel_from_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("direction", ["uplink", "downlink"])
+    def test_rejects_missing_matrix(self, direction):
+        # three uplink matrices for K = 4 used to load and end in an IndexError
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        del data[direction][-1]
+        with pytest.raises(DimensionError, match="4 matrices per direction"):
+            channel_from_dict(data)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_rejects_out_of_range_seed(self, seed):
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        data["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed"):
+            channel_from_dict(data)
+
     def test_entries_are_re_im_pairs(self):
         ch = sample_channels(SystemConfig(3, 1, 2), 0)
         data = channel_to_dict(ch)

@@ -1,5 +1,6 @@
 """CLI integration tests: output contracts, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ychannel import (
     BroadcastInfeasibleError,
@@ -102,23 +105,28 @@ class TestSweep:
         assert "\r" not in a.stdout
 
     def test_spec_invariants(self):
-        from fractions import Fraction
-
-        from ychannel import YChannelError
-        from ychannel.cli import SweepSpec, build_sweep_spec
-
-        import pytest
-
-        with pytest.raises(YChannelError):
-            SweepSpec(K=5, ratio_grid=())
-        with pytest.raises(YChannelError):
-            SweepSpec(K=5, ratio_grid=(Fraction(2), Fraction(1)))
-        spec = build_sweep_spec(5, resolution=10)
-        assert list(spec.ratio_grid) == sorted(set(spec.ratio_grid))
+        grid = cli.sweep_grid(5, resolution=10)
+        assert grid == sorted(set(grid))
 
     def test_empty_explicit_grid_fails(self):
         proc = run_cli("sweep", "--k", "5", "--grid", "")
-        assert proc.returncode == 1
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("grid", ["1/2,abc", "0", "-1", "1/0", "1e400"])
+    def test_bad_grid_is_usage_error(self, grid):
+        proc = run_cli("sweep", "--k", "5", f"--grid={grid}")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="0123456789/,.-e", max_size=8))
+    def test_any_grid_text_parses_or_is_usage_error(self, text):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(["sweep", "--k", "5", "--grid", text])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
 
 
 class TestSynthesize:
@@ -151,7 +159,7 @@ class TestSynthesize:
         scheme = load_scheme(str(out))
         assert scheme.compression.matrix.shape == (6, 7)
         assert f"alignment residual: {scheme.alignment_residual:.3e}" in proc.stdout
-        prep = prepare(SystemConfig(4, 3, 8), 2, 3, max_extension=1)
+        prep = prepare(SystemConfig(4, 3, 8), 2, 3)
         assert verify_alignment_conditions(scheme, prep.ch).passed
 
     def test_below_corner_fails_with_requirement(self):
@@ -160,6 +168,15 @@ class TestSynthesize:
         )
         assert proc.returncode == 1
         assert "needs N >= 13" in proc.stderr
+
+    def test_fractional_row_count_names_the_extension(self):
+        # x = 2 is integral, but 30 rows do not divide over C(6, 3) = 20 subsets
+        proc = run_cli("synthesize", "--k", "6", "--m", "13", "--n", "41", "--beta", "3")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: 30 compression rows do not divide over 20 subsets; "
+            "needs a 2-symbol extension\n"
+        )
 
     def test_three_users_have_no_constructible_corner(self):
         proc = run_cli("synthesize", "--k", "3", "--m", "2", "--n", "3", "--beta", "1")
@@ -207,6 +224,28 @@ class TestMonteCarlo:
         assert "at least 2 SNR points" in proc.stderr
         assert not out.exists()
 
+    def test_repeated_point_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "30,30", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "at least 2 distinct SNR points" in proc.stderr
+        assert not out.exists()
+
+    def test_csv_keeps_the_requested_snr_points(self, tmp_path, capsys):
+        # 3 dB and 4 dB do not survive a dB -> linear -> dB round trip
+        out = tmp_path / "mc.csv"
+        code = cli.main([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "1", "--snr-grid", "0,3,4,20", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out) as fh:
+            column = [row["snr_db"] for row in csv.DictReader(fh)]
+        assert column == ["0.0", "3.0", "4.0", "20.0"]
+
     def test_seed_past_2_64_fails_without_csv(self, tmp_path, monkeypatch, capsys):
         # seeds 2^64-2 and 2^64-1 are valid, the third one is not; a base of
         # -1 fails on the first.  Either way no seed is prepared.
@@ -239,7 +278,7 @@ class TestMonteCarlo:
         ])
         assert code == 0
         records = [
-            result_record(end_to_end(SystemConfig(4, 3, 7), 2, seed, 10.0 ** (-snr / 10.0)))
+            result_record(end_to_end(SystemConfig(4, 3, 7), 2, seed, snr_db=snr))
             for seed in (5, 6)
             for snr in grid
         ]

@@ -123,6 +123,19 @@ class TestMacPhase:
         with pytest.raises(ConfigurationError):
             mac_phase(scheme, ch, make_frame(scheme, 0), 0.1, rng=None)
 
+    @pytest.mark.parametrize("noise_var", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_noise_variance(self, noise_var):
+        # checked where the noise is drawn, before any NaN reception exists
+        ch, scheme = corner_setup(4, 3, 7, 2, 1)
+        frame = make_frame(scheme, 0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            mac_phase(scheme, ch, frame, noise_var, rng)
+        bc = build_bc_scheme(scheme, ch)
+        nc = stack_network_coded(scheme, frame)
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            bc_phase(bc, ch, nc, noise_var, rng)
+
 
 class TestRelayDecode:
     @pytest.mark.parametrize("K,M,N,beta,seed", [(4, 3, 7, 2, 1), (5, 5, 11, 2, 3)])
@@ -214,14 +227,14 @@ class TestEndToEnd:
         "K,M,N,beta,seed", [(4, 3, 7, 2, 1), (5, 4, 13, 3, 2), (5, 5, 11, 2, 3)]
     )
     def test_noiseless_corners(self, K, M, N, beta, seed):
-        result = end_to_end(SystemConfig(K, M, N), beta, seed, 0.0)
+        result = end_to_end(SystemConfig(K, M, N), beta, seed)
         assert result.t == 1
         assert result.relay_recovery_error <= 1e-6
         assert result.bc_failure is None
         assert result.user_recovery_error <= 1e-6
 
     def test_extension_path(self):
-        result = end_to_end(SystemConfig(5, 1, 3), 2, 4, 0.0)
+        result = end_to_end(SystemConfig(5, 1, 3), 2, 4)
         assert result.t == 5
         assert result.relay_recovery_error <= 1e-6
         assert result.user_recovery_error <= 1e-6
@@ -231,13 +244,13 @@ class TestEndToEnd:
         # (4,4,9) has N > beta*M, where block-structured rows defeat an
         # unpivoted null-space split.
         for M, N in [(3, 2), (4, 9)]:
-            result = end_to_end(SystemConfig(4, M, N), 2, 0, 0.0)
+            result = end_to_end(SystemConfig(4, M, N), 2, 0)
             assert result.t == 7
             assert result.relay_recovery_error <= 1e-6
             assert result.user_recovery_error <= 1e-6
 
     def test_noisy_run_reports_rates(self):
-        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-4)
+        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=40.0)
         assert result.snr_db == pytest.approx(40.0)
         assert result.sum_rate is not None and result.sum_rate > 0
         assert len(result.rates) == 12
@@ -247,21 +260,29 @@ class TestEndToEnd:
         from ychannel import StageError
 
         with pytest.raises(StageError) as err:
-            prepare(SystemConfig(5, 4, 11), 3, 0, max_extension=1)
+            prepare(SystemConfig(5, 4, 11), 4, 0)  # K=5 has no beta=4 corner
         assert err.value.stage == "synthesis"
 
-    @pytest.mark.parametrize("noise_var", [-1e-3, float("nan"), float("inf")])
-    def test_rejects_bad_noise_var(self, noise_var):
-        with pytest.raises(ConfigurationError, match="noise_var"):
-            end_to_end(SystemConfig(4, 3, 7), 2, 1, noise_var)
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_bad_noise_var(self, snr_db):
+        with pytest.raises(ConfigurationError, match="dB"):
+            end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=snr_db)
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
-        with pytest.raises(ConfigurationError, match="noise_var"):
-            simulate(prep, noise_var)
+        with pytest.raises(ConfigurationError, match="dB"):
+            simulate(prep, snr_db=snr_db)
+
+    def test_noise_level_is_keyword_only(self):
+        # an old positional noise variance must not pass for an SNR in dB
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        with pytest.raises(TypeError):
+            simulate(prep, 0.0)
+        with pytest.raises(TypeError):
+            end_to_end(SystemConfig(4, 3, 7), 2, 1, 0.0)
 
     def test_monotone_degradation(self):
-        levels = [1e-4, 1e-2, 1.0]
+        levels = [40.0, 20.0, 0.0]  # SNR in dB, falling
         errs = np.array([
-            [simulate(prep, noise).relay_recovery_error for noise in levels]
+            [simulate(prep, snr_db=snr).relay_recovery_error for snr in levels]
             for prep in (prepare(SystemConfig(4, 3, 7), 2, seed) for seed in range(100))
         ])
         means = errs.mean(axis=0)
@@ -294,7 +315,7 @@ class TestEndToEnd:
         monkeypatch.setattr(simulation, "relay_decode", recorded_relay)
         monkeypatch.setattr(simulation, "decode_user", recorded_user)
         for _ in range(draws):
-            simulate(prep, 10.0 ** (-snr_db / 10.0))
+            simulate(prep, snr_db=snr_db)
         monkeypatch.undo()
 
         scheme = prep.scheme
@@ -370,14 +391,17 @@ class TestRates:
         for snr_db in (-3000.0, 3000.0):
             rates = simulation.pairwise_rates(prep, snr_db)
             assert all(np.isfinite(rate) for rate in rates.values())
-        assert np.isfinite(simulate(prep, 1e-300).sum_rate)
+        assert np.isfinite(simulate(prep, snr_db=3000.0).sum_rate)
 
-    @pytest.mark.parametrize("noise_var", [1e-305, 5e-324, 1e301])
-    def test_simulate_rejects_out_of_range_noise_first(self, noise_var, monkeypatch):
+    # each id is the unit noise its SNR stands for
+    @pytest.mark.parametrize(
+        "snr_db", [3050.0, 3233.0, -3010.0], ids=["1e-305", "5e-324", "1e+301"]
+    )
+    def test_simulate_rejects_out_of_range_noise_first(self, snr_db, monkeypatch):
         prep = prepare(SystemConfig(4, 3, 7), 2, 0)
         monkeypatch.setattr(simulation, "mac_phase", None)  # no phase may run
         with pytest.raises(ConfigurationError, match="dB"):
-            simulate(prep, noise_var)
+            simulate(prep, snr_db=snr_db)
 
     def test_fit_slope_zero_rates(self):
         assert fit_slope([30, 40, 50, 60], np.zeros(4)) == 0.0
@@ -391,6 +415,17 @@ class TestRates:
     def test_fit_needs_two_points(self):
         with pytest.raises(ConfigurationError):
             fit_slope([30.0], np.array([1.0]))
+
+    def test_fit_needs_two_distinct_points(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            fit_slope([30, 30], np.array([1.0, 2.0]))
+        # the grid is checked before any seed is prepared
+        calls = []
+        monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
+        for grid in ([30.0], [30.0, 30.0]):
+            with pytest.raises(ConfigurationError, match="distinct"):
+                estimate_dof_slope(SystemConfig(4, 3, 7), 2, [0, 1, 2], grid)
+        assert calls == []
 
     def test_slope_smoke(self):
         slope = estimate_dof_slope(
@@ -410,8 +445,8 @@ class TestPreparedPipeline:
     def test_one_record_serves_every_noise_level(self):
         cfg = SystemConfig(4, 3, 7)
         prep = prepare(cfg, 2, 3)
-        for noise in (0.0, 1e-4, 1e-2):
-            assert simulate(prep, noise) == end_to_end(cfg, 2, 3, noise)
+        for snr in (None, 40.0, 20.0):
+            assert simulate(prep, snr_db=snr) == end_to_end(cfg, 2, 3, snr_db=snr)
 
     def test_downlink_failures(self, monkeypatch):
         from ychannel import BroadcastInfeasibleError, DecodabilityError, StageError
@@ -425,7 +460,7 @@ class TestPreparedPipeline:
         monkeypatch.setattr(
             simulation, "build_bc_scheme", failing(BroadcastInfeasibleError("no dual"))
         )
-        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-3)
+        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=30.0)
         assert result.bc_failure == "no dual"
         assert result.user_recovery_error is None and result.sum_rate is None
         with pytest.raises(BroadcastInfeasibleError, match="no dual"):
@@ -442,7 +477,7 @@ class TestPreparedPipeline:
         seeds = [0, 1]
         grid = [30.0, 40.0, 50.0]
         per_point = [
-            [end_to_end(cfg, 2, seed, 10.0 ** (-snr / 10.0)).sum_rate for snr in grid]
+            [end_to_end(cfg, 2, seed, snr_db=snr).sum_rate for snr in grid]
             for seed in seeds
         ]
         curve = sum_rate_curve(cfg, 2, seeds, grid)
@@ -486,7 +521,7 @@ class TestRandomExtensions:
             prep = prepare(SystemConfig(K, M, N), beta, seed)
         except YChannelError:
             return
-        result = simulate(prep, 0.0)
+        result = simulate(prep)
         assert result.relay_recovery_error <= RECOVERY_TOL
         if prep.bc is not None:
             assert result.user_recovery_error <= RECOVERY_TOL
@@ -494,7 +529,7 @@ class TestRandomExtensions:
 
 class TestRecords:
     def test_csv_columns_and_line_endings(self):
-        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 1e-3)
+        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=30.0)
         buf = io.StringIO()
         write_records_csv([result_record(result)], buf)
         text = buf.getvalue()
@@ -504,7 +539,7 @@ class TestRecords:
         assert lines[1].startswith("4,3,7,2,1,1,30.0,")
 
     def test_noiseless_record_blank_optionals(self):
-        result = end_to_end(SystemConfig(4, 3, 7), 2, 1, 0.0)
+        result = end_to_end(SystemConfig(4, 3, 7), 2, 1)
         record = result_record(result)
         assert record["snr_db"] == ""
         assert record["sum_rate"] == ""
