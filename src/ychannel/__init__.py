@@ -4,8 +4,9 @@ The package has four layers:
 
 * :mod:`ychannel.bounds`: exact rational DoF upper bound and achievable
   envelope, regime identification and gap reports.
-* :mod:`ychannel.channel`: reproducible channel sampling, antenna
-  deactivation, symbol extension and extension planning.
+* :mod:`ychannel.channel`: reproducible channel sampling and extension
+  plans; ``apply_extension_plan`` realizes a plan's symbol extension and
+  antenna deactivation in one step.
 * :mod:`ychannel.alignment`: constructive synthesis and verification of
   the compressed signal-alignment relaying scheme.
 * :mod:`ychannel.simulation`: end-to-end two-phase simulation and DoF
@@ -49,10 +50,8 @@ from .channel import (
     apply_extension_plan,
     channel_from_dict,
     channel_to_dict,
-    deactivate,
     plan_extension,
     sample_channels,
-    symbol_extend,
 )
 from .config import SystemConfig
 from .errors import (

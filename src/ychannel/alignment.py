@@ -38,10 +38,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from sys import float_info
 
 import numpy as np
 
-from .bounds import corner_abscissa
+from .bounds import corner_abscissa, corner_points
 from .channel import ChannelSet
 from .config import SystemConfig
 from .errors import (
@@ -504,9 +505,17 @@ def _stored_matrix(rows: list, shape: tuple[int, int], what: str) -> np.ndarray:
     return m
 
 
+def _finite_non_negative(v: object) -> bool:
+    """A JSON number in [0, largest float] (a bool is not a number)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= float_info.max
+
+
 def scheme_from_dict(data: dict) -> AlignmentScheme:
-    """Load an exported scheme; every shape must follow from cfg and the allocation."""
+    """Load an exported scheme; shapes and provenance must follow from cfg, beta and x."""
     cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
+    beta = data["beta"]
+    if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
+        raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
     keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}
     counts = set(data["allocation"].values())
     x = counts.pop() if len(counts) == 1 else None
@@ -517,15 +526,27 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         )
     alloc = StreamAllocation(cfg=cfg, per_pair=x)
     rows = alloc.rows
-    row_subsets = tuple(tuple(s) for s in data["compression"]["row_subsets"])
+    row_subsets = data["compression"]["row_subsets"]
     if len(row_subsets) != rows or set(data["precoders"]) != keys:
         raise ConfigurationError(
             f"scheme needs {rows} row subsets and a precoder for every ordered pair"
         )
+    for s in row_subsets:
+        users = isinstance(s, list) and all(type(u) is int and 0 <= u < cfg.K for u in s)
+        if not users or len(s) != beta or s != sorted(set(s)):
+            raise ConfigurationError(
+                f"scheme row subset {s!r} is not {beta} increasing users of range({cfg.K})"
+            )
+    residuals = data["compression"]["row_residuals"]
+    metrics = data["metrics"]["alignment_residual"], data["metrics"]["basis_condition"]
+    if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
+        raise ConfigurationError(
+            f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"
+        )
     compression = CompressionMatrix(
         matrix=_stored_matrix(data["compression"]["matrix"], (rows, cfg.N), "compression"),
-        row_subsets=row_subsets,
-        row_residuals=np.asarray(data["compression"]["row_residuals"], dtype=float),
+        row_subsets=tuple(map(tuple, row_subsets)),
+        row_residuals=np.asarray(residuals, dtype=float),
     )
     precoders = {
         tuple(int(k) for k in key.split(",")): _stored_matrix(v, (cfg.M, x), f"precoder {key}")
@@ -534,13 +555,13 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
     basis = _stored_matrix(data["aligned_basis"], (rows, rows), "aligned basis")
     return AlignmentScheme(
         cfg=cfg,
-        beta=int(data["beta"]),
+        beta=beta,
         alloc=alloc,
         compression=compression,
         precoders=precoders,
         aligned_basis=basis,
-        alignment_residual=float(data["metrics"]["alignment_residual"]),
-        basis_condition=float(data["metrics"]["basis_condition"]),
+        alignment_residual=float(metrics[0]),
+        basis_condition=float(metrics[1]),
     )
 
 

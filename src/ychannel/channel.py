@@ -1,4 +1,4 @@
-"""Seeded channel sampling, antenna deactivation and symbol extension.
+"""Seeded channel sampling and extension plans.
 
 Sampling is reproducible across platforms: every matrix gets its own
 Philox substream keyed by (seed, direction, node index), and normal
@@ -28,8 +28,6 @@ __all__ = [
     "ChannelSet",
     "ExtensionPlan",
     "sample_channels",
-    "deactivate",
-    "symbol_extend",
     "plan_extension",
     "apply_extension_plan",
     "channel_to_dict",
@@ -119,39 +117,6 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     return ChannelSet(cfg=cfg, seed=seed, uplink=tuple(uplink), downlink=tuple(downlink))
 
 
-def deactivate(ch: ChannelSet, M_use: int, N_use: int) -> ChannelSet:
-    """Keep the first ``M_use`` source and ``N_use`` relay antennas.
-
-    Channels are i.i.d., so a fixed prefix is statistically equivalent to
-    any other antenna subset.
-    """
-    if not 1 <= M_use <= ch.cfg.M:
-        raise DimensionError(f"M_use={M_use} outside [1, {ch.cfg.M}]")
-    if not 1 <= N_use <= ch.cfg.N:
-        raise DimensionError(f"N_use={N_use} outside [1, {ch.cfg.N}]")
-    cfg = SystemConfig(ch.cfg.K, M_use, N_use)
-    uplink = tuple(_freeze(h[:N_use, :M_use]) for h in ch.uplink)
-    downlink = tuple(_freeze(g[:M_use, :N_use]) for g in ch.downlink)
-    return ChannelSet(cfg=cfg, seed=ch.seed, uplink=uplink, downlink=downlink)
-
-
-def symbol_extend(ch: ChannelSet, t: int) -> ChannelSet:
-    """Lift every matrix to its t-fold block diagonal.
-
-    The channel is quasi-static, so all t diagonal blocks repeat the same
-    realization and the configuration scales by t.
-    """
-    if t < 1:
-        raise DimensionError(f"extension factor must be >= 1, got {t}")
-    if t == 1:
-        return ch
-    eye = np.eye(t)
-    cfg = SystemConfig(ch.cfg.K, t * ch.cfg.M, t * ch.cfg.N)
-    uplink = tuple(_freeze(np.kron(eye, h)) for h in ch.uplink)
-    downlink = tuple(_freeze(np.kron(eye, g)) for g in ch.downlink)
-    return ChannelSet(cfg=cfg, seed=ch.seed, uplink=uplink, downlink=downlink)
-
-
 @dataclass(frozen=True)
 class ExtensionPlan:
     """How to reach a target corner ratio from a given configuration.
@@ -207,37 +172,43 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
-    """Realize an extension plan on a sampled channel set.
+    """Realize an extension plan on a sampled channel set: lift, rotate, truncate.
 
-    For t == 1 this is plain prefix deactivation.  For t > 1 the deactivated
-    side first applies a seeded random orthonormal basis change of its
-    extended antenna space and then truncates.  Per-slot antenna subsets
-    would confine every aligned-subspace row to a few coordinates of the
-    block-diagonal channel and provably collapse the compression matrix
+    For t > 1 every matrix is lifted to its t-fold block diagonal (the
+    channel is quasi-static, so all t blocks repeat the realization) and the
+    deactivated side applies a seeded random orthonormal basis change of its
+    extended antenna space.  Every matrix is then truncated to the effective
+    counts, which for t == 1 is plain prefix deactivation.  Per-slot antenna
+    subsets would confine every aligned-subspace row to a few coordinates of
+    the block-diagonal channel and provably collapse the compression matrix
     rank, whereas truncation in a generic rotated basis keeps exactly
     effective_M/effective_N usable dimensions, which is all the DoF
     argument needs.
     """
+    K, M, N = ch.cfg.K, ch.cfg.M, ch.cfg.N
     t, m_eff, n_eff = plan.t, plan.effective_M, plan.effective_N
-    if t == 1:
-        return deactivate(ch, m_eff, n_eff)
-    extended = symbol_extend(ch, t)
-    cfg = SystemConfig(ch.cfg.K, m_eff, n_eff)
-    if plan.side == "relay":
-        mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, 0), t * ch.cfg.N)
-        uplink = tuple(_freeze((mixer @ h)[:n_eff, :]) for h in extended.uplink)
-        downlink = tuple(
-            _freeze((g @ mixer.conj().T)[:, :n_eff]) for g in extended.downlink
+    if not (t >= 1 and 1 <= m_eff <= t * M and 1 <= n_eff <= t * N):
+        raise DimensionError(
+            f"extension plan t={t}, effective (M, N) = ({m_eff}, {n_eff}) needs "
+            f"t >= 1, 1 <= M <= t*{M} and 1 <= N <= t*{N}"
         )
-    else:
-        ups = []
-        downs = []
-        for i in range(ch.cfg.K):
-            mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, i + 1), t * ch.cfg.M)
-            ups.append(_freeze((extended.uplink[i] @ mixer.conj().T)[:, :m_eff]))
-            downs.append(_freeze((mixer @ extended.downlink[i])[:m_eff, :]))
-        uplink, downlink = tuple(ups), tuple(downs)
-    return ChannelSet(cfg=cfg, seed=ch.seed, uplink=uplink, downlink=downlink)
+    uplink, downlink = ch.uplink, ch.downlink
+    if t > 1:
+        eye = np.eye(t)
+        uplink = [np.kron(eye, h) for h in uplink]
+        downlink = [np.kron(eye, g) for g in downlink]
+        if plan.side == "relay":
+            mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, 0), t * N)
+            uplink = [mixer @ h for h in uplink]
+            downlink = [g @ mixer.conj().T for g in downlink]
+        else:
+            for i in range(K):
+                mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, i + 1), t * M)
+                uplink[i] = uplink[i] @ mixer.conj().T
+                downlink[i] = mixer @ downlink[i]
+    uplink = tuple(_freeze(h[:n_eff, :m_eff]) for h in uplink)
+    downlink = tuple(_freeze(g[:m_eff, :n_eff]) for g in downlink)
+    return ChannelSet(SystemConfig(K, m_eff, n_eff), ch.seed, uplink, downlink)
 
 
 def channel_to_dict(ch: ChannelSet) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -66,9 +67,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ratio_grid(text: str) -> list[Fraction]:
+# a decimal entry in exponent notation; Fraction expands 10**exponent before any check
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+
+
+def _exponent_in_range(entry: str) -> bool:
+    """False when an entry d.f e X lands at or above 2^1000 whatever its digits.
+
+    Its value is int(df)·10^(X - len(f)), so a shift of 302 or more gives a
+    numerator of at least 10^302, and a shift of -(302 + len(df)) or less a
+    denominator above 10^302; 2^1000 is below both (a zero mantissa gives 0,
+    which is refused anyway).
+    """
+    form = _EXPONENT_FORM.fullmatch(entry)
+    if form is None:
+        return True
+    whole, frac, exponent = (g.replace("_", "") for g in form.groups(""))
     try:
-        grid = [Fraction(p) for p in text.split(",") if p.strip()]
+        shift = int(exponent) - len(frac)
+    except ValueError:
+        return True  # an exponent int() refuses, so Fraction refuses it too
+    return -302 - len(whole + frac) < shift < 302
+
+
+def _ratio_grid(text: str) -> list[Fraction]:
+    entries = [p for p in text.split(",") if p.strip()]
+    try:
+        grid = [Fraction(p) for p in entries] if all(map(_exponent_in_range, entries)) else []
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad ratio grid {text!r}: {exc}") from exc
     # N/M in lowest terms are antenna counts; the sweep prints them exactly and as floats

@@ -5,6 +5,8 @@ Matrices are stored row major with each entry as a [re, im] pair.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -15,11 +17,22 @@ def complex_matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def complex_matrix_from_pairs(rows: list) -> np.ndarray:
-    """Decode a stored matrix; NaN or infinite entries (``json`` reads
-    ``NaN`` and ``Infinity``) raise ``ConfigurationError``."""
-    m = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
-    )
-    if not np.isfinite(m).all():
+    """Decode a stored matrix: non-empty, equally long rows of [re, im] number pairs.
+
+    Any other layout, and NaN or infinite entries (``json`` reads ``NaN`` and
+    ``Infinity``), raise ``ConfigurationError``.
+    """
+    try:
+        pairs = np.array(rows, dtype=np.float64)
+        layout = pairs.ndim == 3 and pairs.shape[2] == 2 and 0 not in pairs.shape
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry float() refuses
+        layout = False
+    if layout:  # float64 conversion alone would also take "1.5" and true
+        layout = set(map(type, chain.from_iterable(chain.from_iterable(rows)))) <= {int, float}
+    if not layout:
+        raise ConfigurationError(
+            "stored matrix must be non-empty, equally long rows of [re, im] number pairs"
+        )
+    if not np.isfinite(pairs).all():
         raise ConfigurationError("stored matrix has a NaN or infinite entry")
-    return m
+    return pairs.view(np.complex128)[..., 0]

@@ -551,3 +551,49 @@ class TestSchemeSerialization:
         data["precoders"]["1,0"][0][0] = [0.0, float("inf")]
         with pytest.raises(ConfigurationError, match="NaN or infinite"):
             scheme_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("mutate", ["ragged_row", "one_number_entry", "row_not_a_list"])
+    def test_rejects_malformed_matrix_layout(self, mutate):
+        # each raised numpy's or Python's bare ValueError or TypeError
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        if mutate == "ragged_row":
+            del data["compression"]["matrix"][0][-1]
+        elif mutate == "one_number_entry":
+            data["precoders"]["0,1"][0][0] = [1.0]
+        else:
+            data["aligned_basis"][0] = 5.0
+        with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
+            scheme_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        ["residual_missing", "residual_nan", "subset_off_range", "subset_unsorted",
+         "residual_past_float", "beta_string", "beta_not_a_corner", "metric_nan",
+         "metric_negative"],
+    )
+    def test_rejects_provenance_off_cfg_and_beta(self, mutate):
+        # each of these loaded silently, "7" as beta = 7
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        compression, metrics = data["compression"], data["metrics"]
+        if mutate == "residual_missing":
+            del compression["row_residuals"][-1]
+        elif mutate == "residual_nan":
+            compression["row_residuals"][2] = float("nan")
+        elif mutate == "residual_past_float":
+            compression["row_residuals"][2] = 10**400
+        elif mutate == "subset_off_range":
+            compression["row_subsets"][0] = [9, 9, 9]
+        elif mutate == "subset_unsorted":
+            compression["row_subsets"][0] = compression["row_subsets"][0][::-1]
+        elif mutate == "beta_string":
+            data["beta"] = "7"
+        elif mutate == "beta_not_a_corner":
+            data["beta"] = 7
+        elif mutate == "metric_nan":
+            metrics["basis_condition"] = float("nan")
+        else:
+            metrics["alignment_residual"] = -1e-12
+        with pytest.raises(ConfigurationError, match="scheme"):
+            scheme_from_dict(json.loads(json.dumps(data)))

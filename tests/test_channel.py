@@ -1,4 +1,4 @@
-"""Channel sampling, deactivation, extension and planning tests."""
+"""Channel sampling, extension planning and plan application tests."""
 
 import json
 import pathlib
@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from ychannel import (
     ConfigurationError,
     DimensionError,
+    ExtensionPlan,
     InfeasibleConfigurationError,
     SystemConfig,
     apply_extension_plan,
     channel_from_dict,
     channel_to_dict,
     corner_points,
-    deactivate,
     plan_extension,
     sample_channels,
-    symbol_extend,
 )
+from ychannel.channel import LABEL_MIXER, complex_gaussian, substream
 
 
 def corner(K, beta):
@@ -89,78 +89,105 @@ class TestSampling:
             ch.uplink[0][0, 0] = 0
 
 
-class TestDeactivate:
-    def test_identity(self):
+def two_step_reference(ch, plan):
+    """The former path: symbol_extend (kron lift), then mix and slice, or
+    deactivate (prefix slice) when t == 1."""
+    t, m_eff, n_eff = plan.t, plan.effective_M, plan.effective_N
+    if t == 1:
+        return [h[:n_eff, :m_eff] for h in ch.uplink], [g[:m_eff, :n_eff] for g in ch.downlink]
+    ups = [np.ascontiguousarray(np.kron(np.eye(t), h)) for h in ch.uplink]
+    downs = [np.ascontiguousarray(np.kron(np.eye(t), g)) for g in ch.downlink]
+
+    def mixer(index, n):
+        q, _ = np.linalg.qr(complex_gaussian(substream(ch.seed, LABEL_MIXER, index), (n, n)))
+        return q
+
+    if plan.side == "relay":
+        u = mixer(0, t * ch.cfg.N)
+        return [(u @ h)[:n_eff, :] for h in ups], [(g @ u.conj().T)[:, :n_eff] for g in downs]
+    us = [mixer(i + 1, t * ch.cfg.M) for i in range(ch.cfg.K)]
+    return (
+        [(h @ u.conj().T)[:, :m_eff] for h, u in zip(ups, us)],
+        [(u @ g)[:m_eff, :] for g, u in zip(downs, us)],
+    )
+
+
+class TestApplyExtensionPlan:
+    def test_t1_identity(self):
         ch = sample_channels(SystemConfig(4, 3, 6), 5)
-        same = deactivate(ch, 3, 6)
-        for x, y in zip(same.uplink, ch.uplink):
+        same = apply_extension_plan(ch, ExtensionPlan(1, 3, 6, "none"))
+        for x, y in zip((*same.uplink, *same.downlink), (*ch.uplink, *ch.downlink)):
             assert np.array_equal(x, y)
         assert same.cfg == ch.cfg
 
-    def test_shapes(self):
+    def test_t1_prefix_shapes(self):
         ch = sample_channels(SystemConfig(5, 4, 14), 0)
-        cut = deactivate(ch, 4, 13)
+        cut = apply_extension_plan(ch, ExtensionPlan(1, 4, 13, "relay"))
         assert all(h.shape == (13, 4) for h in cut.uplink)
         assert all(g.shape == (4, 13) for g in cut.downlink)
         assert cut.cfg == SystemConfig(5, 4, 13)
+        assert np.array_equal(cut.uplink[2], ch.uplink[2][:13, :])
+        assert np.array_equal(cut.downlink[2], ch.downlink[2][:, :13])
 
-    def test_composition(self):
-        ch = sample_channels(SystemConfig(4, 4, 9), 3)
-        once = deactivate(ch, 2, 9)
-        twice = deactivate(deactivate(ch, 3, 9), 2, 9)
-        for x, y in zip(once.uplink, twice.uplink):
-            assert np.array_equal(x, y)
-
-    def test_out_of_range(self):
-        ch = sample_channels(SystemConfig(4, 3, 6), 5)
-        with pytest.raises(DimensionError):
-            deactivate(ch, 4, 6)
-        with pytest.raises(DimensionError):
-            deactivate(ch, 3, 0)
-
-
-class TestSymbolExtend:
-    def test_t1_identity(self):
-        ch = sample_channels(SystemConfig(3, 2, 3), 1)
-        assert symbol_extend(ch, 1) is ch
+    @pytest.mark.parametrize(
+        "cfg, plan",
+        [
+            (SystemConfig(4, 3, 6), ExtensionPlan(1, 4, 6, "source")),
+            (SystemConfig(4, 3, 6), ExtensionPlan(1, 3, 0, "relay")),
+            (SystemConfig(3, 2, 5), ExtensionPlan(0, 2, 5, "none")),
+            # t > 1 plans were never checked: N = 99 gave a 15 x 5 matrix under
+            # a cfg saying N = 99, and M = 0 surfaced as a SystemConfig error
+            (SystemConfig(5, 1, 3), ExtensionPlan(5, 5, 99, "relay")),
+            (SystemConfig(5, 1, 3), ExtensionPlan(5, 0, 11, "relay")),
+        ],
+        ids=["t1_M_above", "t1_N_zero", "t0", "t5_N_above", "t5_M_zero"],
+    )
+    def test_rejects_plan_outside_extended_counts(self, cfg, plan):
+        with pytest.raises(DimensionError, match="extension plan"):
+            apply_extension_plan(sample_channels(cfg, 4), plan)
 
     def test_block_diagonal_lift(self):
+        # with nothing truncated, the relay rotation cancels in H^H H
         ch = sample_channels(SystemConfig(3, 5, 11), 2)
-        ext = symbol_extend(ch, 2)
+        ext = apply_extension_plan(ch, ExtensionPlan(2, 10, 22, "relay"))
         h = ext.uplink[0]
         assert h.shape == (22, 10)
-        assert np.array_equal(h[:11, :5], ch.uplink[0])
-        assert np.array_equal(h[11:, 5:], ch.uplink[0])
-        assert np.all(h[:11, 5:] == 0)
-        assert np.all(h[11:, :5] == 0)
         assert ext.cfg == SystemConfig(3, 10, 22)
+        gram = ch.uplink[0].conj().T @ ch.uplink[0]
+        assert np.allclose(h.conj().T @ h, np.kron(np.eye(2), gram), atol=1e-12)
 
-    def test_rank_additivity(self):
-        ch = sample_channels(SystemConfig(3, 2, 5), 4)
-        ext = symbol_extend(ch, 3)
-        for h, lifted in zip(ch.uplink, ext.uplink):
-            base = np.sum(np.linalg.svd(h, compute_uv=False) > 1e-10)
-            big = np.sum(np.linalg.svd(lifted, compute_uv=False) > 1e-10)
-            assert big == 3 * base
+    @pytest.mark.parametrize("K, M, N, beta", [(3, 1, 1, 1), (5, 1, 3, 2), (4, 4, 9, 2)])
+    def test_effective_matrices_full_rank(self, K, M, N, beta):
+        # the lift has rank t * rank(h), and truncation in a rotated basis keeps
+        # every effective matrix at full rank min(effective_M, effective_N)
+        cfg = SystemConfig(K, M, N)
+        plan = plan_extension(cfg, corner(K, beta))
+        assert plan.t > 1
+        ext = apply_extension_plan(sample_channels(cfg, 4), plan)
+        full = min(plan.effective_M, plan.effective_N)
+        for m in (*ext.uplink, *ext.downlink):
+            assert np.linalg.matrix_rank(m) == full
 
-    def test_invalid_factor(self):
-        ch = sample_channels(SystemConfig(3, 2, 5), 4)
-        with pytest.raises(DimensionError):
-            symbol_extend(ch, 0)
-
-    def test_commutes_with_deactivation(self):
-        # extend(deactivate) equals selecting the matching per-slot
-        # rows/columns of deactivate(extend).
-        ch = sample_channels(SystemConfig(3, 3, 5), 8)
-        t, m_use, n_use = 2, 2, 4
-        a = symbol_extend(deactivate(ch, m_use, n_use), t)
-        ext = symbol_extend(ch, t)
-        rows = [s * 5 + r for s in range(t) for r in range(n_use)]
-        cols = [s * 3 + c for s in range(t) for c in range(m_use)]
-        for ha, h in zip(a.uplink, ext.uplink):
-            assert np.array_equal(ha, h[np.ix_(rows, cols)])
-        for ga, g in zip(a.downlink, ext.downlink):
-            assert np.array_equal(ga, g[np.ix_(cols, rows)])
+    def test_matches_two_step_reference(self):
+        kinds = set()
+        for K in (4, 5):
+            for M in (1, 2, 3):
+                for N in range(1, 3 * M + 3):
+                    cfg = SystemConfig(K, M, N)
+                    for target in corner_points(K):
+                        try:
+                            plan = plan_extension(cfg, target, max_extension=12)
+                        except InfeasibleConfigurationError:
+                            continue
+                        kinds.add((plan.t > 1, plan.side))
+                        ch = sample_channels(cfg, 7)
+                        got = apply_extension_plan(ch, plan)
+                        ups, downs = two_step_reference(ch, plan)
+                        assert got.cfg == SystemConfig(K, plan.effective_M, plan.effective_N)
+                        for x, y in zip((*got.uplink, *got.downlink), (*ups, *downs)):
+                            assert x.shape == y.shape
+                            assert x.tobytes() == np.ascontiguousarray(y).tobytes()
+        assert kinds >= {(True, "relay"), (True, "source"), (False, "relay"), (False, "none")}
 
 
 class TestPlanExtension:
@@ -256,6 +283,19 @@ class TestFixtureFormat:
         del data[direction][-1]
         with pytest.raises(DimensionError, match="4 matrices per direction"):
             channel_from_dict(data)
+
+    @pytest.mark.parametrize("mutate", ["ragged_row", "one_number_entry", "row_not_a_list"])
+    def test_rejects_malformed_matrix_layout(self, mutate):
+        # each raised numpy's or Python's bare ValueError or TypeError
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        if mutate == "ragged_row":
+            del data["uplink"][0][0][-1]
+        elif mutate == "one_number_entry":
+            data["downlink"][1][2][3] = [1.0]
+        else:
+            data["uplink"][3][6] = "row"
+        with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
+            channel_from_dict(json.loads(json.dumps(data)))
 
     @pytest.mark.parametrize("seed", [-5, 2**64])
     def test_rejects_out_of_range_seed(self, seed):

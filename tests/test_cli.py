@@ -1,16 +1,16 @@
 """CLI integration tests: output contracts, determinism, exit codes."""
 
-import contextlib
 import csv
 import io
 import json
+import select
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ychannel import (
@@ -65,6 +65,58 @@ class TestBound:
         assert a.stdout == b.stdout
 
 
+# Parses --grid strings in a child process, one JSON string per input line, so
+# that a parse that never returns (Fraction expanding 10**exponent) can be timed
+# out and killed instead of hanging the test run.
+GRID_WORKER = """
+import contextlib, io, json, sys
+from ychannel import cli
+print("ready", flush=True)
+for line in sys.stdin:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(["sweep", "--k", "5", "--grid", json.loads(line)])
+        except SystemExit as exc:
+            code = exc.code
+    print(code, flush=True)
+"""
+
+
+class GridWorker:
+    def __init__(self):
+        self.proc = None
+
+    def exit_code(self, text, seconds):
+        """The sweep's exit code for ``--grid text``, or None past the time limit."""
+        if self.proc is None:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", GRID_WORKER],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            assert self.proc.stdout.readline() == "ready\n"
+        self.proc.stdin.write(json.dumps(text) + "\n")
+        self.proc.stdin.flush()
+        if not select.select([self.proc.stdout], [], [], seconds)[0]:
+            self.close()
+            return None
+        return int(self.proc.stdout.readline())
+
+    def close(self):
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc = None
+
+
+@pytest.fixture(scope="module")
+def grid_worker():
+    worker = GridWorker()
+    yield worker
+    worker.close()
+
+
 class TestSweep:
     def parse(self, text):
         return list(csv.DictReader(io.StringIO(text)))
@@ -112,21 +164,31 @@ class TestSweep:
         proc = run_cli("sweep", "--k", "5", "--grid", "")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("grid", ["1/2,abc", "0", "-1", "1/0", "1e400"])
+    # Fraction expands 10**exponent before any range check: without the guard
+    # the last three never end, so the time limit turns that into a failure
+    @pytest.mark.parametrize(
+        "grid",
+        ["1/2,abc", "0", "-1", "1/0", "1e400", "1e9999999999", "1e-9999999999",
+         "1,0e99999999999"],
+    )
     def test_bad_grid_is_usage_error(self, grid):
-        proc = run_cli("sweep", "--k", "5", f"--grid={grid}")
+        proc = run_cli("sweep", "--k", "5", f"--grid={grid}", timeout=30)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_exponent_entries_keep_their_values(self):
+        rows = self.parse(run_cli("sweep", "--k", "5", "--grid", "1e2,1/2,25e-3").stdout)
+        assert {"100", "1/2", "1/40"} <= {row["ratio"] for row in rows}
+
+    # 12 characters are enough for an exponent that never finishes expanding;
+    # each example gets 5 s in the worker
     @settings(max_examples=60, deadline=None)
-    @given(st.text(alphabet="0123456789/,.-e", max_size=8))
-    def test_any_grid_text_parses_or_is_usage_error(self, text):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = cli.main(["sweep", "--k", "5", "--grid", text])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2)
+    @given(st.text(alphabet="0123456789/,.-e", max_size=12))
+    @example("1e9999999999")
+    @example("1e-9999999999")
+    def test_any_grid_text_parses_or_is_usage_error(self, grid_worker, text):
+        code = grid_worker.exit_code(text, seconds=5)
+        assert code in (0, 2), f"--grid {text!r}: exit {code} (None: still parsing after 5 s)"
 
 
 class TestSynthesize:
