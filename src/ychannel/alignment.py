@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -55,7 +56,7 @@ from .errors import (
     InfeasibleConfigurationError,
     NeedsExtensionError,
 )
-from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs
+from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
 
 __all__ = [
     "StreamAllocation",
@@ -210,6 +211,17 @@ class CompressionMatrix:
     row_subsets: tuple[tuple[int, ...], ...]
     row_residuals: np.ndarray
 
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``matrix``, descending; the first is ||P||_2.
+
+        The rank check of ``build_compression_matrix`` fills this in, so the
+        alignment residual's scale costs no second SVD.
+        """
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
 
 @functools.lru_cache(maxsize=64)
 def _complement(rows: int, n: int) -> np.ndarray:
@@ -219,7 +231,7 @@ def _complement(rows: int, n: int) -> np.ndarray:
     return block
 
 
-def _null_space(mats: list[np.ndarray]) -> np.ndarray:
+def _null_space(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Orthonormal null-space bases of equally shaped wide matrices, (B, n, n - R).
 
     For an R x n matrix ``a`` of full row rank, the last n - R columns of
@@ -240,9 +252,8 @@ def _null_space(mats: list[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(z)[0]
 
 
-def _rank_lost(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """True where the smallest singular value counts as zero, per matrix of a stack."""
-    sv = np.linalg.svd(m, compute_uv=False)
+def _rank_lost(sv: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """True where the smallest singular value counts as zero, per spectrum of a stack."""
     return sv[..., -1] <= NULL_SPACE_RTOL * np.maximum(sv[..., 0], floor)
 
 
@@ -261,10 +272,8 @@ def build_compression_matrix(
     stacks = [np.hstack([ch.uplink[g] for g in subset]) for subset in subsets]
     null = _null_space([stack.T for stack in stacks])
     picked = np.ascontiguousarray(null[:, :, :q].transpose(0, 2, 1))  # B x q x N rows
-    residuals = np.array(
-        [np.linalg.norm(rows @ stack, axis=1) for rows, stack in zip(picked, stacks)]
-    )
-    scales = np.array([ch.uplink_norms[list(subset)].max() for subset in subsets])
+    residuals = np.linalg.norm(picked @ np.stack(stacks), axis=2)
+    scales = ch.uplink_norms[subsets].max(axis=1)
     failed = ~(residuals <= ROW_RESIDUAL_TOL * scales[:, None]).all(axis=1)
     if failed.any():
         k = int(np.argmax(failed))
@@ -273,16 +282,17 @@ def build_compression_matrix(
             f"tolerance; reseed"
         )
     matrix = picked.reshape(-1, cfg.N)
-    if _rank_lost(matrix):
-        raise DegenerateChannelError(
-            "compression matrix lost row rank (probability-zero event); reseed"
-        )
     matrix.setflags(write=False)
-    return CompressionMatrix(
+    compression = CompressionMatrix(
         matrix=matrix,
         row_subsets=tuple(subset for subset in subsets for _ in range(q)),
         row_residuals=residuals.reshape(-1),
     )
+    if _rank_lost(compression.singular_values):
+        raise DegenerateChannelError(
+            "compression matrix lost row rank (probability-zero event); reseed"
+        )
+    return compression
 
 
 def build_precoders(
@@ -302,23 +312,29 @@ def build_precoders(
     P = compression.matrix
     need = alloc.per_pair
     pairs = alloc.pairs
-    row_norms = np.linalg.norm(P, axis=1)
+    first, second = (np.array(side) for side in zip(*pairs))
     compressed = P @ np.stack(ch.uplink)  # K x rows x M
+
+    def pair_rows(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Row r[n] of the compressed pair channel [P H_i, -P H_j] of pair k[n]."""
+        return np.concatenate([compressed[first[k], r], -compressed[second[k], r]], axis=1)
+
     member = np.array([[g in s for g in range(K)] for s in compression.row_subsets])
-    reduced = []
-    for i, j in pairs:
-        a = np.hstack([compressed[i], -compressed[j]])
-        shared = member[:, i] & member[:, j]
-        scale = VERIFY_TOL * ch.uplink_norms[[i, j]].max() * row_norms[shared]
-        if a.shape[0] - np.count_nonzero(shared) != 2 * M - need or not np.all(
-            np.linalg.norm(a[shared], axis=1) <= scale
-        ):
-            raise AlignmentInfeasibleError(
-                f"pair ({i},{j}): the rows from subsets holding both users must "
-                f"annihilate its channels and leave {2 * M - need} rows for "
-                f"{need} streams"
-            )
-        reduced.append(a[~shared])
+    shared = (member[:, first] & member[:, second]).T  # pairs x rows
+    k, r = np.nonzero(shared)
+    scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
+    row_norms = np.linalg.norm(P, axis=1)
+    annihilated = np.linalg.norm(pair_rows(k, r), axis=1) <= scale[k] * row_norms[r]
+    failing = P.shape[0] - shared.sum(axis=1) != 2 * M - need
+    failing[k[~annihilated]] = True
+    if failing.any():
+        i, j = pairs[int(np.argmax(failing))]
+        raise AlignmentInfeasibleError(
+            f"pair ({i},{j}): the rows from subsets holding both users must "
+            f"annihilate its channels and leave {2 * M - need} rows for "
+            f"{need} streams"
+        )
+    reduced = pair_rows(*np.nonzero(~shared)).reshape(len(pairs), 2 * M - need, 2 * M)
     null = _null_space(reduced)  # pairs x 2M x need
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
@@ -329,7 +345,7 @@ def build_precoders(
             f"pair ({i},{j}): null vector vanished on both halves; reseed"
         )
     halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
-    lost = _rank_lost(halves, floor=1.0)
+    lost = _rank_lost(np.linalg.svd(halves, compute_uv=False), floor=1.0)
     if lost.any():
         directions = pairs + [(j, i) for i, j in pairs]
         raise DegenerateSplitError(
@@ -373,23 +389,24 @@ def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> Align
     precoders = build_precoders(ch, compression, alloc)
     P = compression.matrix
     pairs = alloc.pairs
-    blocks = [P @ ch.uplink[i] @ precoders[(i, j)] for i, j in pairs]
-    residuals = np.array([
-        np.abs(left - P @ ch.uplink[j] @ precoders[(j, i)]).max()
-        for left, (i, j) in zip(blocks, pairs)
-    ])
+    first, second = (list(side) for side in zip(*pairs))
+    compressed = P @ np.stack(ch.uplink)  # K x rows x M
+    stacked = np.stack([precoders[pair] for pair in pairs])
+    blocks = compressed[first] @ stacked  # pairs x rows x x
+    residuals = np.abs(
+        blocks - compressed[second] @ np.stack([precoders[(j, i)] for i, j in pairs])
+    ).max(axis=(1, 2))
     # the spectral norms need finite precoders; a NaN residual fails unscaled
     if np.isfinite(residuals).all():
-        stacked = np.stack([precoders[pair] for pair in pairs])
         v_norms = np.linalg.norm(stacked, 2, axis=(1, 2))
-        first = [i for i, _ in pairs]
-        residuals /= np.linalg.norm(P, 2) * ch.uplink_norms[first] * v_norms
+        residuals /= compression.singular_values[0] * ch.uplink_norms[first] * v_norms
     residual = np.max(residuals)  # np.max keeps a NaN, builtin max drops it
     if not residual <= ALIGNMENT_TOL:
         raise AlignmentVerificationError(
             f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL:.1e}"
         )
-    basis = np.hstack(blocks)  # rows x rows: one column per network-coded sum
+    # rows x rows: one column per network-coded sum, pair blocks side by side
+    basis = blocks.transpose(1, 0, 2).reshape(P.shape[0], -1)
     sv = np.linalg.svd(basis, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if not condition <= BASIS_COND_MAX:
@@ -512,22 +529,26 @@ def _finite_non_negative(v: object) -> bool:
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
     """Load an exported scheme; shapes and provenance must follow from cfg, beta and x."""
-    cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
-    beta = data["beta"]
+    with stored_entries("scheme"):
+        cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
+        beta, allocation, stored_precoders = data["beta"], data["allocation"], data["precoders"]
+        stored, basis_pairs = data["compression"], data["aligned_basis"]
+        matrix_pairs, row_subsets = stored["matrix"], stored["row_subsets"]
+        residuals = stored["row_residuals"]
+        metrics = data["metrics"]["alignment_residual"], data["metrics"]["basis_condition"]
     if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
         raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
     keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}
-    counts = set(data["allocation"].values())
+    counts = set(allocation.values())
     x = counts.pop() if len(counts) == 1 else None
-    if set(data["allocation"]) != keys or type(x) is not int or x < 1:
+    if set(allocation) != keys or type(x) is not int or x < 1:
         raise ConfigurationError(
             "scheme allocation must give one positive integer stream count for "
             "every ordered pair"
         )
     alloc = StreamAllocation(cfg=cfg, per_pair=x)
     rows = alloc.rows
-    row_subsets = data["compression"]["row_subsets"]
-    if len(row_subsets) != rows or set(data["precoders"]) != keys:
+    if len(row_subsets) != rows or set(stored_precoders) != keys:
         raise ConfigurationError(
             f"scheme needs {rows} row subsets and a precoder for every ordered pair"
         )
@@ -537,22 +558,20 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
             raise ConfigurationError(
                 f"scheme row subset {s!r} is not {beta} increasing users of range({cfg.K})"
             )
-    residuals = data["compression"]["row_residuals"]
-    metrics = data["metrics"]["alignment_residual"], data["metrics"]["basis_condition"]
     if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
         raise ConfigurationError(
             f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"
         )
     compression = CompressionMatrix(
-        matrix=_stored_matrix(data["compression"]["matrix"], (rows, cfg.N), "compression"),
+        matrix=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
         row_subsets=tuple(map(tuple, row_subsets)),
         row_residuals=np.asarray(residuals, dtype=float),
     )
     precoders = {
         tuple(int(k) for k in key.split(",")): _stored_matrix(v, (cfg.M, x), f"precoder {key}")
-        for key, v in data["precoders"].items()
+        for key, v in stored_precoders.items()
     }
-    basis = _stored_matrix(data["aligned_basis"], (rows, rows), "aligned basis")
+    basis = _stored_matrix(basis_pairs, (rows, rows), "aligned basis")
     return AlignmentScheme(
         cfg=cfg,
         beta=beta,

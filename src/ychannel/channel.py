@@ -22,7 +22,7 @@ from .errors import (
     DimensionError,
     InfeasibleConfigurationError,
 )
-from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs
+from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
 
 __all__ = [
     "ChannelSet",
@@ -222,11 +222,13 @@ def channel_to_dict(ch: ChannelSet) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelSet:
-    cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
-    seed = int(data["seed"])
+    with stored_entries("channel fixture"):
+        cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
+        seed = int(data["seed"])
+        uplink, downlink = data["uplink"], data["downlink"]
     check_seed(seed)
-    uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in data["uplink"])
-    downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in data["downlink"])
+    uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in uplink)
+    downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in downlink)
     counts = (len(uplink), len(downlink))
     if counts != (cfg.K, cfg.K):
         raise DimensionError(f"need {cfg.K} matrices per direction, got {counts}")

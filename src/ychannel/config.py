@@ -21,6 +21,10 @@ class SystemConfig:
     N: int
 
     def __post_init__(self) -> None:
+        for name in ("K", "M", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if self.K < 3:
             raise ConfigurationError(f"need at least 3 users, got K={self.K}")
         if self.M < 1:

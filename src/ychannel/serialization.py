@@ -5,6 +5,7 @@ Matrices are stored row major with each entry as a [re, im] pair.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -36,3 +37,12 @@ def complex_matrix_from_pairs(rows: list) -> np.ndarray:
     if not np.isfinite(pairs).all():
         raise ConfigurationError("stored matrix has a NaN or infinite entry")
     return pairs.view(np.complex128)[..., 0]
+
+
+@contextmanager
+def stored_entries(what: str):
+    """Report a key missing from a stored ``what`` as ``ConfigurationError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigurationError(f"{what} has no {exc} entry") from exc

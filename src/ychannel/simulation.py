@@ -115,6 +115,11 @@ class NetworkCodedVector:
     entries: np.ndarray
 
 
+def _messages(scheme: AlignmentScheme) -> list[tuple[int, int]]:
+    """Ordered pairs in message order: (i, j) then (j, i) for each scheme pair i < j."""
+    return [msg for i, j in scheme.alloc.pairs for msg in ((i, j), (j, i))]
+
+
 def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
     """Draw a deterministic frame of unit-variance complex Gaussian symbols."""
     rng = substream(seed, LABEL_FRAME)
@@ -218,15 +223,18 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     per_node = (cfg.K - 1) * scheme.alloc.per_pair
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
     precoder *= gamma
-    filters = {pair: v.T / gamma for pair, v in dual.precoders.items()}
-    residuals = []
-    for (i, j), start, stop in scheme.pair_blocks:
-        want = np.zeros((stop - start, scheme.alloc.rows))
-        want[:, start:stop] = np.eye(stop - start)
-        for user, partner in ((i, j), (j, i)):
-            selector = filters[(user, partner)] @ ch.downlink[user] @ precoder
-            residuals.append(np.abs(selector - want).max())
-    residual = float(np.max(residuals))  # np.max keeps a NaN, builtin max drops it
+    # filter (user, partner) must select the pair's block of the sum vector.
+    # Filters are laid out user by partner, K x (K-1), so one product forms
+    # all K(K-1) selectors and each user's downlink is broadcast, not copied.
+    K, x, rows = cfg.K, scheme.alloc.per_pair, scheme.alloc.rows
+    directions = list(itertools.permutations(range(K), 2))
+    by_user = np.stack([dual.precoders[d] for d in directions]).reshape(K, K - 1, cfg.M, x)
+    by_user = by_user.transpose(0, 1, 3, 2) / gamma
+    filters = {(i, j): by_user[i, j - (j > i)] for i, j in _messages(scheme)}
+    selectors = by_user @ np.stack(ch.downlink)[:, None] @ precoder
+    block = {pair: k for k, pair in enumerate(scheme.alloc.pairs)}
+    want = np.eye(rows).reshape(-1, x, rows)[[block[min(d), max(d)] for d in directions]]
+    residual = float(np.abs(selectors - want.reshape(selectors.shape)).max())  # keeps a NaN
     if not residual <= SELECTOR_TOL:
         raise BroadcastInfeasibleError(
             f"downlink selector residual {residual:.3e} exceeds {SELECTOR_TOL:.1e}"
@@ -318,25 +326,41 @@ class PreparedPipeline:
     bc_failure: str | None
 
     @cached_property
-    def stream_gains(self) -> dict[tuple[int, int], np.ndarray]:
-        """SNR-free noise enhancement of every message's streams on the weaker hop.
+    def frame(self) -> tuple[SymbolFrame, NetworkCodedVector]:
+        """The seed's symbol frame and its stacked pairwise sums, drawn once.
 
-        Both hops zero-force, so the per-stream noise sigma2 that ``simulate`` adds
-        reaches a sum entry (power 2) at the relay scaled by ||solver row||^2 and a
-        partner stream (power 1) at its user by ||filter row||^2.  The gain
-        max(||solver row||^2 / 2, ||filter row||^2) gives the SINR 1/(sigma2 gain).
-        Needs ``bc``.
+        The frame depends on the seed alone, so every SNR point reuses it;
+        only the noise is drawn afresh per ``simulate`` call.
+        """
+        frame = make_frame(self.scheme, self.seed)
+        truth = stack_network_coded(self.scheme, frame)
+        for stream in (*frame.streams.values(), truth.entries):
+            stream.setflags(write=False)
+        return frame, truth
+
+    @cached_property
+    def stream_gains(self) -> np.ndarray:
+        """SNR-free noise enhancement of every stream on the weaker hop, (K(K-1), x).
+
+        Row k holds the streams of the k-th message (src, user) in message order:
+        (i, j) then (j, i) for each scheme pair i < j, the order of
+        ``pairwise_rates``.  Both hops zero-force, so the per-stream noise
+        sigma2 that ``simulate`` adds reaches a sum entry (power 2) at the relay
+        scaled by ||solver row||^2 and a partner stream (power 1) at its user by
+        ||filter row||^2.  The gain max(||solver row||^2 / 2, ||filter row||^2)
+        gives the SINR 1/(sigma2 gain).  Needs ``bc``.
         """
         if self.bc is None:
             raise BroadcastInfeasibleError(self.bc_failure)
         scheme = self.scheme
         solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
-        gains = {}
-        for (i, j), start, stop in scheme.pair_blocks:
-            for src, user in ((i, j), (j, i)):
-                bc_gain = np.linalg.norm(self.bc.filters[(user, src)], axis=1) ** 2
-                gains[(src, user)] = np.maximum(mac_gain[start:stop], bc_gain)
+        # both messages of a pair travel as the same block of sums
+        mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)
+        filters = np.stack([self.bc.filters[msg[::-1]] for msg in _messages(scheme)])
+        bc_gain = np.linalg.norm(filters, axis=2) ** 2
+        gains = np.maximum(mac_gain, bc_gain)
+        gains.setflags(write=False)
         return gains
 
 
@@ -390,8 +414,7 @@ def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResul
     sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
     rng = substream(seed, LABEL_NOISE)
     with _stage("mac"):
-        frame = make_frame(scheme, seed)
-        truth = stack_network_coded(scheme, frame)
+        frame, truth = prep.frame
         y = mac_phase(scheme, ch, frame, sigma2, rng)
     with _stage("relay_decode"):
         decoded = relay_decode(scheme, y)
@@ -445,10 +468,8 @@ def _check_snr_grid(snr_grid_db: list[float]) -> None:
 def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int], float]:
     """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
     sigma2 = _stream_noise_var(prep.scheme, snr_db)
-    return {
-        msg: float(np.log2(1.0 + 1.0 / (sigma2 * gain)).sum())
-        for msg, gain in prep.stream_gains.items()
-    }
+    rates = np.log2(1.0 + 1.0 / (sigma2 * prep.stream_gains)).sum(axis=1)
+    return dict(zip(_messages(prep.scheme), rates.tolist()))
 
 
 def sum_rate_curve(

@@ -478,6 +478,116 @@ class TestBatchedVerifier:
         assert len(calls) <= 1, calls
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def per_pair_construction(ch, alloc, beta):
+    """The construction one subset and one pair at a time.
+
+    Each subset's channels are side by side in their own array, each pair's
+    compressed channel and aligned blocks come from 2-D products, and ||P||_2
+    from its own SVD.  Returns the compression matrix, its row residuals, the
+    precoders, the aligned basis and the normalized alignment residual.
+    """
+    K, M, x = ch.cfg.K, ch.cfg.M, alloc.per_pair
+    subsets = list(itertools.combinations(range(K), beta))
+    stacks = [np.hstack([ch.uplink[g] for g in subset]) for subset in subsets]
+    null = alignment._null_space(np.stack([stack.T for stack in stacks]))
+    q = alloc.rows // len(subsets)
+    picked = [np.ascontiguousarray(basis[:, :q].T) for basis in null]
+    P = np.vstack(picked)
+    row_residuals = np.concatenate(
+        [np.linalg.norm(rows @ stack, axis=1) for rows, stack in zip(picked, stacks)]
+    )
+    row_subsets = [subset for subset in subsets for _ in range(q)]
+    reduced = []
+    for i, j in alloc.pairs:
+        a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
+        shared = np.array([i in s and j in s for s in row_subsets])
+        reduced.append(a[~shared])
+    null = alignment._null_space(np.stack(reduced))
+    top, bottom = null[:, :M], null[:, M:]
+    scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
+    halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
+    count = len(alloc.pairs)
+    precoders = {}
+    for k, (i, j) in enumerate(alloc.pairs):
+        precoders[(i, j)], precoders[(j, i)] = halves[k], halves[k + count]
+    blocks, residuals = [], []
+    for i, j in alloc.pairs:
+        left = P @ ch.uplink[i] @ precoders[(i, j)]
+        right = P @ ch.uplink[j] @ precoders[(j, i)]
+        scale = np.linalg.norm(P, 2) * ch.uplink_norms[i] * np.linalg.norm(precoders[(i, j)], 2)
+        blocks.append(left)
+        residuals.append(np.abs(left - right).max() / scale)
+    return P, row_residuals, precoders, np.hstack(blocks), float(np.max(residuals))
+
+
+class TestBatchedConstruction:
+    INSTANCES = [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3), (6, 5, 21, 4)]
+
+    @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
+    def test_bit_identical_to_per_pair_oracle(self, K, M, N, beta):
+        for seed in (0, 1):
+            ch, alloc, scheme = build_all(K, M, N, beta, seed)
+            P, row_residuals, precoders, basis, residual = per_pair_construction(ch, alloc, beta)
+            assert_same_bits(scheme.compression.matrix, P)
+            assert_same_bits(scheme.compression.row_residuals, row_residuals)
+            assert list(scheme.precoders) == list(precoders)
+            for direction, v in precoders.items():
+                assert_same_bits(scheme.precoders[direction], v)
+            assert_same_bits(scheme.aligned_basis, basis)
+            assert scheme.alignment_residual == residual
+
+    @pytest.mark.parametrize("corruption", ["row_not_annihilating", "provenance_relabelled"])
+    def test_precoders_name_the_first_failing_pair(self, corruption):
+        # pair (0,1) passes; the error names the first pair in order that fails
+        ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
+        P = scheme.compression.matrix.copy()
+        subsets = list(scheme.compression.row_subsets)
+        if corruption == "row_not_annihilating":
+            k = subsets.index((1, 2))
+            P[k] = np.random.default_rng(0).standard_normal(7) / np.sqrt(7)
+            named = "(1,2)"
+        else:
+            subsets[subsets.index((2, 3))] = (1, 3)  # (1,3) now counts one row too many
+            named = "(1,3)"
+        corrupted = CompressionMatrix(P, tuple(subsets), scheme.compression.row_residuals)
+        with pytest.raises(AlignmentInfeasibleError) as err:
+            build_precoders(ch, corrupted, alloc)
+        assert str(err.value).startswith(f"pair {named}:")
+
+
+class TestCompressionSpectrum:
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (6, 26, 81, 3)])
+    def test_top_singular_value_is_the_spectral_norm(self, K, M, N, beta):
+        for seed in (0, 1):
+            ch, alloc, scheme = build_all(K, M, N, beta, seed)
+            P = scheme.compression.matrix
+            assert scheme.compression.singular_values[0] == np.linalg.norm(P, 2)
+            # a loaded scheme computes its spectrum on first use
+            loaded = scheme_from_dict(json.loads(json.dumps(scheme_to_dict(scheme))))
+            assert loaded.compression.singular_values[0] == np.linalg.norm(P, 2)
+
+    def test_assemble_takes_no_second_svd_of_the_compression_matrix(self, monkeypatch):
+        cfg = SystemConfig(6, 15, 32)
+        ch, alloc = sample_channels(cfg, 0), allocate_streams(cfg, 2)
+        calls = []
+        svd = np.linalg._linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assemble_scheme(ch, alloc, 2)
+        assert calls.count((alloc.rows, cfg.N)) == 1, calls
+
+
 class TestStreamCountOracle:
     def test_brute_force_matches_closed_form_at_corners(self):
         instances = [
@@ -564,6 +674,20 @@ class TestSchemeSerialization:
         else:
             data["aligned_basis"][0] = 5.0
         with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
+            scheme_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("mutate", ["metrics_missing", "K_string", "M_string"])
+    def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
+        # these raised a bare KeyError or TypeError
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        data = scheme_to_dict(scheme)
+        if mutate == "metrics_missing":
+            del data["metrics"]
+        elif mutate == "K_string":
+            data["cfg"]["K"] = "4"
+        else:
+            data["cfg"]["M"] = "3"
+        with pytest.raises(ConfigurationError, match="metrics|must be an int"):
             scheme_from_dict(json.loads(json.dumps(data)))
 
     @pytest.mark.parametrize(

@@ -96,6 +96,12 @@ class TestUpperBound:
         with pytest.raises(ConfigurationError):
             SystemConfig(4, 1, 0)
 
+    @pytest.mark.parametrize("counts", [("4", 3, 7), (4, 3.0, 7), (4, 3, True)])
+    def test_non_int_counts_rejected(self, counts):
+        # a string used to fail with TypeError, and True passed as 1
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            SystemConfig(*counts)
+
 
 class TestRegime:
     def test_slope_beta2(self):

@@ -297,6 +297,19 @@ class TestFixtureFormat:
         with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
             channel_from_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("mutate", ["downlink_missing", "K_string", "M_string"])
+    def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
+        # these raised a bare KeyError or TypeError
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        if mutate == "downlink_missing":
+            del data["downlink"]
+        elif mutate == "K_string":
+            data["cfg"]["K"] = "4"
+        else:
+            data["cfg"]["M"] = "3"
+        with pytest.raises(ConfigurationError, match="downlink|must be an int"):
+            channel_from_dict(json.loads(json.dumps(data)))
+
     @pytest.mark.parametrize("seed", [-5, 2**64])
     def test_rejects_out_of_range_seed(self, seed):
         data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))

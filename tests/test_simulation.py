@@ -36,6 +36,7 @@ from ychannel import (
     sum_rate_curve,
 )
 from ychannel import simulation
+from ychannel.channel import ChannelSet
 from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
 
@@ -152,7 +153,49 @@ class TestRelayDecode:
         assert np.all(decoded.entries == 0)
 
 
+def per_pair_bc(scheme, ch):
+    """Relay precoder, filters and selector residual, one filter product at a time."""
+    cfg, alloc = scheme.cfg, scheme.alloc
+    dual_ch = ChannelSet(
+        cfg=cfg,
+        seed=ch.seed,
+        uplink=tuple(np.ascontiguousarray(g.T) for g in ch.downlink),
+        downlink=tuple(np.ascontiguousarray(h.T) for h in ch.uplink),
+    )
+    dual = assemble_scheme(dual_ch, alloc, scheme.beta)
+    precoder = np.linalg.solve(dual.aligned_basis, dual.compression.matrix).T
+    per_node = (cfg.K - 1) * alloc.per_pair
+    gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
+    precoder *= gamma
+    filters = {pair: v.T / gamma for pair, v in dual.precoders.items()}
+    residuals = []
+    for (i, j), start, stop in scheme.pair_blocks:
+        want = np.zeros((stop - start, alloc.rows))
+        want[:, start:stop] = np.eye(stop - start)
+        for user, partner in ((i, j), (j, i)):
+            selector = filters[(user, partner)] @ ch.downlink[user] @ precoder
+            residuals.append(np.abs(selector - want).max())
+    return precoder, filters, float(np.max(residuals))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBroadcastPhase:
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3)])
+    def test_bit_identical_to_per_pair_oracle(self, K, M, N, beta):
+        for seed in (0, 1):
+            ch, scheme = corner_setup(K, M, N, beta, seed)
+            bc = build_bc_scheme(scheme, ch)
+            precoder, filters, residual = per_pair_bc(scheme, ch)
+            assert_same_bits(bc.relay_precoder, precoder)
+            assert list(bc.filters) == list(filters)
+            for direction, f in filters.items():
+                assert_same_bits(bc.filters[direction], f)
+            assert bc.selector_residual == residual
+
     def test_selector_certification(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         bc = build_bc_scheme(scheme, ch)
@@ -356,6 +399,7 @@ class TestRates:
         # the weaker hop's gain gives the same floats, in the same message order
         for seed in (0, 1):
             prep = prepare(SystemConfig(K, M, N), beta, seed)
+            assert prep.stream_gains.shape == (K * (K - 1), prep.scheme.alloc.per_pair)
             for snr_db in (0.0, 17.5, 30.0, 60.0, 90.0):
                 rates = simulation.pairwise_rates(prep, snr_db)
                 assert list(rates.items()) == list(two_hop_rates(prep, snr_db).items())
@@ -442,6 +486,29 @@ class TestRates:
 
 
 class TestPreparedPipeline:
+    def test_frame_drawn_once_per_seed(self, monkeypatch):
+        # every point equals a freshly prepared pipeline's: the frame depends
+        # on the seed alone and each call starts a fresh noise substream
+        cfg, grid = SystemConfig(4, 3, 7), [20.0, 30.0, 40.0, 50.0]
+        fresh = [simulate(prepare(cfg, 2, 3), snr_db=snr) for snr in grid]
+        prep = prepare(cfg, 2, 3)
+        calls = []
+
+        def counted(scheme, seed):
+            calls.append(seed)
+            return make_frame(scheme, seed)
+
+        monkeypatch.setattr(simulation, "make_frame", counted)
+        for snr, want in zip(grid, fresh):
+            got = simulate(prep, snr_db=snr)
+            assert got.relay_recovery_error == want.relay_recovery_error
+            assert got.user_recovery_error == want.user_recovery_error
+            assert got.sum_rate == want.sum_rate
+        assert calls == [3]
+        frame, truth = prep.frame
+        assert not truth.entries.flags.writeable
+        assert not any(stream.flags.writeable for stream in frame.streams.values())
+
     def test_one_record_serves_every_noise_level(self):
         cfg = SystemConfig(4, 3, 7)
         prep = prepare(cfg, 2, 3)

@@ -45,6 +45,11 @@ BATTERY = [
      ".csv"),
     (["montecarlo", "--k", "5", "--m", "10", "--n", "11", "--beta", "2", "--seeds", "3", *GRID],
      ".csv"),
+    # dual builds above beta = 2: beta = 3 and beta = 4 corners
+    (["montecarlo", "--k", "5", "--m", "4", "--n", "13", "--beta", "3", "--seeds", "3", *GRID],
+     ".csv"),
+    (["montecarlo", "--k", "6", "--m", "5", "--n", "21", "--beta", "4", "--seeds", "3", *GRID],
+     ".csv"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed", "1"], ".json"),
     (["synthesize", "--k", "5", "--m", "4", "--n", "13", "--beta", "3", "--seed", "2"], ".json"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2", "--seed", "3"], ".json"),
