@@ -21,9 +21,11 @@ Construction order, for a branch index ``beta``:
 
 Steps 3 and 4 share one null-space routine and one lost-rank rule.  The
 routine completes each wide matrix to a square one with a fixed random
-block, takes one LU solve with partial pivoting per matrix and one batched
-QR, and needs no SVD; step 4 first drops the rows that the provenance says
-annihilate both channels of the pair, and checks that they do.
+block, writes all of a step's blocks into one buffer, and takes one batched
+LU solve with partial pivoting and one batched QR; it needs no SVD.  Step 4
+first drops the rows that the provenance says annihilate both channels of
+the pair, and checks that they do.  Its rank check's singular values give
+the precoders' spectral norms, which scale the alignment residual in step 5.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -231,22 +232,35 @@ def _complement(rows: int, n: int) -> np.ndarray:
     return block
 
 
-def _null_space(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormal null-space bases of equally shaped wide matrices, (B, n, n - R).
+def _square_blocks(count: int, rows: int, n: int) -> np.ndarray:
+    """Uninitialized (count, n, n) blocks whose last n - rows rows hold the fixed complement.
+
+    The caller writes its ``count`` wide rows x n matrices into the first
+    ``rows`` rows of the blocks and hands them to ``_null_space``.  Each
+    block is stored column major, the layout LAPACK factors, so the
+    transpose of a wide matrix is a row-major view.
+    """
+    square = np.empty((count, n, n), complex).transpose(0, 2, 1)
+    square[:, rows:] = _complement(rows, n)
+    return square
+
+
+def _null_space(square: np.ndarray, rows: int) -> np.ndarray:
+    """Orthonormal null-space bases of the wide blocks ``square[:, :rows]``, (B, n, n - rows).
 
     For an R x n matrix ``a`` of full row rank, the last n - R columns of
     ``inv([a; E])`` span its null space, E being the fixed complement of
-    that shape (the variable-reduction basis of Nocedal & Wright).  Each
-    matrix takes one LU solve with partial pivoting over all n rows, and
-    one batched thin QR orthonormalizes the results.  A rank-deficient
-    ``a`` makes the solve singular, or leaves residuals the callers' gates
-    reject.
+    that shape (the variable-reduction basis of Nocedal & Wright).  One
+    batched solve takes an LU factorization with partial pivoting over all
+    n rows of every block, and one batched thin QR orthonormalizes the
+    results.  A rank-deficient ``a`` makes the solve singular, or leaves
+    residuals the callers' gates reject.
     """
-    rows, n = mats[0].shape
-    complement = _complement(rows, n)
-    rhs = np.eye(n, n - rows, -rows)  # [0; I]
+    count, n, _ = square.shape
+    # [0; I] per block; a 2-D right-hand side would be a vector stack before numpy 2
+    rhs = np.broadcast_to(np.eye(n, n - rows, -rows), (count, n, n - rows))
     try:
-        z = np.stack([np.linalg.solve(np.vstack([a, complement]), rhs) for a in mats])
+        z = np.linalg.solve(square, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateChannelError(f"null-space solve failed ({exc}); reseed") from exc
     return np.linalg.qr(z)[0]
@@ -264,15 +278,23 @@ def build_compression_matrix(
 
     A row annihilating the N x beta*M stack H_S is a null vector of H_S^T.
     The row-residual gate scales with max over g in S of ||H_g||_2, a lower
-    bound on ||H_S||_2.
+    bound on ||H_S||_2.  The H_S^T are written straight into the null-space
+    blocks, and the residuals read H_S back from them.
     """
     cfg = ch.cfg
     q = required_row_counts(cfg, alloc, beta).q
     subsets = list(itertools.combinations(range(cfg.K), beta))
-    stacks = [np.hstack([ch.uplink[g] for g in subset]) for subset in subsets]
-    null = _null_space([stack.T for stack in stacks])
+    width = beta * cfg.M  # H_S is N x width
+    # block b holds H_S^T of the b-th subset S, one M-row band per user of S
+    square = _square_blocks(len(subsets), width, cfg.N)
+    bands = square[:, :width].reshape(len(subsets), beta, cfg.M, cfg.N)
+    users = np.array(subsets)
+    for g, h in enumerate(ch.uplink):
+        bands[users == g] = h.T
+    null = _null_space(square, width)
     picked = np.ascontiguousarray(null[:, :, :q].transpose(0, 2, 1))  # B x q x N rows
-    residuals = np.linalg.norm(picked @ np.stack(stacks), axis=2)
+    # H_S read back as a row-major view: the same BLAS path, and bits, as a copied stack
+    residuals = np.linalg.norm(picked @ square[:, :width].transpose(0, 2, 1), axis=2)
     scales = ch.uplink_norms[subsets].max(axis=1)
     failed = ~(residuals <= ROW_RESIDUAL_TOL * scales[:, None]).all(axis=1)
     if failed.any():
@@ -281,12 +303,13 @@ def build_compression_matrix(
             f"subset {subsets[k]}: null row residual {residuals[k].max():.3e} above "
             f"tolerance; reseed"
         )
-    matrix = picked.reshape(-1, cfg.N)
+    matrix, residuals = picked.reshape(-1, cfg.N), residuals.reshape(-1)
     matrix.setflags(write=False)
+    residuals.setflags(write=False)
     compression = CompressionMatrix(
         matrix=matrix,
         row_subsets=tuple(subset for subset in subsets for _ in range(q)),
-        row_residuals=residuals.reshape(-1),
+        row_residuals=residuals,
     )
     if _rank_lost(compression.singular_values):
         raise DegenerateChannelError(
@@ -297,7 +320,7 @@ def build_compression_matrix(
 
 def build_precoders(
     ch: ChannelSet, compression: CompressionMatrix, alloc: StreamAllocation
-) -> dict[tuple[int, int], np.ndarray]:
+) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
     """Per-pair precoders from the compressed pair channel's null space.
 
     The rows whose provenance subset holds both i and j annihilate H_i and
@@ -307,11 +330,16 @@ def build_precoders(
     columns; both halves are scaled jointly so the larger one has unit
     norm, keeping the alignment identity intact while bounding per-stream
     transmit power.
+
+    Returns the precoders and ||V_ij||_2 for each pair i < j in pair order,
+    the top singular values of the rank check, so that ``assemble_scheme``
+    scales its residual without a second SVD.
     """
     K, M = ch.cfg.K, ch.cfg.M
     P = compression.matrix
     need = alloc.per_pair
     pairs = alloc.pairs
+    kept = 2 * M - need  # rows of the compressed pair channel left after the shared ones
     first, second = (np.array(side) for side in zip(*pairs))
     compressed = P @ np.stack(ch.uplink)  # K x rows x M
 
@@ -325,17 +353,18 @@ def build_precoders(
     scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
     row_norms = np.linalg.norm(P, axis=1)
     annihilated = np.linalg.norm(pair_rows(k, r), axis=1) <= scale[k] * row_norms[r]
-    failing = P.shape[0] - shared.sum(axis=1) != 2 * M - need
+    failing = P.shape[0] - shared.sum(axis=1) != kept
     failing[k[~annihilated]] = True
     if failing.any():
         i, j = pairs[int(np.argmax(failing))]
         raise AlignmentInfeasibleError(
             f"pair ({i},{j}): the rows from subsets holding both users must "
-            f"annihilate its channels and leave {2 * M - need} rows for "
+            f"annihilate its channels and leave {kept} rows for "
             f"{need} streams"
         )
-    reduced = pair_rows(*np.nonzero(~shared)).reshape(len(pairs), 2 * M - need, 2 * M)
-    null = _null_space(reduced)  # pairs x 2M x need
+    square = _square_blocks(len(pairs), kept, 2 * M)
+    square[:, :kept] = pair_rows(*np.nonzero(~shared)).reshape(len(pairs), kept, 2 * M)
+    null = _null_space(square, kept)  # pairs x 2M x need
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
     vanished = ~(scales > NULL_SPACE_RTOL).all(axis=1)
@@ -345,7 +374,8 @@ def build_precoders(
             f"pair ({i},{j}): null vector vanished on both halves; reseed"
         )
     halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
-    lost = _rank_lost(np.linalg.svd(halves, compute_uv=False), floor=1.0)
+    sv = np.linalg.svd(halves, compute_uv=False)
+    lost = _rank_lost(sv, floor=1.0)
     if lost.any():
         directions = pairs + [(j, i) for i, j in pairs]
         raise DegenerateSplitError(
@@ -357,7 +387,7 @@ def build_precoders(
     for k, (i, j) in enumerate(pairs):
         precoders[(i, j)] = halves[k]
         precoders[(j, i)] = halves[k + len(pairs)]
-    return precoders
+    return precoders, sv[: len(pairs), 0]
 
 
 @dataclass(frozen=True)
@@ -386,7 +416,7 @@ class AlignmentScheme:
 def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
     """Build and certify the full scheme for one channel realization."""
     compression = build_compression_matrix(ch, alloc, beta)
-    precoders = build_precoders(ch, compression, alloc)
+    precoders, v_norms = build_precoders(ch, compression, alloc)
     P = compression.matrix
     pairs = alloc.pairs
     first, second = (list(side) for side in zip(*pairs))
@@ -396,10 +426,7 @@ def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> Align
     residuals = np.abs(
         blocks - compressed[second] @ np.stack([precoders[(j, i)] for i, j in pairs])
     ).max(axis=(1, 2))
-    # the spectral norms need finite precoders; a NaN residual fails unscaled
-    if np.isfinite(residuals).all():
-        v_norms = np.linalg.norm(stacked, 2, axis=(1, 2))
-        residuals /= compression.singular_values[0] * ch.uplink_norms[first] * v_norms
+    residuals /= compression.singular_values[0] * ch.uplink_norms[first] * v_norms
     residual = np.max(residuals)  # np.max keeps a NaN, builtin max drops it
     if not residual <= ALIGNMENT_TOL:
         raise AlignmentVerificationError(
@@ -562,10 +589,12 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         raise ConfigurationError(
             f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"
         )
+    residuals = np.asarray(residuals, dtype=float)
+    residuals.setflags(write=False)
     compression = CompressionMatrix(
         matrix=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
         row_subsets=tuple(map(tuple, row_subsets)),
-        row_residuals=np.asarray(residuals, dtype=float),
+        row_residuals=residuals,
     )
     precoders = {
         tuple(int(k) for k in key.split(",")): _stored_matrix(v, (cfg.M, x), f"precoder {key}")
@@ -585,8 +614,9 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
 
 
 def save_scheme(scheme: AlignmentScheme, path: str) -> None:
+    text = json.dumps(scheme_to_dict(scheme))  # the C encoder; json.dump streams in Python
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(scheme), fh)
+        fh.write(text)
 
 
 def load_scheme(path: str) -> AlignmentScheme:

@@ -230,6 +230,7 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     directions = list(itertools.permutations(range(K), 2))
     by_user = np.stack([dual.precoders[d] for d in directions]).reshape(K, K - 1, cfg.M, x)
     by_user = by_user.transpose(0, 1, 3, 2) / gamma
+    by_user.setflags(write=False)  # the filters are views of it
     filters = {(i, j): by_user[i, j - (j > i)] for i, j in _messages(scheme)}
     selectors = by_user @ np.stack(ch.downlink)[:, None] @ precoder
     block = {pair: k for k, pair in enumerate(scheme.alloc.pairs)}

@@ -7,6 +7,7 @@ dimensions.
 """
 
 import dataclasses
+import io
 import itertools
 import json
 from math import comb
@@ -31,8 +32,11 @@ from ychannel import (
     channel_from_dict,
     channel_to_dict,
     corner_points,
+    load_scheme,
+    prepare,
     required_row_counts,
     sample_channels,
+    save_scheme,
     scheme_from_dict,
     scheme_to_dict,
     verify_alignment_conditions,
@@ -265,10 +269,10 @@ class TestAssembledScheme:
         real = alignment.build_precoders
 
         def poisoned(*args):
-            precoders = real(*args)
+            precoders, norms = real(*args)
             v = precoders[direction].copy()
             v[0, 0] = np.nan
-            return {**precoders, direction: v}
+            return {**precoders, direction: v}, norms
 
         monkeypatch.setattr(alignment, "build_precoders", poisoned)
         with pytest.raises(AlignmentVerificationError):
@@ -484,18 +488,28 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def reference_null_space(mats):
+    """The null-space kernel one matrix at a time: [a; E] stacked and solved per matrix."""
+    rows, n = mats[0].shape
+    complement = alignment._complement(rows, n)
+    rhs = np.eye(n, n - rows, -rows)  # [0; I]
+    z = np.stack([np.linalg.solve(np.vstack([a, complement]), rhs) for a in mats])
+    return np.linalg.qr(z)[0]
+
+
 def per_pair_construction(ch, alloc, beta):
     """The construction one subset and one pair at a time.
 
-    Each subset's channels are side by side in their own array, each pair's
-    compressed channel and aligned blocks come from 2-D products, and ||P||_2
-    from its own SVD.  Returns the compression matrix, its row residuals, the
-    precoders, the aligned basis and the normalized alignment residual.
+    Each subset's channels are side by side in their own array, each null
+    space comes from its own solve, each pair's compressed channel and
+    aligned blocks come from 2-D products, and ||P||_2 and every ||V_ij||_2
+    from their own SVDs.  Returns the compression matrix, its row residuals,
+    the precoders, the aligned basis and the normalized alignment residual.
     """
     K, M, x = ch.cfg.K, ch.cfg.M, alloc.per_pair
     subsets = list(itertools.combinations(range(K), beta))
     stacks = [np.hstack([ch.uplink[g] for g in subset]) for subset in subsets]
-    null = alignment._null_space(np.stack([stack.T for stack in stacks]))
+    null = reference_null_space([stack.T for stack in stacks])
     q = alloc.rows // len(subsets)
     picked = [np.ascontiguousarray(basis[:, :q].T) for basis in null]
     P = np.vstack(picked)
@@ -508,7 +522,7 @@ def per_pair_construction(ch, alloc, beta):
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
         shared = np.array([i in s and j in s for s in row_subsets])
         reduced.append(a[~shared])
-    null = alignment._null_space(np.stack(reduced))
+    null = reference_null_space(reduced)
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
     halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
@@ -561,6 +575,59 @@ class TestBatchedConstruction:
         assert str(err.value).startswith(f"pair {named}:")
 
 
+class TestNullSpaceKernel:
+    INSTANCES = [*TestBatchedVerifier.INSTANCES, (5, 1, 3, 2)]  # the last runs at t = 5
+
+    @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
+    def test_batched_solve_matches_per_matrix_solves(self, K, M, N, beta, monkeypatch):
+        # every block the uplink and dual constructions hand the kernel, both stages
+        calls = []
+        real = alignment._null_space
+
+        def recorded(square, rows):
+            null = real(square, rows)
+            calls.append((np.array(square[:, :rows]), null))
+            return null
+
+        monkeypatch.setattr(alignment, "_null_space", recorded)
+        prep = prepare(SystemConfig(K, M, N), beta, 0)
+        cfg, x = prep.ch.cfg, prep.scheme.alloc.per_pair  # the effective (M, N) at t > 1
+        stages = [(beta * cfg.M, cfg.N), (2 * cfg.M - x, 2 * cfg.M)]
+        assert prep.bc is not None
+        assert [wide.shape[1:] for wide, _ in calls] == stages * 2  # uplink, then dual
+        for wide, null in calls:
+            assert_same_bits(null, reference_null_space(wide))
+
+
+class TestPrecoderSpectrum:
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3)])
+    def test_returned_norms_are_the_spectral_norms(self, K, M, N, beta):
+        for seed in (0, 1):
+            ch, alloc, scheme = build_all(K, M, N, beta, seed)
+            precoders, norms = build_precoders(ch, scheme.compression, alloc)
+            assert norms.shape == (len(alloc.pairs),)
+            for k, pair in enumerate(alloc.pairs):
+                assert_same_bits(precoders[pair], scheme.precoders[pair])
+                assert norms[k] == np.linalg.norm(precoders[pair], 2)
+
+    def test_assemble_takes_no_svd_of_the_precoder_stack(self, monkeypatch):
+        cfg = SystemConfig(6, 15, 32)
+        ch, alloc = sample_channels(cfg, 0), allocate_streams(cfg, 2)
+        calls = []
+        svd = np.linalg._linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assemble_scheme(ch, alloc, 2)
+        pairs, x = len(alloc.pairs), alloc.per_pair
+        assert (pairs, cfg.M, x) not in calls, calls
+        assert calls.count((2 * pairs, cfg.M, x)) == 1, calls
+
+
 class TestCompressionSpectrum:
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (6, 26, 81, 3)])
     def test_top_singular_value_is_the_spectral_norm(self, K, M, N, beta):
@@ -604,6 +671,24 @@ class TestStreamCountOracle:
 
 
 class TestSchemeSerialization:
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (5, 4, 13, 3)])
+    def test_export_bytes_match_streamed_json(self, K, M, N, beta, tmp_path):
+        _, _, scheme = build_all(K, M, N, beta, 1)
+        reference = io.StringIO()
+        json.dump(scheme_to_dict(scheme), reference)
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme, str(path))
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+    def test_row_residuals_are_read_only(self, tmp_path):
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme, str(path))
+        for compression in (scheme.compression, load_scheme(str(path)).compression):
+            assert not compression.row_residuals.flags.writeable
+            with pytest.raises(ValueError):
+                compression.row_residuals[0] = 1.0
+
     def test_round_trip(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
         data = json.loads(json.dumps(scheme_to_dict(scheme)))

@@ -231,6 +231,25 @@ class TestBroadcastPhase:
         with pytest.raises(BroadcastInfeasibleError):
             build_bc_scheme(scheme, ch)
 
+    def test_certified_arrays_are_read_only(self):
+        # a written filter would leave simulate's errors and the cached gains disagreeing
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        scheme, bc = prep.scheme, prep.bc
+        compression = scheme.compression
+        for a in (
+            compression.matrix,
+            compression.row_residuals,
+            compression.singular_values,
+            scheme.aligned_basis,
+            *scheme.precoders.values(),
+            bc.relay_precoder,
+            *bc.filters.values(),
+            prep.stream_gains,
+        ):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            bc.filters[(1, 0)][0, 0] += 1e-3
+
     def test_zero_vector_received_as_zero(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = zero_frame(scheme)

@@ -53,6 +53,8 @@ BATTERY = [
     (["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed", "1"], ".json"),
     (["synthesize", "--k", "5", "--m", "4", "--n", "13", "--beta", "3", "--seed", "2"], ".json"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2", "--seed", "3"], ".json"),
+    # the largest batched null-space solve, (20, 81, 81), and its export
+    (["synthesize", "--k", "6", "--m", "26", "--n", "81", "--beta", "3", "--seed", "0"], ".json"),
     (["sweep", "--k", "5", "--grid-auto", "100"], ".csv"),
     (["sweep", "--k", "6"], None),
     (["sweep", "--k", "5", "--grid", "1/2,11/5,7"], ".csv"),
