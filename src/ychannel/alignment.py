@@ -27,6 +27,11 @@ first drops the rows that the provenance says annihilate both channels of
 the pair, and checks that they do.  Its rank check's singular values give
 the precoders' spectral norms, which scale the alignment residual in step 5.
 
+``assemble_schemes`` runs steps 3 to 5 for several channel sets at once,
+over a leading member axis; the simulation builds each seed's uplink scheme
+and its downlink dual that way.  The single-scheme functions run the same
+code as a batch of one.
+
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
 independently of how the scheme was built.
@@ -37,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -54,8 +60,10 @@ from .errors import (
     DecodabilityError,
     DegenerateChannelError,
     DegenerateSplitError,
+    DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
+    YChannelError,
 )
 from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
 
@@ -71,6 +79,7 @@ __all__ = [
     "build_compression_matrix",
     "build_precoders",
     "assemble_scheme",
+    "assemble_schemes",
     "verify_alignment_conditions",
     "scheme_to_dict",
     "scheme_from_dict",
@@ -232,15 +241,35 @@ def _complement(rows: int, n: int) -> np.ndarray:
     return block
 
 
-def _square_blocks(count: int, rows: int, n: int) -> np.ndarray:
-    """Uninitialized (count, n, n) blocks whose last n - rows rows hold the fixed complement.
+# This thread's reused work arrays, one flat buffer per name; see ``assemble_schemes``.
+_scratch = threading.local()
+
+
+def _buffer(name: str, shape: tuple[int, ...], reuse: bool) -> np.ndarray:
+    """Uninitialized C-ordered complex array of ``shape``.
+
+    With ``reuse`` it is a view of this thread's buffer ``name``, which
+    grows on demand and which the next reusing call for ``name`` overwrites.
+    """
+    if not reuse:
+        return np.empty(shape, complex)
+    size = int(np.prod(shape))
+    flat = getattr(_scratch, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, complex)
+        setattr(_scratch, name, flat)
+    return flat[:size].reshape(shape)
+
+
+def _square_blocks(count: int, rows: int, n: int, reuse: bool) -> np.ndarray:
+    """(count, n, n) blocks whose last n - rows rows hold the fixed complement.
 
     The caller writes its ``count`` wide rows x n matrices into the first
     ``rows`` rows of the blocks and hands them to ``_null_space``.  Each
     block is stored column major, the layout LAPACK factors, so the
     transpose of a wide matrix is a row-major view.
     """
-    square = np.empty((count, n, n), complex).transpose(0, 2, 1)
+    square = _buffer("blocks", (count, n, n), reuse).transpose(0, 2, 1)
     square[:, rows:] = _complement(rows, n)
     return square
 
@@ -271,6 +300,77 @@ def _rank_lost(sv: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return sv[..., -1] <= NULL_SPACE_RTOL * np.maximum(sv[..., 0], floor)
 
 
+def _check_cfg(ch: ChannelSet, alloc: StreamAllocation) -> None:
+    if ch.cfg != alloc.cfg:
+        raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The C(K, beta) subsets as a read-only (subsets, beta) user array, and each row's subset."""
+    subsets = list(itertools.combinations(range(K), beta))
+    users = np.array(subsets)
+    users.setflags(write=False)
+    return users, tuple(subset for subset in subsets for _ in range(q))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray:
+    """Read-only (pairs, rows) mask: the row's subset holds both users of the pair."""
+    first, second = zip(*itertools.combinations(range(K), 2))
+    member = np.array([[g in s for g in range(K)] for s in row_subsets])
+    shared = (member[:, list(first)] & member[:, list(second)]).T
+    shared.setflags(write=False)
+    return shared
+
+
+def _compress(
+    H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int, reuse: bool
+) -> tuple[np.ndarray, list[CompressionMatrix]]:
+    """``build_compression_matrix`` for each of B uplink sets H, (B, K, N, M), norms (B, K).
+
+    Returns the stacked (B, rows, N) matrices and one ``CompressionMatrix``
+    per member, its spectrum filled in by the rank check.  A failing check
+    names the first failing member's subset.
+    """
+    B, K, N, M = H.shape
+    q = required_row_counts(alloc.cfg, alloc, beta).q
+    users, row_subsets = _subset_rows(K, beta, q)
+    S, width = len(users), beta * M  # H_S is N x width
+    # block (b, s) holds H_S^T of member b's s-th subset S, one M-row band per user of S
+    square = _square_blocks(B * S, width, N, reuse)
+    bands = square[:, :width].reshape(B, S, beta, M, N)
+    for g in range(K):
+        bands[:, users == g] = H[:, g, None].transpose(0, 1, 3, 2)
+    null = _null_space(square, width)
+    picked = np.ascontiguousarray(null[:, :, :q].transpose(0, 2, 1))  # B S x q x N rows
+    # H_S read back as a row-major view: the same BLAS path, and bits, as a copied stack
+    residuals = np.linalg.norm(picked @ square[:, :width].transpose(0, 2, 1), axis=2)
+    residuals = residuals.reshape(B, S, q)
+    scales = norms[:, users].max(axis=2)
+    failed = ~(residuals <= ROW_RESIDUAL_TOL * scales[..., None]).all(axis=2)
+    if failed.any():
+        b, k = np.unravel_index(np.argmax(failed), failed.shape)
+        raise DegenerateChannelError(
+            f"subset {row_subsets[k * q]}: null row residual {residuals[b, k].max():.3e} "
+            f"above tolerance; reseed"
+        )
+    matrices, residuals = picked.reshape(B, S * q, N), residuals.reshape(B, S * q)
+    spectra = np.linalg.svd(matrices, compute_uv=False)
+    if _rank_lost(spectra).any():
+        raise DegenerateChannelError(
+            "compression matrix lost row rank (probability-zero event); reseed"
+        )
+    for a in (matrices, residuals, spectra):
+        a.setflags(write=False)  # before the per-member views are taken
+    compressions = []
+    for matrix, row_residuals, sv in zip(matrices, residuals, spectra):
+        compression = CompressionMatrix(matrix, row_subsets, row_residuals)
+        vars(compression)["singular_values"] = sv  # the cached property
+        compressions.append(compression)
+    return matrices, compressions
+
+
 def build_compression_matrix(
     ch: ChannelSet, alloc: StreamAllocation, beta: int
 ) -> CompressionMatrix:
@@ -281,41 +381,100 @@ def build_compression_matrix(
     bound on ||H_S||_2.  The H_S^T are written straight into the null-space
     blocks, and the residuals read H_S back from them.
     """
-    cfg = ch.cfg
-    q = required_row_counts(cfg, alloc, beta).q
-    subsets = list(itertools.combinations(range(cfg.K), beta))
-    width = beta * cfg.M  # H_S is N x width
-    # block b holds H_S^T of the b-th subset S, one M-row band per user of S
-    square = _square_blocks(len(subsets), width, cfg.N)
-    bands = square[:, :width].reshape(len(subsets), beta, cfg.M, cfg.N)
-    users = np.array(subsets)
-    for g, h in enumerate(ch.uplink):
-        bands[users == g] = h.T
-    null = _null_space(square, width)
-    picked = np.ascontiguousarray(null[:, :, :q].transpose(0, 2, 1))  # B x q x N rows
-    # H_S read back as a row-major view: the same BLAS path, and bits, as a copied stack
-    residuals = np.linalg.norm(picked @ square[:, :width].transpose(0, 2, 1), axis=2)
-    scales = ch.uplink_norms[subsets].max(axis=1)
-    failed = ~(residuals <= ROW_RESIDUAL_TOL * scales[:, None]).all(axis=1)
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise DegenerateChannelError(
-            f"subset {subsets[k]}: null row residual {residuals[k].max():.3e} above "
-            f"tolerance; reseed"
+    _check_cfg(ch, alloc)
+    H = np.stack(ch.uplink)[None]
+    return _compress(H, ch.uplink_norms[None], alloc, beta, reuse=False)[1][0]
+
+
+def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray, reuse: bool) -> np.ndarray:
+    """``compressed[:, users, rows]`` of a (B, K, rows, M) stack, the indices broadcast together.
+
+    With ``reuse`` the result lives in this thread's gather buffer, which
+    the next reusing gather overwrites.
+    """
+    B, K, R, M = compressed.shape
+    index = users * R + rows
+    out = _buffer("gather", (B, *index.shape, M), reuse)
+    flat = compressed.reshape(B, K * R, M)
+    np.take(flat, index.reshape(-1), axis=1, out=out.reshape(B, -1, M), mode="clip")
+    return out
+
+
+def _precode(
+    H: np.ndarray,
+    norms: np.ndarray,
+    P: np.ndarray,
+    row_subsets: tuple[tuple[int, ...], ...],
+    alloc: StreamAllocation,
+    reuse: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``build_precoders`` for B members that share the row provenance; P is (B, rows, N).
+
+    Returns the read-only precoder halves (B, 2 pairs, M, x), whose row k
+    is V_ij of the k-th pair i < j and row k + pairs its V_ji; ||V_ij||_2
+    (B, pairs); and the compressed channels P H_g (B, K, rows, M), which
+    certification reuses.  A failing check names the first failing
+    member's pair or direction.
+    """
+    B, K, N, M = H.shape
+    need, pairs = alloc.per_pair, alloc.pairs
+    kept = 2 * M - need  # rows of the compressed pair channel left after the shared ones
+    first, second = (np.array(side) for side in zip(*pairs))
+    compressed = P[:, None] @ H  # B x K x rows x M
+    shared = _shared_rows(row_subsets, K)
+    k, r = np.nonzero(shared)
+    scale = VERIFY_TOL * np.maximum(norms[:, first], norms[:, second])
+    row_norms = np.linalg.norm(P, axis=2)
+    # row r[n] of the compressed pair channel [P H_i, -P H_j] of pair k[n]
+    rows = np.concatenate([compressed[:, first[k], r], -compressed[:, second[k], r]], axis=2)
+    annihilated = np.linalg.norm(rows, axis=2) <= scale[:, k] * row_norms[:, r]
+    failing = np.tile(P.shape[1] - shared.sum(axis=1) != kept, (B, 1))
+    member, n = np.nonzero(~annihilated)
+    failing[member, k[n]] = True
+    if failing.any():
+        i, j = pairs[int(np.argmax(failing)) % len(pairs)]
+        raise AlignmentInfeasibleError(
+            f"pair ({i},{j}): the rows from subsets holding both users must "
+            f"annihilate its channels and leave {kept} rows for "
+            f"{need} streams"
         )
-    matrix, residuals = picked.reshape(-1, cfg.N), residuals.reshape(-1)
-    matrix.setflags(write=False)
-    residuals.setflags(write=False)
-    compression = CompressionMatrix(
-        matrix=matrix,
-        row_subsets=tuple(subset for subset in subsets for _ in range(q)),
-        row_residuals=residuals,
-    )
-    if _rank_lost(compression.singular_values):
-        raise DegenerateChannelError(
-            "compression matrix lost row rank (probability-zero event); reseed"
+    square = _square_blocks(B * len(pairs), kept, 2 * M, reuse)
+    wide = square[:, :kept].reshape(B, len(pairs), kept, 2 * M)
+    keep_k, keep_r = (a.reshape(len(pairs), kept) for a in np.nonzero(~shared))
+    wide[..., :M] = _gather(compressed, first[keep_k], keep_r, reuse)
+    np.negative(_gather(compressed, second[keep_k], keep_r, reuse), out=wide[..., M:])
+    null = _null_space(square, kept)  # B pairs x 2M x need
+    top, bottom = null[:, :M], null[:, M:]
+    scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
+    vanished = ~(scales > NULL_SPACE_RTOL).all(axis=1)
+    if vanished.any():
+        i, j = pairs[int(np.argmax(vanished)) % len(pairs)]
+        raise DegenerateSplitError(
+            f"pair ({i},{j}): null vector vanished on both halves; reseed"
         )
-    return compression
+    shape = (B, len(pairs), M, need)
+    halves = np.concatenate([top.reshape(shape), bottom.reshape(shape)], axis=1)
+    scales = scales.reshape(B, len(pairs), need)
+    halves /= np.concatenate([scales, scales], axis=1)[:, :, None]
+    sv = np.linalg.svd(halves, compute_uv=False)
+    lost = _rank_lost(sv, floor=1.0)
+    if lost.any():
+        directions = pairs + [(j, i) for i, j in pairs]
+        raise DegenerateSplitError(
+            f"precoder {directions[int(np.argmax(lost)) % len(directions)]} lost column "
+            f"rank; reseed or re-pick basis vectors"
+        )
+    halves.setflags(write=False)
+    return halves, sv[:, : len(pairs), 0], compressed
+
+
+def _precoder_dict(halves: np.ndarray, pairs: list[tuple[int, int]]) -> dict:
+    """One member's halves keyed by direction: (i, j) then (j, i) for each pair i < j."""
+    precoders: dict[tuple[int, int], np.ndarray] = {}
+    for k, (i, j) in enumerate(pairs):
+        precoders[(i, j)] = halves[k]
+        precoders[(j, i)] = halves[k + len(pairs)]
+    return precoders
 
 
 def build_precoders(
@@ -335,59 +494,12 @@ def build_precoders(
     the top singular values of the rank check, so that ``assemble_scheme``
     scales its residual without a second SVD.
     """
-    K, M = ch.cfg.K, ch.cfg.M
-    P = compression.matrix
-    need = alloc.per_pair
-    pairs = alloc.pairs
-    kept = 2 * M - need  # rows of the compressed pair channel left after the shared ones
-    first, second = (np.array(side) for side in zip(*pairs))
-    compressed = P @ np.stack(ch.uplink)  # K x rows x M
-
-    def pair_rows(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Row r[n] of the compressed pair channel [P H_i, -P H_j] of pair k[n]."""
-        return np.concatenate([compressed[first[k], r], -compressed[second[k], r]], axis=1)
-
-    member = np.array([[g in s for g in range(K)] for s in compression.row_subsets])
-    shared = (member[:, first] & member[:, second]).T  # pairs x rows
-    k, r = np.nonzero(shared)
-    scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
-    row_norms = np.linalg.norm(P, axis=1)
-    annihilated = np.linalg.norm(pair_rows(k, r), axis=1) <= scale[k] * row_norms[r]
-    failing = P.shape[0] - shared.sum(axis=1) != kept
-    failing[k[~annihilated]] = True
-    if failing.any():
-        i, j = pairs[int(np.argmax(failing))]
-        raise AlignmentInfeasibleError(
-            f"pair ({i},{j}): the rows from subsets holding both users must "
-            f"annihilate its channels and leave {kept} rows for "
-            f"{need} streams"
-        )
-    square = _square_blocks(len(pairs), kept, 2 * M)
-    square[:, :kept] = pair_rows(*np.nonzero(~shared)).reshape(len(pairs), kept, 2 * M)
-    null = _null_space(square, kept)  # pairs x 2M x need
-    top, bottom = null[:, :M], null[:, M:]
-    scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
-    vanished = ~(scales > NULL_SPACE_RTOL).all(axis=1)
-    if vanished.any():
-        i, j = pairs[int(np.argmax(vanished))]
-        raise DegenerateSplitError(
-            f"pair ({i},{j}): null vector vanished on both halves; reseed"
-        )
-    halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
-    sv = np.linalg.svd(halves, compute_uv=False)
-    lost = _rank_lost(sv, floor=1.0)
-    if lost.any():
-        directions = pairs + [(j, i) for i, j in pairs]
-        raise DegenerateSplitError(
-            f"precoder {directions[int(np.argmax(lost))]} lost column rank; reseed "
-            f"or re-pick basis vectors"
-        )
-    halves.setflags(write=False)
-    precoders: dict[tuple[int, int], np.ndarray] = {}
-    for k, (i, j) in enumerate(pairs):
-        precoders[(i, j)] = halves[k]
-        precoders[(j, i)] = halves[k + len(pairs)]
-    return precoders, sv[: len(pairs), 0]
+    _check_cfg(ch, alloc)
+    H, P = np.stack(ch.uplink)[None], compression.matrix[None]
+    halves, v_norms, _ = _precode(
+        H, ch.uplink_norms[None], P, compression.row_subsets, alloc, reuse=False
+    )
+    return _precoder_dict(halves[0], alloc.pairs), v_norms[0]
 
 
 @dataclass(frozen=True)
@@ -413,45 +525,106 @@ class AlignmentScheme:
         return self.alloc.blocks()
 
 
-def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
-    """Build and certify the full scheme for one channel realization."""
-    compression = build_compression_matrix(ch, alloc, beta)
-    precoders, v_norms = build_precoders(ch, compression, alloc)
-    P = compression.matrix
+def _construct(
+    members: tuple[ChannelSet, ...], alloc: StreamAllocation, beta: int
+) -> list[AlignmentScheme]:
+    """Build and certify every member's scheme over a leading member axis.
+
+    The first failing check raises and names the first member that fails it.
+    A batch of two or more reuses this thread's work buffers.
+    """
+    reuse = len(members) > 1
+    H = np.array([ch.uplink for ch in members])  # B x K x N x M
+    norms = np.linalg.norm(H, 2, axis=(2, 3))
+    norms.setflags(write=False)
+    for ch, row in zip(members, norms):
+        vars(ch).setdefault("uplink_norms", row)  # the cached property
+    P, compressions = _compress(H, norms, alloc, beta, reuse)
+    halves, v_norms, compressed = _precode(
+        H, norms, P, compressions[0].row_subsets, alloc, reuse
+    )
     pairs = alloc.pairs
-    first, second = (list(side) for side in zip(*pairs))
-    compressed = P @ np.stack(ch.uplink)  # K x rows x M
-    stacked = np.stack([precoders[pair] for pair in pairs])
-    blocks = compressed[first] @ stacked  # pairs x rows x x
-    residuals = np.abs(
-        blocks - compressed[second] @ np.stack([precoders[(j, i)] for i, j in pairs])
-    ).max(axis=(1, 2))
-    residuals /= compression.singular_values[0] * ch.uplink_norms[first] * v_norms
-    residual = np.max(residuals)  # np.max keeps a NaN, builtin max drops it
-    if not residual <= ALIGNMENT_TOL:
+    count, span = len(pairs), np.arange(alloc.rows)
+    first, second = (np.array(side) for side in zip(*pairs))
+    # P H_i V_ij and P H_j V_ji of every pair i < j; each gather is used before the next
+    blocks = _gather(compressed, first[:, None], span, reuse) @ halves[:, :count]
+    other = _gather(compressed, second[:, None], span, reuse) @ halves[:, count:]
+    residuals = np.abs(blocks - other).max(axis=(2, 3))  # blocks: B x pairs x rows x x
+    top = np.array([c.singular_values[0] for c in compressions])
+    residuals /= top[:, None] * norms[:, first] * v_norms
+    residual = np.max(residuals, axis=1)  # np.max keeps a NaN, builtin max drops it
+    failed = ~(residual <= ALIGNMENT_TOL)
+    if failed.any():
         raise AlignmentVerificationError(
-            f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL:.1e}"
+            f"alignment residual {residual[np.argmax(failed)]:.3e} exceeds {ALIGNMENT_TOL:.1e}"
         )
-    # rows x rows: one column per network-coded sum, pair blocks side by side
-    basis = blocks.transpose(1, 0, 2).reshape(P.shape[0], -1)
-    sv = np.linalg.svd(basis, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if not condition <= BASIS_COND_MAX:
+    # rows x rows per member: one column per network-coded sum, pair blocks side by side
+    basis = blocks.transpose(0, 2, 1, 3).reshape(len(members), alloc.rows, -1)
+    spectra = np.linalg.svd(basis, compute_uv=False)
+    conditions = [float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf for sv in spectra]
+    bad = next((c for c in conditions if not c <= BASIS_COND_MAX), None)
+    if bad is not None:
         raise DecodabilityError(
-            f"aligned basis condition number {condition:.3e} exceeds "
-            f"{BASIS_COND_MAX:.1e}"
+            f"aligned basis condition number {bad:.3e} exceeds {BASIS_COND_MAX:.1e}"
         )
     basis.setflags(write=False)
-    return AlignmentScheme(
-        cfg=ch.cfg,
-        beta=beta,
-        alloc=alloc,
-        compression=compression,
-        precoders=precoders,
-        aligned_basis=basis,
-        alignment_residual=float(residual),
-        basis_condition=condition,
-    )
+    return [
+        AlignmentScheme(
+            cfg=ch.cfg,
+            beta=beta,
+            alloc=alloc,
+            compression=compression,
+            precoders=_precoder_dict(member_halves, pairs),
+            aligned_basis=member_basis,
+            alignment_residual=float(member_residual),
+            basis_condition=condition,
+        )
+        for ch, compression, member_halves, member_basis, member_residual, condition in zip(
+            members, compressions, halves, basis, residual, conditions
+        )
+    ]
+
+
+def assemble_schemes(
+    members: tuple[ChannelSet, ...], alloc: StreamAllocation, beta: int
+) -> list[AlignmentScheme | YChannelError]:
+    """Build and certify one scheme per channel set in one batched pass.
+
+    Every stage runs once over a leading member axis: one batched LU and QR
+    per null-space stage, one product P H_g shared by the precoder stage and
+    certification, and one SVD each for the channel norms, the compression
+    spectra, the precoder halves and the basis condition.  A batch whose
+    construction fails any check is rebuilt one member at a time, so every
+    member gets its own construction's outcome: the first member's failure
+    raises, as ``assemble_scheme`` would, and a later member's failure is
+    returned in its place.
+
+    A batch of two or more writes its null-space blocks and its row
+    gathers into per-thread buffers that the next batch reuses.  Fresh
+    arrays of that size are handed back to the system by the C allocator
+    after every build and page-fault in again.  A single scheme takes fresh
+    arrays, because held buffers raised the faults and the peak memory of
+    processes that build single schemes of many sizes.
+    """
+    for ch in members:
+        _check_cfg(ch, alloc)
+    try:
+        return _construct(members, alloc, beta)
+    except YChannelError:
+        if len(members) == 1:
+            raise
+    outcomes: list[AlignmentScheme | YChannelError] = [assemble_scheme(members[0], alloc, beta)]
+    for ch in members[1:]:
+        try:
+            outcomes.append(assemble_scheme(ch, alloc, beta))
+        except YChannelError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
+    """Build and certify the full scheme for one channel realization."""
+    return assemble_schemes((ch,), alloc, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -493,6 +666,8 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     with the pair norms.  Nothing comes from the construction's provenance,
     so a corrupted row or perturbed precoder is caught.
     """
+    if ch.cfg != scheme.cfg:
+        raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
     P, M, pairs = scheme.compression.matrix, scheme.cfg.M, scheme.alloc.pairs
     first, second = (list(side) for side in zip(*pairs))
     compressed = P @ np.stack(ch.uplink)  # K x rows x M

@@ -9,6 +9,7 @@ byte stream is stable across library versions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,16 +46,25 @@ LABEL_FRAME = 3
 LABEL_NOISE = 4
 
 
-def check_seed(seed: int) -> None:
-    """A seed fills the low 64 Philox key bits: reject any outside [0, 2^64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ConfigurationError(f"seed must be in [0, 2^64), got {seed}")
+def check_seed(seed: int) -> int:
+    """A seed fills the low 64 Philox key bits: an integer in [0, 2^64), returned as an int.
+
+    NumPy integers are accepted; a bool, a float or a string is not a seed.
+    """
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        value = operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise ConfigurationError(f"seed must be in [0, 2^64), got {value}")
+    return value
 
 
 def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, label, index) triple."""
-    check_seed(seed)
-    key = seed | (((label << 32) | index) << 64)
+    key = check_seed(seed) | (((label << 32) | index) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -107,6 +117,7 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     matrix has full rank with probability 1; a rank-deficient channel set
     (say, a loaded fixture) is rejected by the scheme construction.
     """
+    seed = check_seed(seed)
     uplink = []
     downlink = []
     for i in range(cfg.K):
@@ -224,9 +235,9 @@ def channel_to_dict(ch: ChannelSet) -> dict:
 def channel_from_dict(data: dict) -> ChannelSet:
     with stored_entries("channel fixture"):
         cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
-        seed = int(data["seed"])
+        seed = data["seed"]
         uplink, downlink = data["uplink"], data["downlink"]
-    check_seed(seed)
+    seed = check_seed(seed)
     uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in uplink)
     downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in downlink)
     counts = (len(uplink), len(downlink))

@@ -10,9 +10,10 @@ The downlink precoder comes from running the same alignment construction
 on the transposed downlink channels; transposing that dual scheme turns
 its compression matrix into the relay transmit precoder and its source
 precoders into receive filters, and composing with the inverse dual basis
-makes every filter output a clean selector of the wanted sums.  The
-downlink path is certified per instance by residual and rank checks and
-is kept isolated: uplink recovery never depends on it.
+makes every filter output a clean selector of the wanted sums.
+``prepare`` runs that dual construction in one batch with the uplink's.
+The downlink path is certified per instance by residual and rank checks
+and is kept isolated: uplink recovery never depends on it.
 
 Noisy runs add AWGN at the relay and the users.  Every node sends total
 power (K-1)x over unit-power streams and an SNR of snr_db puts that total
@@ -26,11 +27,11 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .alignment import AlignmentScheme, allocate_streams, assemble_scheme
+from .alignment import AlignmentScheme, allocate_streams, assemble_scheme, assemble_schemes
 from .bounds import corner_points
 from .channel import (
     LABEL_FRAME,
@@ -178,6 +179,9 @@ def mac_phase(
 
 def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
     """Solve the aligned basis for the stacked pairwise sums."""
+    N = scheme.cfg.N
+    if np.shape(y) != (N,):
+        raise DimensionError(f"relay observation shape {np.shape(y)} does not match N={N}")
     compressed = scheme.compression.matrix @ y
     try:
         entries = np.linalg.solve(scheme.aligned_basis, compressed)
@@ -202,19 +206,34 @@ class BcScheme:
     dual_basis_condition: float
 
 
-def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
-    """Dual alignment construction on the transposed downlink channels."""
-    cfg = scheme.cfg
-    dual_ch = ChannelSet(
-        cfg=cfg,
+def _dual_channels(ch: ChannelSet) -> ChannelSet:
+    """The dual channel set: the transposed downlink is its uplink, and vice versa."""
+    return ChannelSet(
+        cfg=ch.cfg,
         seed=ch.seed,
         uplink=tuple(np.ascontiguousarray(g.T) for g in ch.downlink),
         downlink=tuple(np.ascontiguousarray(h.T) for h in ch.uplink),
     )
-    try:
-        dual = assemble_scheme(dual_ch, scheme.alloc, scheme.beta)
-    except YChannelError as exc:
-        raise BroadcastInfeasibleError(f"dual construction failed: {exc}") from exc
+
+
+@lru_cache(maxsize=64)
+def _selector_targets(K: int, x: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Directions in user-by-partner order, and the read-only pair block each filter selects."""
+    directions = list(itertools.permutations(range(K), 2))
+    block = {pair: k for k, pair in enumerate(itertools.combinations(range(K), 2))}
+    rows = K * (K - 1) * x // 2
+    want = np.eye(rows).reshape(-1, x, rows)[[block[min(d), max(d)] for d in directions]]
+    want.setflags(write=False)
+    return directions, want
+
+
+def _bc_from_dual(
+    scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme | YChannelError
+) -> BcScheme:
+    """Relay precoder, receive filters and selector check from the dual scheme or its failure."""
+    if isinstance(dual, YChannelError):
+        raise BroadcastInfeasibleError(f"dual construction failed: {dual}") from dual
+    cfg = scheme.cfg
     # Transposing the dual alignment identity turns its compression matrix
     # into a transmit precoder; composing with the inverse dual basis makes
     # each user filter output the wanted pair block of the input.
@@ -226,15 +245,13 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     # filter (user, partner) must select the pair's block of the sum vector.
     # Filters are laid out user by partner, K x (K-1), so one product forms
     # all K(K-1) selectors and each user's downlink is broadcast, not copied.
-    K, x, rows = cfg.K, scheme.alloc.per_pair, scheme.alloc.rows
-    directions = list(itertools.permutations(range(K), 2))
+    K, x = cfg.K, scheme.alloc.per_pair
+    directions, want = _selector_targets(K, x)
     by_user = np.stack([dual.precoders[d] for d in directions]).reshape(K, K - 1, cfg.M, x)
     by_user = by_user.transpose(0, 1, 3, 2) / gamma
     by_user.setflags(write=False)  # the filters are views of it
     filters = {(i, j): by_user[i, j - (j > i)] for i, j in _messages(scheme)}
     selectors = by_user @ np.stack(ch.downlink)[:, None] @ precoder
-    block = {pair: k for k, pair in enumerate(scheme.alloc.pairs)}
-    want = np.eye(rows).reshape(-1, x, rows)[[block[min(d), max(d)] for d in directions]]
     residual = float(np.abs(selectors - want.reshape(selectors.shape)).max())  # keeps a NaN
     if not residual <= SELECTOR_TOL:
         raise BroadcastInfeasibleError(
@@ -247,6 +264,17 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
         selector_residual=residual,
         dual_basis_condition=dual.basis_condition,
     )
+
+
+def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
+    """Dual alignment construction on the transposed downlink channels."""
+    if ch.cfg != scheme.cfg:
+        raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
+    try:
+        dual = assemble_scheme(_dual_channels(ch), scheme.alloc, scheme.beta)
+    except YChannelError as exc:
+        dual = exc
+    return _bc_from_dual(scheme, ch, dual)
 
 
 def bc_phase(
@@ -366,7 +394,12 @@ class PreparedPipeline:
 
 
 def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
-    """Plan the extension, sample, and build both certified schemes.
+    """Plan the extension, sample, and build both certified schemes in one batched pass.
+
+    The uplink scheme on ``ch`` and the dual on its transposed downlink share
+    every construction stage (``assemble_schemes``); a dual failure leaves
+    the uplink as ``assemble_scheme`` builds it and is recorded in
+    ``bc_failure``.
 
     Synthesis errors are tagged ``"synthesis"`` and downlink errors other
     than ``BroadcastInfeasibleError`` are tagged ``"bc"``.  A rank loss under a
@@ -379,7 +412,9 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
         plan = plan_extension(cfg, target)
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
         try:
-            scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
+            scheme, dual = assemble_schemes(
+                (ch, _dual_channels(ch)), allocate_streams(ch.cfg, beta), beta
+            )
         except DegenerateChannelError as exc:
             if plan.t == 1:
                 raise
@@ -391,12 +426,12 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     bc, bc_failure = None, None
     try:
         with _stage("bc"):
-            bc = build_bc_scheme(scheme, ch)
+            bc = _bc_from_dual(scheme, ch, dual)
     except StageError as exc:
         if not isinstance(exc.cause, BroadcastInfeasibleError):
             raise
         bc_failure = str(exc.cause)
-    return PreparedPipeline(cfg, beta, seed, plan.t, ch, scheme, bc, bc_failure)
+    return PreparedPipeline(cfg, beta, ch.seed, plan.t, ch, scheme, bc, bc_failure)
 
 
 def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResult:

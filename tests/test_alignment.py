@@ -21,6 +21,7 @@ from ychannel import (
     AlignmentInfeasibleError,
     AlignmentVerificationError,
     ConfigurationError,
+    DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
     SystemConfig,
@@ -266,17 +267,26 @@ class TestAssembledScheme:
     def test_nan_precoder_fails_certification(self, monkeypatch, direction):
         # either side of the alignment identity may carry the NaN
         ch, alloc, _ = build_all(4, 3, 7, 2, 1)
-        real = alignment.build_precoders
+        real = alignment._precode
+        # the precoder stage's halves hold V_ij of pair k in row k, V_ji in row k + pairs
+        row = alloc.pairs.index(min(direction, direction[::-1]))
+        row += len(alloc.pairs) * (direction[0] > direction[1])
 
         def poisoned(*args):
-            precoders, norms = real(*args)
-            v = precoders[direction].copy()
-            v[0, 0] = np.nan
-            return {**precoders, direction: v}, norms
+            halves, norms, compressed = real(*args)
+            halves = halves.copy()
+            halves[0, row, 0, 0] = np.nan
+            return halves, norms, compressed
 
-        monkeypatch.setattr(alignment, "build_precoders", poisoned)
+        monkeypatch.setattr(alignment, "_precode", poisoned)
         with pytest.raises(AlignmentVerificationError):
             assemble_scheme(ch, alloc, 2)
+
+    def test_channel_config_mismatch_raises(self):
+        # (4,3,8) channels with the (4,3,7) allocation built a scheme with N=8 and x for N=7
+        alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
+        with pytest.raises(DimensionError, match="does not match allocation cfg"):
+            assemble_scheme(sample_channels(SystemConfig(4, 3, 8), 0), alloc, 2)
 
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4)])
     def test_rank_deficient_fixture_raises_domain_error(self, K, M, N, beta):
@@ -412,6 +422,14 @@ class TestVerifier:
         # the NaN row no longer counts for the pair it annihilated
         assert not report.per_pair[scheme.compression.row_subsets[0]].condition1
         assert not any(check.condition2 for check in report.per_pair.values())
+
+    @pytest.mark.parametrize("K,M,N", [(5, 3, 7), (4, 3, 8)])
+    def test_channel_config_mismatch_raises(self, K, M, N):
+        # at (5,3,7) users 0-3 would share substreams and pass; at N=8 numpy raised
+        ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
+        other = sample_channels(SystemConfig(K, M, N), 1)
+        with pytest.raises(DimensionError, match="does not match scheme cfg"):
+            verify_alignment_conditions(scheme, other)
 
     def test_nan_precoder_fails(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
@@ -580,7 +598,8 @@ class TestNullSpaceKernel:
 
     @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
     def test_batched_solve_matches_per_matrix_solves(self, K, M, N, beta, monkeypatch):
-        # every block the uplink and dual constructions hand the kernel, both stages
+        # every block of both stages; prepare hands the kernel the uplink's
+        # blocks and then the dual's in one call per stage
         calls = []
         real = alignment._null_space
 
@@ -592,9 +611,12 @@ class TestNullSpaceKernel:
         monkeypatch.setattr(alignment, "_null_space", recorded)
         prep = prepare(SystemConfig(K, M, N), beta, 0)
         cfg, x = prep.ch.cfg, prep.scheme.alloc.per_pair  # the effective (M, N) at t > 1
-        stages = [(beta * cfg.M, cfg.N), (2 * cfg.M - x, 2 * cfg.M)]
+        stages = [
+            (2 * comb(K, beta), beta * cfg.M, cfg.N),
+            (2 * comb(K, 2), 2 * cfg.M - x, 2 * cfg.M),
+        ]
         assert prep.bc is not None
-        assert [wide.shape[1:] for wide, _ in calls] == stages * 2  # uplink, then dual
+        assert [wide.shape for wide, _ in calls] == stages
         for wide, null in calls:
             assert_same_bits(null, reference_null_space(wide))
 
@@ -624,8 +646,9 @@ class TestPrecoderSpectrum:
         monkeypatch.setattr(np.linalg, "svd", counted)
         assemble_scheme(ch, alloc, 2)
         pairs, x = len(alloc.pairs), alloc.per_pair
-        assert (pairs, cfg.M, x) not in calls, calls
-        assert calls.count((2 * pairs, cfg.M, x)) == 1, calls
+        # one scheme is a batch of one: every stack has a leading member axis of 1
+        assert not any(shape[-3:] == (pairs, cfg.M, x) for shape in calls), calls
+        assert calls.count((1, 2 * pairs, cfg.M, x)) == 1, calls
 
 
 class TestCompressionSpectrum:
@@ -652,7 +675,9 @@ class TestCompressionSpectrum:
         monkeypatch.setattr(np.linalg._linalg, "svd", counted)
         monkeypatch.setattr(np.linalg, "svd", counted)
         assemble_scheme(ch, alloc, 2)
-        assert calls.count((alloc.rows, cfg.N)) == 1, calls
+        # one scheme is a batch of one: the spectrum comes from a (1, rows, N) stack
+        assert [shape[-2:] for shape in calls].count((alloc.rows, cfg.N)) == 1, calls
+        assert calls.count((1, alloc.rows, cfg.N)) == 1, calls
 
 
 class TestStreamCountOracle:

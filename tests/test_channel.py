@@ -14,13 +14,16 @@ from ychannel import (
     DimensionError,
     ExtensionPlan,
     InfeasibleConfigurationError,
+    StageError,
     SystemConfig,
     apply_extension_plan,
     channel_from_dict,
     channel_to_dict,
     corner_points,
     plan_extension,
+    prepare,
     sample_channels,
+    simulate,
 )
 from ychannel.channel import LABEL_MIXER, complex_gaussian, substream
 
@@ -40,6 +43,25 @@ class TestSampling:
     def test_rejects_out_of_range_seed(self, seed):
         with pytest.raises(ConfigurationError, match="seed"):
             sample_channels(SystemConfig(4, 3, 7), seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)])
+    def test_numpy_integer_seed_samples_like_int(self, seed):
+        ch = sample_channels(SystemConfig(4, 3, 7), seed)
+        want = sample_channels(SystemConfig(4, 3, 7), 3)
+        assert type(ch.seed) is int and ch.seed == 3
+        for x, y in zip((*ch.uplink, *ch.downlink), (*want.uplink, *want.downlink)):
+            assert x.tobytes() == y.tobytes()
+        prep, same = prepare(SystemConfig(4, 3, 7), 2, seed), prepare(SystemConfig(4, 3, 7), 2, 3)
+        assert type(prep.seed) is int
+        assert simulate(prep, snr_db=30.0) == simulate(same, snr_db=30.0)
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, False, "3", None, np.float64(3.0)])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            sample_channels(SystemConfig(4, 3, 7), seed)
+        with pytest.raises(StageError) as err:
+            prepare(SystemConfig(4, 3, 7), 2, seed)
+        assert isinstance(err.value.cause, ConfigurationError)
 
     def test_largest_seed_accepted(self):
         ch = sample_channels(SystemConfig(4, 3, 7), 2**64 - 1)
@@ -316,6 +338,14 @@ class TestFixtureFormat:
         data["seed"] = seed
         with pytest.raises(ConfigurationError, match="seed"):
             channel_from_dict(data)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_rejects_non_integer_seed(self, seed):
+        # int() turned these into seeds 1, 3 and 1
+        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
+        data["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            channel_from_dict(json.loads(json.dumps(data)))
 
     def test_entries_are_re_im_pairs(self):
         ch = sample_channels(SystemConfig(3, 1, 2), 0)

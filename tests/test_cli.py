@@ -23,7 +23,7 @@ from ychannel import (
     prepare,
     verify_alignment_conditions,
 )
-from ychannel import cli, simulation
+from ychannel import alignment, cli, simulation
 from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
 
@@ -368,10 +368,11 @@ class TestMonteCarlo:
         assert f"fitted slope: {slope:.4f}\n" in stdout
 
     def test_missing_downlink_fails_without_csv(self, tmp_path, monkeypatch, capsys):
-        def failing(scheme, ch):
+        def failing(scheme, ch, dual):
             raise BroadcastInfeasibleError("no dual")
 
-        monkeypatch.setattr(simulation, "build_bc_scheme", failing)
+        # prepare finishes the batched dual with the helper build_bc_scheme shares
+        monkeypatch.setattr(simulation, "_bc_from_dual", failing)
         out = tmp_path / "mc.csv"
         code = cli.main([
             "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
@@ -405,13 +406,23 @@ class TestMonteCarlo:
         assert "[-3000, 3000] dB" in capsys.readouterr().err
 
     def test_two_schemes_per_seed(self, monkeypatch, capsys):
+        # one batch per seed, the uplink and its dual, and no scheme built alone
         calls = []
+        batched = simulation.assemble_schemes
+
+        def counted_batch(members, *args):
+            uplink, dual = members
+            assert all(np.array_equal(h, g.T) for h, g in zip(dual.uplink, uplink.downlink))
+            calls.extend(ch.seed for ch in members)
+            return batched(members, *args)
 
         def counted(*args, **kwargs):
             calls.append(args[0].seed)
             return assemble_scheme(*args, **kwargs)
 
+        monkeypatch.setattr(simulation, "assemble_schemes", counted_batch)
         monkeypatch.setattr(simulation, "assemble_scheme", counted)
+        monkeypatch.setattr(alignment, "assemble_scheme", counted)
         code = cli.main([
             "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
             "--seeds", "3", "--snr-grid", "30,40,50",

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from ychannel import (
     BroadcastInfeasibleError,
     ConfigurationError,
+    DimensionError,
+    InfeasibleConfigurationError,
+    StageError,
     SymbolFrame,
     SystemConfig,
     YChannelError,
@@ -35,7 +38,7 @@ from ychannel import (
     stack_network_coded,
     sum_rate_curve,
 )
-from ychannel import simulation
+from ychannel import alignment, simulation
 from ychannel.channel import ChannelSet
 from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
@@ -152,17 +155,27 @@ class TestRelayDecode:
         decoded = relay_decode(scheme, np.zeros(7, dtype=complex))
         assert np.all(decoded.entries == 0)
 
+    @pytest.mark.parametrize("shape", [(8,), (6,), (7, 1)])
+    def test_observation_length_mismatch_raises(self, shape):
+        ch, scheme = corner_setup(4, 3, 7, 2, 1)
+        with pytest.raises(DimensionError, match="N=7"):
+            relay_decode(scheme, np.zeros(shape, dtype=complex))
 
-def per_pair_bc(scheme, ch):
-    """Relay precoder, filters and selector residual, one filter product at a time."""
-    cfg, alloc = scheme.cfg, scheme.alloc
-    dual_ch = ChannelSet(
-        cfg=cfg,
+
+def transposed(ch):
+    """The dual channel set: each uplink is a transposed downlink, and vice versa."""
+    return ChannelSet(
+        cfg=ch.cfg,
         seed=ch.seed,
         uplink=tuple(np.ascontiguousarray(g.T) for g in ch.downlink),
         downlink=tuple(np.ascontiguousarray(h.T) for h in ch.uplink),
     )
-    dual = assemble_scheme(dual_ch, alloc, scheme.beta)
+
+
+def per_pair_bc(scheme, ch):
+    """Relay precoder, filters and selector residual, one filter product at a time."""
+    cfg, alloc = scheme.cfg, scheme.alloc
+    dual = assemble_scheme(transposed(ch), alloc, scheme.beta)
     precoder = np.linalg.solve(dual.aligned_basis, dual.compression.matrix).T
     per_node = (cfg.K - 1) * alloc.per_pair
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
@@ -219,17 +232,30 @@ class TestBroadcastPhase:
     def test_nan_dual_precoder_fails_certification(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a builtin fold would certify NaN filters
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
-        real = simulation.assemble_scheme
+        single, batched = simulation.assemble_scheme, simulation.assemble_schemes
 
-        def poisoned(*args):
-            dual = real(*args)
+        def poison(dual):
             v = dual.precoders[(0, 1)].copy()
             v[0, 0] = np.nan
             return dataclasses.replace(dual, precoders={**dual.precoders, (0, 1): v})
 
-        monkeypatch.setattr(simulation, "assemble_scheme", poisoned)
+        monkeypatch.setattr(simulation, "assemble_scheme", lambda *args: poison(single(*args)))
         with pytest.raises(BroadcastInfeasibleError):
             build_bc_scheme(scheme, ch)
+        # prepare builds the dual in one batch with the uplink
+        def poisoned(*args):
+            uplink, dual = batched(*args)
+            return [uplink, poison(dual)]
+
+        monkeypatch.setattr(simulation, "assemble_schemes", poisoned)
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        assert prep.bc is None
+        assert prep.bc_failure.startswith("downlink selector residual nan")
+
+    def test_channel_config_mismatch_raises(self):
+        ch, scheme = corner_setup(4, 3, 7, 2, 1)
+        with pytest.raises(DimensionError, match="does not match scheme cfg"):
+            build_bc_scheme(scheme, sample_channels(SystemConfig(4, 3, 8), 1))
 
     def test_certified_arrays_are_read_only(self):
         # a written filter would leave simulate's errors and the cached gains disagreeing
@@ -538,13 +564,14 @@ class TestPreparedPipeline:
         from ychannel import BroadcastInfeasibleError, DecodabilityError, StageError
 
         def failing(error):
-            def build(scheme, ch):
+            def finish(scheme, ch, dual):
                 raise error
 
-            return build
+            return finish
 
+        # prepare finishes the batched dual with the helper build_bc_scheme shares
         monkeypatch.setattr(
-            simulation, "build_bc_scheme", failing(BroadcastInfeasibleError("no dual"))
+            simulation, "_bc_from_dual", failing(BroadcastInfeasibleError("no dual"))
         )
         result = end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=30.0)
         assert result.bc_failure == "no dual"
@@ -552,7 +579,7 @@ class TestPreparedPipeline:
         with pytest.raises(BroadcastInfeasibleError, match="no dual"):
             sum_rate_curve(SystemConfig(4, 3, 7), 2, [1], [30.0, 40.0])
         monkeypatch.setattr(
-            simulation, "build_bc_scheme", failing(DecodabilityError("singular"))
+            simulation, "_bc_from_dual", failing(DecodabilityError("singular"))
         )
         with pytest.raises(StageError) as err:
             prepare(SystemConfig(4, 3, 7), 2, 1)
@@ -570,15 +597,108 @@ class TestPreparedPipeline:
         assert np.array_equal(curve, np.mean(per_point, axis=0))
 
     def test_two_schemes_per_seed(self, monkeypatch):
+        # one batch per seed, the uplink and its dual, and no scheme built alone
         calls = []
+        batched = simulation.assemble_schemes
+
+        def counted_batch(members, *args):
+            uplink, dual = members
+            assert all(np.array_equal(h, g.T) for h, g in zip(dual.uplink, uplink.downlink))
+            calls.extend(ch.seed for ch in members)
+            return batched(members, *args)
 
         def counted(*args, **kwargs):
             calls.append(args[0].seed)
             return assemble_scheme(*args, **kwargs)
 
+        monkeypatch.setattr(simulation, "assemble_schemes", counted_batch)
         monkeypatch.setattr(simulation, "assemble_scheme", counted)
+        monkeypatch.setattr(alignment, "assemble_scheme", counted)
         sum_rate_curve(SystemConfig(4, 3, 7), 2, [0, 1, 2], [30.0, 40.0, 50.0])
         assert calls == [0, 0, 1, 1, 2, 2]
+
+
+def assert_same_scheme(got, want):
+    assert got.cfg == want.cfg and got.alloc == want.alloc
+    assert got.compression.row_subsets == want.compression.row_subsets
+    for a, b in [
+        (got.compression.matrix, want.compression.matrix),
+        (got.compression.row_residuals, want.compression.row_residuals),
+        (got.compression.singular_values, want.compression.singular_values),
+        (got.aligned_basis, want.aligned_basis),
+    ]:
+        assert_same_bits(a, b)
+    assert list(got.precoders) == list(want.precoders)
+    for direction, v in want.precoders.items():
+        assert_same_bits(got.precoders[direction], v)
+    assert got.alignment_residual == want.alignment_residual
+    assert got.basis_condition == want.basis_condition
+
+
+class TestBatchedPrepare:
+    """``prepare`` builds the uplink scheme and its dual in one batch."""
+
+    # the six criterion-3 corners and the t = 5 extension of (5, 1, 3)
+    INSTANCES = [
+        (4, 3, 7, 2),
+        (5, 5, 11, 2),
+        (5, 4, 13, 3),
+        (6, 15, 32, 2),
+        (6, 26, 81, 3),
+        (6, 5, 21, 4),
+        (5, 1, 3, 2),
+    ]
+
+    @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
+    def test_bit_identical_to_one_scheme_at_a_time(self, K, M, N, beta):
+        for seed in (0, 1):
+            prep = prepare(SystemConfig(K, M, N), beta, seed)
+            ch = prep.ch
+            scheme = assemble_scheme(ch, allocate_streams(ch.cfg, beta), beta)
+            assert_same_scheme(prep.scheme, scheme)
+            precoder, filters, residual = per_pair_bc(scheme, ch)
+            dual = assemble_scheme(transposed(ch), scheme.alloc, beta)
+            assert_same_bits(prep.bc.relay_precoder, precoder)
+            assert list(prep.bc.filters) == list(simulation._messages(scheme))
+            for direction, f in filters.items():
+                assert_same_bits(prep.bc.filters[direction], f)
+            assert prep.bc.selector_residual == residual
+            assert prep.bc.dual_basis_condition == dual.basis_condition
+            bc = simulation.BcScheme(precoder, filters, residual, dual.basis_condition)
+            alone = simulation.PreparedPipeline(
+                prep.cfg, beta, seed, prep.t, ch, scheme, bc, None
+            )
+            assert_same_bits(prep.stream_gains, alone.stream_gains)
+
+    def test_failed_dual_leaves_the_uplink_as_built_alone(self, monkeypatch):
+        # two users share a downlink, so only the dual construction fails
+        real = simulation._dual_channels
+
+        def degenerate(ch):
+            dual = real(ch)
+            return dataclasses.replace(dual, uplink=(dual.uplink[1], *dual.uplink[1:]))
+
+        monkeypatch.setattr(simulation, "_dual_channels", degenerate)
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        ch = prep.ch
+        scheme = assemble_scheme(ch, allocate_streams(ch.cfg, 2), 2)
+        assert_same_scheme(prep.scheme, scheme)
+        with pytest.raises(BroadcastInfeasibleError) as err:
+            build_bc_scheme(scheme, ch)
+        assert prep.bc is None
+        assert prep.bc_failure == str(err.value)
+        assert prep.bc_failure.startswith("dual construction failed: ")
+        result = simulate(prep)
+        assert result.bc_failure == prep.bc_failure
+        assert result.relay_recovery_error <= RECOVERY_TOL
+
+    def test_uplink_rank_loss_under_extension_is_infeasible(self):
+        # the source-side t=7 plan of (4,1,2) loses compression rank on every draw
+        with pytest.raises(StageError) as err:
+            prepare(SystemConfig(4, 1, 2), 2, 0)
+        assert err.value.stage == "synthesis"
+        assert isinstance(err.value.cause, InfeasibleConfigurationError)
+        assert "t=7" in str(err.value.cause)
 
 
 def extension_instances(m_max=3, n_max=60):
