@@ -28,9 +28,9 @@ the pair, and checks that they do.  Its rank check's singular values give
 the precoders' spectral norms, which scale the alignment residual in step 5.
 
 ``assemble_schemes`` runs steps 3 to 5 for several channel sets at once,
-over a leading member axis; the simulation builds each seed's uplink scheme
-and its downlink dual that way.  The single-scheme functions run the same
-code as a batch of one.
+over a leading member axis, and returns every member's scheme or raises;
+the simulation builds each seed's uplink scheme and its downlink dual that
+way.  The single-scheme functions run the same code as a batch of one.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -63,7 +63,6 @@ from .errors import (
     DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
-    YChannelError,
 )
 from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
 
@@ -225,8 +224,9 @@ class CompressionMatrix:
     def singular_values(self) -> np.ndarray:
         """Singular values of ``matrix``, descending; the first is ||P||_2.
 
-        The rank check of ``build_compression_matrix`` fills this in, so the
-        alignment residual's scale costs no second SVD.
+        A built scheme carries the spectrum of the construction's rank check,
+        so the alignment residual's scale costs no second SVD; a loaded
+        scheme computes it on first use.
         """
         sv = np.linalg.svd(self.matrix, compute_uv=False)
         sv.setflags(write=False)
@@ -245,13 +245,14 @@ def _complement(rows: int, n: int) -> np.ndarray:
 _scratch = threading.local()
 
 
-def _buffer(name: str, shape: tuple[int, ...], reuse: bool) -> np.ndarray:
-    """Uninitialized C-ordered complex array of ``shape``.
+def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialized C-ordered complex array of ``shape``; axis 0 is the member axis.
 
-    With ``reuse`` it is a view of this thread's buffer ``name``, which
-    grows on demand and which the next reusing call for ``name`` overwrites.
+    For two or more members it is a view of this thread's buffer ``name``,
+    which grows on demand and which the next batch's call for ``name``
+    overwrites.  A single scheme gets a fresh array.
     """
-    if not reuse:
+    if shape[0] < 2:
         return np.empty(shape, complex)
     size = int(np.prod(shape))
     flat = getattr(_scratch, name, None)
@@ -261,15 +262,15 @@ def _buffer(name: str, shape: tuple[int, ...], reuse: bool) -> np.ndarray:
     return flat[:size].reshape(shape)
 
 
-def _square_blocks(count: int, rows: int, n: int, reuse: bool) -> np.ndarray:
-    """(count, n, n) blocks whose last n - rows rows hold the fixed complement.
+def _square_blocks(members: int, count: int, rows: int, n: int) -> np.ndarray:
+    """(members * count, n, n) blocks whose last n - rows rows hold the fixed complement.
 
-    The caller writes its ``count`` wide rows x n matrices into the first
-    ``rows`` rows of the blocks and hands them to ``_null_space``.  Each
-    block is stored column major, the layout LAPACK factors, so the
-    transpose of a wide matrix is a row-major view.
+    The caller writes its wide rows x n matrices, ``count`` per member,
+    into the first ``rows`` rows of the blocks and hands them to
+    ``_null_space``.  Each block is stored column major, the layout LAPACK
+    factors, so the transpose of a wide matrix is a row-major view.
     """
-    square = _buffer("blocks", (count, n, n), reuse).transpose(0, 2, 1)
+    square = _buffer("blocks", (members, count, n, n)).reshape(-1, n, n).transpose(0, 2, 1)
     square[:, rows:] = _complement(rows, n)
     return square
 
@@ -325,7 +326,7 @@ def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray
 
 
 def _compress(
-    H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int, reuse: bool
+    H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int
 ) -> tuple[np.ndarray, list[CompressionMatrix]]:
     """``build_compression_matrix`` for each of B uplink sets H, (B, K, N, M), norms (B, K).
 
@@ -338,7 +339,7 @@ def _compress(
     users, row_subsets = _subset_rows(K, beta, q)
     S, width = len(users), beta * M  # H_S is N x width
     # block (b, s) holds H_S^T of member b's s-th subset S, one M-row band per user of S
-    square = _square_blocks(B * S, width, N, reuse)
+    square = _square_blocks(B, S, width, N)
     bands = square[:, :width].reshape(B, S, beta, M, N)
     for g in range(K):
         bands[:, users == g] = H[:, g, None].transpose(0, 1, 3, 2)
@@ -383,18 +384,18 @@ def build_compression_matrix(
     """
     _check_cfg(ch, alloc)
     H = np.stack(ch.uplink)[None]
-    return _compress(H, ch.uplink_norms[None], alloc, beta, reuse=False)[1][0]
+    return _compress(H, ch.uplink_norms[None], alloc, beta)[1][0]
 
 
-def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray, reuse: bool) -> np.ndarray:
+def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``compressed[:, users, rows]`` of a (B, K, rows, M) stack, the indices broadcast together.
 
-    With ``reuse`` the result lives in this thread's gather buffer, which
-    the next reusing gather overwrites.
+    For B >= 2 the result lives in this thread's gather buffer, which the
+    next such gather overwrites.
     """
     B, K, R, M = compressed.shape
     index = users * R + rows
-    out = _buffer("gather", (B, *index.shape, M), reuse)
+    out = _buffer("gather", (B, *index.shape, M))
     flat = compressed.reshape(B, K * R, M)
     np.take(flat, index.reshape(-1), axis=1, out=out.reshape(B, -1, M), mode="clip")
     return out
@@ -406,7 +407,6 @@ def _precode(
     P: np.ndarray,
     row_subsets: tuple[tuple[int, ...], ...],
     alloc: StreamAllocation,
-    reuse: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``build_precoders`` for B members that share the row provenance; P is (B, rows, N).
 
@@ -438,11 +438,11 @@ def _precode(
             f"annihilate its channels and leave {kept} rows for "
             f"{need} streams"
         )
-    square = _square_blocks(B * len(pairs), kept, 2 * M, reuse)
+    square = _square_blocks(B, len(pairs), kept, 2 * M)
     wide = square[:, :kept].reshape(B, len(pairs), kept, 2 * M)
     keep_k, keep_r = (a.reshape(len(pairs), kept) for a in np.nonzero(~shared))
-    wide[..., :M] = _gather(compressed, first[keep_k], keep_r, reuse)
-    np.negative(_gather(compressed, second[keep_k], keep_r, reuse), out=wide[..., M:])
+    wide[..., :M] = _gather(compressed, first[keep_k], keep_r)
+    np.negative(_gather(compressed, second[keep_k], keep_r), out=wide[..., M:])
     null = _null_space(square, kept)  # B pairs x 2M x need
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
@@ -496,9 +496,7 @@ def build_precoders(
     """
     _check_cfg(ch, alloc)
     H, P = np.stack(ch.uplink)[None], compression.matrix[None]
-    halves, v_norms, _ = _precode(
-        H, ch.uplink_norms[None], P, compression.row_subsets, alloc, reuse=False
-    )
+    halves, v_norms, _ = _precode(H, ch.uplink_norms[None], P, compression.row_subsets, alloc)
     return _precoder_dict(halves[0], alloc.pairs), v_norms[0]
 
 
@@ -525,30 +523,42 @@ class AlignmentScheme:
         return self.alloc.blocks()
 
 
-def _construct(
+def assemble_schemes(
     members: tuple[ChannelSet, ...], alloc: StreamAllocation, beta: int
 ) -> list[AlignmentScheme]:
-    """Build and certify every member's scheme over a leading member axis.
+    """Build and certify one scheme per channel set in one batched pass.
 
-    The first failing check raises and names the first member that fails it.
-    A batch of two or more reuses this thread's work buffers.
+    Every stage runs once over a leading member axis: one batched LU and QR
+    per null-space stage, one product P H_g shared by the precoder stage and
+    certification, and one SVD each for the channel norms, the compression
+    spectra, the precoder halves and the basis condition.  Every member's
+    scheme is returned, or the first failing check raises and names the
+    first member that fails it.
+
+    A batch of two or more writes its null-space blocks and its row
+    gathers into per-thread buffers that the next batch reuses (``_buffer``).
+    Fresh arrays of that size are handed back to the system by the C
+    allocator after every build and page-fault in again.  A single scheme
+    takes fresh arrays, because held buffers raised the faults and the peak
+    memory of processes that build single schemes of many sizes.
     """
-    reuse = len(members) > 1
+    if not members:
+        raise ConfigurationError("assemble_schemes needs at least one channel set")
+    for ch in members:
+        _check_cfg(ch, alloc)
     H = np.array([ch.uplink for ch in members])  # B x K x N x M
     norms = np.linalg.norm(H, 2, axis=(2, 3))
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
-    P, compressions = _compress(H, norms, alloc, beta, reuse)
-    halves, v_norms, compressed = _precode(
-        H, norms, P, compressions[0].row_subsets, alloc, reuse
-    )
+    P, compressions = _compress(H, norms, alloc, beta)
+    halves, v_norms, compressed = _precode(H, norms, P, compressions[0].row_subsets, alloc)
     pairs = alloc.pairs
     count, span = len(pairs), np.arange(alloc.rows)
     first, second = (np.array(side) for side in zip(*pairs))
     # P H_i V_ij and P H_j V_ji of every pair i < j; each gather is used before the next
-    blocks = _gather(compressed, first[:, None], span, reuse) @ halves[:, :count]
-    other = _gather(compressed, second[:, None], span, reuse) @ halves[:, count:]
+    blocks = _gather(compressed, first[:, None], span) @ halves[:, :count]
+    other = _gather(compressed, second[:, None], span) @ halves[:, count:]
     residuals = np.abs(blocks - other).max(axis=(2, 3))  # blocks: B x pairs x rows x x
     top = np.array([c.singular_values[0] for c in compressions])
     residuals /= top[:, None] * norms[:, first] * v_norms
@@ -583,43 +593,6 @@ def _construct(
             members, compressions, halves, basis, residual, conditions
         )
     ]
-
-
-def assemble_schemes(
-    members: tuple[ChannelSet, ...], alloc: StreamAllocation, beta: int
-) -> list[AlignmentScheme | YChannelError]:
-    """Build and certify one scheme per channel set in one batched pass.
-
-    Every stage runs once over a leading member axis: one batched LU and QR
-    per null-space stage, one product P H_g shared by the precoder stage and
-    certification, and one SVD each for the channel norms, the compression
-    spectra, the precoder halves and the basis condition.  A batch whose
-    construction fails any check is rebuilt one member at a time, so every
-    member gets its own construction's outcome: the first member's failure
-    raises, as ``assemble_scheme`` would, and a later member's failure is
-    returned in its place.
-
-    A batch of two or more writes its null-space blocks and its row
-    gathers into per-thread buffers that the next batch reuses.  Fresh
-    arrays of that size are handed back to the system by the C allocator
-    after every build and page-fault in again.  A single scheme takes fresh
-    arrays, because held buffers raised the faults and the peak memory of
-    processes that build single schemes of many sizes.
-    """
-    for ch in members:
-        _check_cfg(ch, alloc)
-    try:
-        return _construct(members, alloc, beta)
-    except YChannelError:
-        if len(members) == 1:
-            raise
-    outcomes: list[AlignmentScheme | YChannelError] = [assemble_scheme(members[0], alloc, beta)]
-    for ch in members[1:]:
-        try:
-            outcomes.append(assemble_scheme(ch, alloc, beta))
-        except YChannelError as exc:
-            outcomes.append(exc)
-    return outcomes
 
 
 def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -227,12 +228,8 @@ def _selector_targets(K: int, x: int) -> tuple[list[tuple[int, int]], np.ndarray
     return directions, want
 
 
-def _bc_from_dual(
-    scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme | YChannelError
-) -> BcScheme:
-    """Relay precoder, receive filters and selector check from the dual scheme or its failure."""
-    if isinstance(dual, YChannelError):
-        raise BroadcastInfeasibleError(f"dual construction failed: {dual}") from dual
+def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme) -> BcScheme:
+    """Relay precoder, receive filters and selector check from the built dual scheme."""
     cfg = scheme.cfg
     # Transposing the dual alignment identity turns its compression matrix
     # into a transmit precoder; composing with the inverse dual basis makes
@@ -273,7 +270,7 @@ def build_bc_scheme(scheme: AlignmentScheme, ch: ChannelSet) -> BcScheme:
     try:
         dual = assemble_scheme(_dual_channels(ch), scheme.alloc, scheme.beta)
     except YChannelError as exc:
-        dual = exc
+        raise BroadcastInfeasibleError(f"dual construction failed: {exc}") from exc
     return _bc_from_dual(scheme, ch, dual)
 
 
@@ -397,9 +394,10 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     """Plan the extension, sample, and build both certified schemes in one batched pass.
 
     The uplink scheme on ``ch`` and the dual on its transposed downlink share
-    every construction stage (``assemble_schemes``); a dual failure leaves
-    the uplink as ``assemble_scheme`` builds it and is recorded in
-    ``bc_failure``.
+    every construction stage (``assemble_schemes``).  If the batch fails, the
+    uplink is rebuilt alone and ``build_bc_scheme`` rebuilds the dual, so
+    each failure is the one its own construction gives; a downlink failure
+    is recorded in ``bc_failure``.
 
     Synthesis errors are tagged ``"synthesis"`` and downlink errors other
     than ``BroadcastInfeasibleError`` are tagged ``"bc"``.  A rank loss under a
@@ -411,10 +409,12 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
             raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
         plan = plan_extension(cfg, target)
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
+        alloc = allocate_streams(ch.cfg, beta)
         try:
-            scheme, dual = assemble_schemes(
-                (ch, _dual_channels(ch)), allocate_streams(ch.cfg, beta), beta
-            )
+            try:
+                scheme, dual = assemble_schemes((ch, _dual_channels(ch)), alloc, beta)
+            except YChannelError:
+                scheme, dual = assemble_scheme(ch, alloc, beta), None
         except DegenerateChannelError as exc:
             if plan.t == 1:
                 raise
@@ -424,13 +424,11 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
                 f"({type(exc).__name__})"
             ) from exc
     bc, bc_failure = None, None
-    try:
-        with _stage("bc"):
-            bc = _bc_from_dual(scheme, ch, dual)
-    except StageError as exc:
-        if not isinstance(exc.cause, BroadcastInfeasibleError):
-            raise
-        bc_failure = str(exc.cause)
+    with _stage("bc"):
+        try:
+            bc = build_bc_scheme(scheme, ch) if dual is None else _bc_from_dual(scheme, ch, dual)
+        except BroadcastInfeasibleError as exc:
+            bc_failure = str(exc)
     return PreparedPipeline(cfg, beta, ch.seed, plan.t, ch, scheme, bc, bc_failure)
 
 
@@ -493,9 +491,10 @@ def end_to_end(
 
 
 def _check_snr_grid(snr_grid_db: list[float]) -> None:
-    """Reject any SNR point outside [-SNR_DB_MAX, SNR_DB_MAX] dB, NaN included."""
+    """Reject any SNR point but a real number (not a bool) in [-SNR_DB_MAX, SNR_DB_MAX] dB."""
     for snr in snr_grid_db:
-        if not abs(snr) <= SNR_DB_MAX:
+        number = isinstance(snr, numbers.Real) and not isinstance(snr, bool)
+        if not (number and abs(snr) <= SNR_DB_MAX):
             raise ConfigurationError(
                 f"SNR points must lie in [-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}] dB, got {snr}"
             )

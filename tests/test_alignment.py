@@ -10,6 +10,7 @@ import dataclasses
 import io
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import numpy as np
@@ -591,6 +592,30 @@ class TestBatchedConstruction:
         with pytest.raises(AlignmentInfeasibleError) as err:
             build_precoders(ch, corrupted, alloc)
         assert str(err.value).startswith(f"pair {named}:")
+
+    def test_empty_batch_is_a_configuration_error(self):
+        alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
+        with pytest.raises(ConfigurationError, match="at least one channel set"):
+            alignment.assemble_schemes((), alloc, 2)
+
+    def test_only_batches_hold_work_buffers(self):
+        # the buffers are per thread, so a new thread starts without any
+        def buffers():
+            return {name: getattr(alignment._scratch, name, None) for name in ("blocks", "gather")}
+
+        def run():
+            build_all(4, 3, 7, 2, 0)
+            single = buffers()
+            prepare(SystemConfig(6, 15, 32), 2, 0)
+            held = buffers()
+            prepare(SystemConfig(4, 3, 7), 2, 0)  # a smaller batch
+            return single, held, buffers()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            single, held, after = pool.submit(run).result(timeout=120)
+        assert single == {"blocks": None, "gather": None}
+        assert all(buffer is not None for buffer in held.values())
+        assert all(after[name] is buffer for name, buffer in held.items())
 
 
 class TestNullSpaceKernel:

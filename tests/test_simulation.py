@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ychannel import (
     BroadcastInfeasibleError,
     ConfigurationError,
+    DegenerateChannelError,
     DimensionError,
     InfeasibleConfigurationError,
     StageError,
@@ -462,11 +463,13 @@ class TestRates:
             simulation.pairwise_rates(prep, snr_db)
         assert prep.stream_gains is gains
 
-    @pytest.mark.parametrize("snr_db", [4000.0, -3000.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("snr_db", [4000.0, -3000.5, float("nan"), float("inf"), "30", True])
     def test_out_of_range_snr_rejected(self, snr_db, monkeypatch):
         prep = prepare(SystemConfig(4, 3, 7), 2, 0)
         with pytest.raises(ConfigurationError, match=r"\[-3000, 3000\] dB"):
             simulation.pairwise_rates(prep, snr_db)
+        with pytest.raises(ConfigurationError, match=r"\[-3000, 3000\] dB"):
+            simulate(prep, snr_db=snr_db)
         # the grid is checked before any seed is prepared
         calls = []
         monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
@@ -683,6 +686,9 @@ class TestBatchedPrepare:
         ch = prep.ch
         scheme = assemble_scheme(ch, allocate_streams(ch.cfg, 2), 2)
         assert_same_scheme(prep.scheme, scheme)
+        # the batch raises its first failure; prepare rebuilds the uplink alone
+        with pytest.raises(DegenerateChannelError):
+            alignment.assemble_schemes((ch, degenerate(ch)), scheme.alloc, 2)
         with pytest.raises(BroadcastInfeasibleError) as err:
             build_bc_scheme(scheme, ch)
         assert prep.bc is None

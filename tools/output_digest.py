@@ -1,10 +1,11 @@
 """Print a digest of the CLI's output over a fixed battery of commands.
 
 Each command runs in process through ``ychannel.cli.main``.  One line per
-run, ``sha256  command``, covers the exit code, stdout and the file that
-``--out`` writes.  The ``--out`` path is replaced by ``OUT`` before stdout
-is hashed, so two checkouts give the same lines exactly when their outputs
-are byte-identical.  Digests depend on the BLAS build, so compare runs on
+run, ``sha256  command``, covers the exit code, stdout, stderr and the file
+that ``--out`` writes; an empty stderr adds nothing to the hash.  The
+``--out`` path is replaced by ``OUT`` before stdout is hashed, so two
+checkouts give the same lines exactly when their outputs are
+byte-identical.  Digests depend on the BLAS build, so compare runs on
 one machine only.
 
 Run it against the ``src/`` of any checkout (this file need not be part of
@@ -50,6 +51,9 @@ BATTERY = [
      ".csv"),
     (["montecarlo", "--k", "6", "--m", "5", "--n", "21", "--beta", "4", "--seeds", "3", *GRID],
      ".csv"),
+    # the source-side t = 7 plan loses rank structurally: the error text on stderr
+    (["montecarlo", "--k", "4", "--m", "1", "--n", "2", "--beta", "2", "--seeds", "2", *GRID],
+     None),
     (["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed", "1"], ".json"),
     (["synthesize", "--k", "5", "--m", "4", "--n", "13", "--beta", "3", "--seed", "2"], ".json"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2", "--seed", "3"], ".json"),
@@ -65,14 +69,15 @@ BATTERY = [
 
 def digest(argv: list[str], suffix: str | None, workdir: str) -> str:
     out = os.path.join(workdir, "out" + (suffix or ""))
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv + (["--out", out] if suffix else []))
         except SystemExit as exc:
             code = exc.code
     h = hashlib.sha256(f"exit {code}\n".encode())
     h.update(stdout.getvalue().replace(out, "OUT").encode())
+    h.update(stderr.getvalue().encode())
     if suffix and os.path.exists(out):
         with open(out, "rb") as fh:
             h.update(fh.read())
