@@ -62,10 +62,70 @@ def check_seed(seed: int) -> int:
     return value
 
 
+def _key(seed: int, label: int, index: int) -> int:
+    """The 128-bit Philox key of one (seed, label, index) triple.
+
+    The seed fills the low 64 bits, the index the next 32 and the label the
+    top 32; a label or index outside [0, 2^32) would alias another triple.
+    """
+    label, index = operator.index(label), operator.index(index)
+    if not (0 <= label < 1 << 32 and 0 <= index < 1 << 32):
+        raise ConfigurationError(
+            f"substream label and index must be in [0, 2^32), got {label} and {index}"
+        )
+    return check_seed(seed) | (label << 96) | (index << 64)
+
+
 def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, label, index) triple."""
-    key = check_seed(seed) | (((label << 32) | index) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, label, index)))
+
+
+def _box_muller(uniforms: np.ndarray) -> np.ndarray:
+    """(rows, n) complex Gaussians from (rows, 2, n) uniforms, overwritten on the way.
+
+    Row r takes radii from ``uniforms[r, 0]`` and angles from ``uniforms[r, 1]``
+    and matches ``(radius*cos(angle) + 1j*radius*sin(angle)) / sqrt(2)`` bit
+    for bit without its complex temporaries: numpy divides by sqrt(2) + 0j as
+    a multiply by 1/sqrt(2), and adding 0.0 turns the -0.0 that a zero radius
+    leaves into the +0.0 that the complex expression gives.
+    """
+    radius, angle = uniforms[:, 0], uniforms[:, 1]
+    np.subtract(1.0, radius, out=radius)  # in (0, 1], keeps the log finite
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    scale = 1.0 / np.sqrt(2.0)
+    out = np.empty(radius.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.sin(angle, out=im)
+    np.cos(angle, out=angle)
+    np.multiply(angle, radius, out=re)
+    np.multiply(im, radius, out=im)
+    np.multiply(re, scale, out=re)
+    np.multiply(im, scale, out=im)
+    out += 0.0
+    return out
+
+
+def _gaussian_rows(seed: int, keys: list[tuple[int, int]], n: int) -> np.ndarray:
+    """A (len(keys), n) array of complex Gaussians, one row per (label, index) key.
+
+    Row r is ``complex_gaussian(substream(seed, *keys[r]), (n,))``, but one
+    Philox serves every row: it is re-keyed per row into the state that
+    ``Philox(key=...)`` starts in: counter 0 and an empty buffer.  That skips
+    the seed sequence every new bit generator builds.
+    """
+    uniforms = np.empty((len(keys), 2, n))
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state
+    for row, (label, index) in zip(uniforms, keys):
+        high, low = divmod(_key(seed, label, index), 1 << 64)
+        fresh["state"]["key"] = np.array([low, high], dtype=np.uint64)
+        rng.bit_generator.state = fresh
+        rng.random(out=row)
+    return _box_muller(uniforms)
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -73,13 +133,12 @@ def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
     Entries are (x + iy)/sqrt(2) with x, y standard normal, produced by a
     Box-Muller transform of the generator's uniforms so the mapping from
-    raw stream to samples is fully specified.
+    raw stream to samples is fully specified: the first prod(shape)
+    uniforms u1 give the radii sqrt(-2 log(1 - u1)), the next prod(shape)
+    the angles.
     """
-    u1 = 1.0 - rng.random(shape)  # in (0, 1], keeps the log finite
-    u2 = rng.random(shape)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return (radius * np.cos(angle) + 1j * radius * np.sin(angle)) / np.sqrt(2.0)
+    n = int(np.prod(shape))
+    return _box_muller(rng.random((1, 2, n)))[0].reshape(shape)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -118,14 +177,12 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     (say, a loaded fixture) is rejected by the scheme construction.
     """
     seed = check_seed(seed)
-    uplink = []
-    downlink = []
-    for i in range(cfg.K):
-        h = complex_gaussian(substream(seed, LABEL_UPLINK, i), (cfg.N, cfg.M))
-        g = complex_gaussian(substream(seed, LABEL_DOWNLINK, i), (cfg.M, cfg.N))
-        uplink.append(_freeze(h))
-        downlink.append(_freeze(g))
-    return ChannelSet(cfg=cfg, seed=seed, uplink=tuple(uplink), downlink=tuple(downlink))
+    K, M, N = cfg.K, cfg.M, cfg.N
+    keys = [(LABEL_UPLINK, i) for i in range(K)] + [(LABEL_DOWNLINK, i) for i in range(K)]
+    draws = _freeze(_gaussian_rows(seed, keys, N * M))
+    uplink = tuple(draws[i].reshape(N, M) for i in range(K))
+    downlink = tuple(draws[K + i].reshape(M, N) for i in range(K))
+    return ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=downlink)
 
 
 @dataclass(frozen=True)
@@ -177,8 +234,10 @@ def plan_extension(
     return ExtensionPlan(t=t, effective_M=m_eff, effective_N=n_eff, side=side)
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+def _random_unitaries(seed: int, indices: range, n: int) -> np.ndarray:
+    """One n x n Q factor per mixer index, from one batched QR."""
+    draws = _gaussian_rows(seed, [(LABEL_MIXER, i) for i in indices], n * n)
+    q, _ = np.linalg.qr(draws.reshape(-1, n, n))
     return q
 
 
@@ -209,14 +268,13 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
         uplink = [np.kron(eye, h) for h in uplink]
         downlink = [np.kron(eye, g) for g in downlink]
         if plan.side == "relay":
-            mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, 0), t * N)
+            (mixer,) = _random_unitaries(ch.seed, range(1), t * N)
             uplink = [mixer @ h for h in uplink]
             downlink = [g @ mixer.conj().T for g in downlink]
         else:
-            for i in range(K):
-                mixer = _random_unitary(substream(ch.seed, LABEL_MIXER, i + 1), t * M)
-                uplink[i] = uplink[i] @ mixer.conj().T
-                downlink[i] = mixer @ downlink[i]
+            mixers = _random_unitaries(ch.seed, range(1, K + 1), t * M)
+            uplink = [h @ mixer.conj().T for h, mixer in zip(uplink, mixers)]
+            downlink = [mixer @ g for g, mixer in zip(downlink, mixers)]
     uplink = tuple(_freeze(h[:n_eff, :m_eff]) for h in uplink)
     downlink = tuple(_freeze(g[:m_eff, :n_eff]) for g in downlink)
     return ChannelSet(SystemConfig(K, m_eff, n_eff), ch.seed, uplink, downlink)

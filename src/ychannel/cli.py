@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -131,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--m", type=_positive_int, required=True, help="source antennas")
     p_bound.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
     p_bound.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p_bound.set_defaults(func=cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="CSV of bounds over an antenna-ratio grid")
     p_sweep.add_argument("--k", type=_user_count, required=True)
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evenly spaced grid with this many points over (0, K]",
     )
     p_sweep.add_argument("--out", type=str, help="write CSV here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_syn = sub.add_parser("synthesize", help="build and verify one alignment scheme")
     p_syn.add_argument("--k", type=_user_count, required=True)
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--beta", type=_positive_int, required=True)
     p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--out", type=str, help="write the scheme JSON here")
-    p_syn.set_defaults(func=cmd_synthesize)
 
     p_mc = sub.add_parser("montecarlo", help="noisy sum-rate sweep and DoF slope")
     p_mc.add_argument("--k", type=_user_count, required=True)
@@ -167,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("--base-seed", type=int, default=0)
     p_mc.add_argument("--out", type=str, help="write per-run CSV here")
-    p_mc.set_defaults(func=cmd_montecarlo)
     return parser
 
 
@@ -313,11 +310,17 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* runs
     try:
-        return args.func(args)
+        return command(args)
     except YChannelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

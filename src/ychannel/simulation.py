@@ -38,8 +38,8 @@ from .channel import (
     LABEL_FRAME,
     LABEL_NOISE,
     ChannelSet,
+    _box_muller,
     apply_extension_plan,
-    complex_gaussian,
     plan_extension,
     sample_channels,
     substream,
@@ -124,12 +124,10 @@ def _messages(scheme: AlignmentScheme) -> list[tuple[int, int]]:
 
 def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
     """Draw a deterministic frame of unit-variance complex Gaussian symbols."""
-    rng = substream(seed, LABEL_FRAME)
-    streams = {}
-    count = scheme.alloc.per_pair
-    for pair in itertools.permutations(range(scheme.cfg.K), 2):
-        streams[pair] = complex_gaussian(rng, (count,))
-    return SymbolFrame(streams=streams)
+    pairs = list(itertools.permutations(range(scheme.cfg.K), 2))
+    # pair by pair, count radius uniforms then count angle uniforms: one stream in order
+    uniforms = substream(seed, LABEL_FRAME).random((len(pairs), 2, scheme.alloc.per_pair))
+    return SymbolFrame(streams=dict(zip(pairs, _box_muller(uniforms))))
 
 
 def stack_network_coded(scheme: AlignmentScheme, frame: SymbolFrame) -> NetworkCodedVector:

@@ -1,5 +1,6 @@
 """Channel sampling, extension planning and plan application tests."""
 
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -16,20 +17,45 @@ from ychannel import (
     InfeasibleConfigurationError,
     StageError,
     SystemConfig,
+    allocate_streams,
     apply_extension_plan,
+    assemble_scheme,
     channel_from_dict,
     channel_to_dict,
     corner_points,
+    make_frame,
     plan_extension,
     prepare,
     sample_channels,
     simulate,
 )
-from ychannel.channel import LABEL_MIXER, complex_gaussian, substream
+from ychannel.channel import (
+    LABEL_DOWNLINK,
+    LABEL_FRAME,
+    LABEL_MIXER,
+    LABEL_UPLINK,
+    _box_muller,
+    _gaussian_rows,
+    complex_gaussian,
+    substream,
+)
 
 
 def corner(K, beta):
     return next(c for c in corner_points(K) if c.beta == beta)
+
+
+def reference_transform(r1, r2):
+    """Box-Muller as one complex expression, the form every draw used before batching."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - r1))
+    angle = 2.0 * np.pi * r2
+    return (radius * np.cos(angle) + 1j * radius * np.sin(angle)) / np.sqrt(2.0)
+
+
+def reference_gaussian(rng, shape):
+    """One matrix from its own generator: radius uniforms, then angle uniforms."""
+    r1 = rng.random(shape)
+    return reference_transform(r1, rng.random(shape))
 
 
 class TestSampling:
@@ -113,7 +139,8 @@ class TestSampling:
 
 def two_step_reference(ch, plan):
     """The former path: symbol_extend (kron lift), then mix and slice, or
-    deactivate (prefix slice) when t == 1."""
+    deactivate (prefix slice) when t == 1.  Each mixer is drawn from its own
+    generator and factored alone, against the batched draw and QR."""
     t, m_eff, n_eff = plan.t, plan.effective_M, plan.effective_N
     if t == 1:
         return [h[:n_eff, :m_eff] for h in ch.uplink], [g[:m_eff, :n_eff] for g in ch.downlink]
@@ -121,7 +148,7 @@ def two_step_reference(ch, plan):
     downs = [np.ascontiguousarray(np.kron(np.eye(t), g)) for g in ch.downlink]
 
     def mixer(index, n):
-        q, _ = np.linalg.qr(complex_gaussian(substream(ch.seed, LABEL_MIXER, index), (n, n)))
+        q, _ = np.linalg.qr(reference_gaussian(substream(ch.seed, LABEL_MIXER, index), (n, n)))
         return q
 
     if plan.side == "relay":
@@ -210,6 +237,68 @@ class TestApplyExtensionPlan:
                             assert x.shape == y.shape
                             assert x.tobytes() == np.ascontiguousarray(y).tobytes()
         assert kinds >= {(True, "relay"), (True, "source"), (False, "relay"), (False, "none")}
+
+
+class TestSubstreamKeys:
+    # label and index fill 32 key bits each: index 2^32 drew the stream of
+    # (label + 1, 0), and a negative index or a label >= 2^32 raised numpy's
+    # own ValueError
+    @pytest.mark.parametrize("label, index", [(0, 2**32), (0, -1), (2**32, 0), (-1, 0)])
+    def test_out_of_range_label_or_index_is_refused(self, label, index):
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\^32\)"):
+            substream(5, label, index)
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\^32\)"):
+            _gaussian_rows(5, [(label, index)], 3)
+
+    def test_largest_label_and_index_have_their_own_stream(self):
+        top = substream(5, 2**32 - 1, 2**32 - 1).random(4)
+        assert not np.array_equal(top, substream(5, 0, 0).random(4))
+        rows = _gaussian_rows(5, [(2**32 - 1, 2**32 - 1)], 2)
+        ref = reference_gaussian(substream(5, 2**32 - 1, 2**32 - 1), (2,))
+        assert rows[0].tobytes() == ref.tobytes()
+
+
+class TestBatchedDraws:
+    """Every batched draw against one generator and one complex expression per matrix."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("K, M, N", [(4, 3, 7), (6, 26, 81)])
+    def test_sample_channels_matches_per_matrix_draws(self, K, M, N, seed):
+        ch = sample_channels(SystemConfig(K, M, N), seed)
+        for i in range(K):
+            h = reference_gaussian(substream(seed, LABEL_UPLINK, i), (N, M))
+            g = reference_gaussian(substream(seed, LABEL_DOWNLINK, i), (M, N))
+            assert ch.uplink[i].tobytes() == h.tobytes()
+            assert ch.downlink[i].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (3, 4), (2, 3, 2)])
+    def test_complex_gaussian_matches_reference(self, shape):
+        got = complex_gaussian(substream(9, LABEL_MIXER, 3), shape)
+        want = reference_gaussian(substream(9, LABEL_MIXER, 3), shape)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_transform_keeps_the_zeros_of_the_complex_expression(self):
+        # a radius uniform of exactly 0 gives radius -0.0; the complex
+        # expression still returns +0.0 for both parts, whatever the angle
+        r1 = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.25])
+        r2 = np.array([0.0, 0.3, 0.6, 0.9, 0.0, 0.75, 0.5])
+        got = _box_muller(np.stack([r1, r2])[None].copy())[0]
+        assert got.tobytes() == reference_transform(r1, r2).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("K, M, N, beta", [(4, 3, 7, 2), (6, 15, 32, 2)])
+    def test_frame_matches_per_pair_draws(self, K, M, N, beta, seed):
+        cfg = SystemConfig(K, M, N)
+        alloc = allocate_streams(cfg, beta)
+        scheme = assemble_scheme(sample_channels(cfg, seed), alloc, beta)
+        frame = make_frame(scheme, seed)
+        rng = substream(seed, LABEL_FRAME)
+        pairs = list(itertools.permutations(range(K), 2))
+        assert list(frame.streams) == pairs
+        for pair in pairs:
+            want = reference_gaussian(rng, (alloc.per_pair,))
+            assert frame.streams[pair].tobytes() == want.tobytes()
 
 
 class TestPlanExtension:

@@ -1,5 +1,12 @@
-"""CLI integration tests: output contracts, determinism, exit codes."""
+"""CLI integration tests: output contracts, determinism, exit codes.
 
+Most tests call ``cli.main`` in this process.  The ones that need a fresh
+interpreter, the ``python -m ychannel`` entry point with its ``sys.exit``
+code, byte-identical repeats across processes and parses that may never
+end, run it as a child process.
+"""
+
+import contextlib
 import csv
 import io
 import json
@@ -27,7 +34,7 @@ from ychannel import alignment, cli, simulation
 from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
 
 
-def run_cli(*args, **kwargs):
+def run_cli_process(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "ychannel", *args],
         capture_output=True,
@@ -36,9 +43,20 @@ def run_cli(*args, **kwargs):
     )
 
 
+def run_cli(*args):
+    """``cli.main`` in this process, seen as ``run_cli_process`` sees a child."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
 class TestBound:
     def test_text_output(self):
-        proc = run_cli("bound", "--k", "3", "--m", "2", "--n", "5")
+        proc = run_cli_process("bound", "--k", "3", "--m", "2", "--n", "5")
         assert proc.returncode == 0
         assert "upper bound: 6" in proc.stdout
         assert "source_limited" in proc.stdout
@@ -52,7 +70,7 @@ class TestBound:
         assert payload["beta"] == 2
 
     def test_too_few_users_is_usage_error(self):
-        proc = run_cli("bound", "--k", "2", "--m", "1", "--n", "1")
+        proc = run_cli_process("bound", "--k", "2", "--m", "1", "--n", "1")
         assert proc.returncode == 2
 
     def test_missing_flag_is_usage_error(self):
@@ -60,8 +78,8 @@ class TestBound:
         assert proc.returncode == 2
 
     def test_byte_identical_repeats(self):
-        a = run_cli("bound", "--k", "6", "--m", "3", "--n", "8", "--json")
-        b = run_cli("bound", "--k", "6", "--m", "3", "--n", "8", "--json")
+        a = run_cli_process("bound", "--k", "6", "--m", "3", "--n", "8", "--json")
+        b = run_cli_process("bound", "--k", "6", "--m", "3", "--n", "8", "--json")
         assert a.stdout == b.stdout
 
 
@@ -151,8 +169,8 @@ class TestSweep:
         assert row["tight"] == "true"
 
     def test_deterministic_and_lf_endings(self):
-        a = run_cli("sweep", "--k", "5", "--grid-auto", "25")
-        b = run_cli("sweep", "--k", "5", "--grid-auto", "25")
+        a = run_cli_process("sweep", "--k", "5", "--grid-auto", "25")
+        b = run_cli_process("sweep", "--k", "5", "--grid-auto", "25")
         assert a.stdout == b.stdout
         assert "\r" not in a.stdout
 
@@ -172,7 +190,7 @@ class TestSweep:
          "1,0e99999999999"],
     )
     def test_bad_grid_is_usage_error(self, grid):
-        proc = run_cli("sweep", "--k", "5", f"--grid={grid}", timeout=30)
+        proc = run_cli_process("sweep", "--k", "5", f"--grid={grid}", timeout=30)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -225,7 +243,7 @@ class TestSynthesize:
         assert verify_alignment_conditions(scheme, prep.ch).passed
 
     def test_below_corner_fails_with_requirement(self):
-        proc = run_cli(
+        proc = run_cli_process(
             "synthesize", "--k", "5", "--m", "4", "--n", "11", "--beta", "3"
         )
         assert proc.returncode == 1
@@ -435,4 +453,27 @@ class TestMonteCarlo:
             "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
             "--seeds", "2", "--snr-grid", "40,60",
         )
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        assert run_cli_process(*args).stdout == run_cli_process(*args).stdout
+
+
+class TestParserReuse:
+    # a usage error first, so every later command parses with a parser that
+    # has already exited once
+    COMMANDS = [
+        ["bound", "--k", "2", "--m", "1", "--n", "1"],
+        ["bound", "--k", "5", "--m", "10", "--n", "21", "--json"],
+        ["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed", "1"],
+        ["montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seeds", "1",
+         "--snr-grid", "40,50"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch):
+        reused = [run_cli(*argv) for argv in self.COMMANDS]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(*argv) for argv in self.COMMANDS]
+        assert [p.returncode for p in reused] == [2, 0, 0, 0]
+        for got, want in zip(reused, fresh):
+            assert (got.returncode, got.stdout, got.stderr) == (
+                want.returncode, want.stdout, want.stderr
+            )
