@@ -12,12 +12,11 @@ Construction order, for a branch index ``beta``:
 1. ``allocate_streams`` fixes the symmetric per-pair stream count.
 2. ``required_row_counts`` distributes compression rows over the
    ``C(K, beta)`` antenna subsets and checks the feasibility inequalities.
-3. ``build_compression_matrix`` takes q left-null rows of each subset's
-   stacked channel.
-4. ``build_precoders`` pulls each pair's joint precoder from the null
-   space of the compressed pair channel.
-5. ``assemble_scheme`` stacks the aligned basis and certifies residual and
-   conditioning.
+3. ``_compress`` takes q left-null rows of each subset's stacked channel.
+4. ``_precode`` pulls each pair's joint precoder from the null space of
+   the compressed pair channel.
+5. ``assemble_schemes``, which runs steps 3 and 4, stacks the aligned
+   basis and certifies residual and conditioning.
 
 Steps 3 and 4 share one null-space routine and one lost-rank rule.  The
 routine completes each wide matrix to a square one with a fixed random
@@ -30,7 +29,8 @@ the precoders' spectral norms, which scale the alignment residual in step 5.
 ``assemble_schemes`` runs steps 3 to 5 for several channel sets at once,
 over a leading member axis, and returns every member's scheme or raises;
 the simulation builds each seed's uplink scheme and its downlink dual that
-way.  The single-scheme functions run the same code as a batch of one.
+way.  ``assemble_scheme`` is a batch of one, and ``build_compression_matrix``
+and ``build_precoders`` are single-member entry points to steps 3 and 4.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -120,11 +120,6 @@ class StreamAllocation:
     def pairs(self) -> list[tuple[int, int]]:
         """Unordered pairs (i < j) in lexicographic order."""
         return list(itertools.combinations(range(self.cfg.K), 2))
-
-    def blocks(self) -> list[tuple[tuple[int, int], int, int]]:
-        """(pair, start, stop) column blocks in the aligned basis."""
-        x = self.per_pair
-        return [(pair, k * x, (k + 1) * x) for k, pair in enumerate(self.pairs)]
 
 
 def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
@@ -219,18 +214,6 @@ class CompressionMatrix:
     matrix: np.ndarray
     row_subsets: tuple[tuple[int, ...], ...]
     row_residuals: np.ndarray
-
-    @functools.cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of ``matrix``, descending; the first is ||P||_2.
-
-        A built scheme carries the spectrum of the construction's rank check,
-        so the alignment residual's scale costs no second SVD; a loaded
-        scheme computes it on first use.
-        """
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        sv.setflags(write=False)
-        return sv
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,12 +310,12 @@ def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray
 
 def _compress(
     H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int
-) -> tuple[np.ndarray, list[CompressionMatrix]]:
+) -> tuple[np.ndarray, list[CompressionMatrix], np.ndarray]:
     """``build_compression_matrix`` for each of B uplink sets H, (B, K, N, M), norms (B, K).
 
-    Returns the stacked (B, rows, N) matrices and one ``CompressionMatrix``
-    per member, its spectrum filled in by the rank check.  A failing check
-    names the first failing member's subset.
+    Returns the stacked (B, rows, N) matrices, one ``CompressionMatrix`` per
+    member and each member's ||P||_2, the top singular value of the rank
+    check.  A failing check names the first failing member's subset.
     """
     B, K, N, M = H.shape
     q = required_row_counts(alloc.cfg, alloc, beta).q
@@ -362,14 +345,10 @@ def _compress(
         raise DegenerateChannelError(
             "compression matrix lost row rank (probability-zero event); reseed"
         )
-    for a in (matrices, residuals, spectra):
+    for a in (matrices, residuals):
         a.setflags(write=False)  # before the per-member views are taken
-    compressions = []
-    for matrix, row_residuals, sv in zip(matrices, residuals, spectra):
-        compression = CompressionMatrix(matrix, row_subsets, row_residuals)
-        vars(compression)["singular_values"] = sv  # the cached property
-        compressions.append(compression)
-    return matrices, compressions
+    compressions = [CompressionMatrix(m, row_subsets, r) for m, r in zip(matrices, residuals)]
+    return matrices, compressions, spectra[:, 0]
 
 
 def build_compression_matrix(
@@ -520,7 +499,9 @@ class AlignmentScheme:
 
     @property
     def pair_blocks(self) -> list[tuple[tuple[int, int], int, int]]:
-        return self.alloc.blocks()
+        """(pair, start, stop) column blocks in the aligned basis."""
+        x = self.alloc.per_pair
+        return [(pair, k * x, (k + 1) * x) for k, pair in enumerate(self.alloc.pairs)]
 
 
 def assemble_schemes(
@@ -551,7 +532,7 @@ def assemble_schemes(
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
-    P, compressions = _compress(H, norms, alloc, beta)
+    P, compressions, top = _compress(H, norms, alloc, beta)
     halves, v_norms, compressed = _precode(H, norms, P, compressions[0].row_subsets, alloc)
     pairs = alloc.pairs
     count, span = len(pairs), np.arange(alloc.rows)
@@ -560,7 +541,6 @@ def assemble_schemes(
     blocks = _gather(compressed, first[:, None], span) @ halves[:, :count]
     other = _gather(compressed, second[:, None], span) @ halves[:, count:]
     residuals = np.abs(blocks - other).max(axis=(2, 3))  # blocks: B x pairs x rows x x
-    top = np.array([c.singular_values[0] for c in compressions])
     residuals /= top[:, None] * norms[:, first] * v_norms
     residual = np.max(residuals, axis=1)  # np.max keeps a NaN, builtin max drops it
     failed = ~(residual <= ALIGNMENT_TOL)

@@ -35,7 +35,6 @@ __all__ = [
     "channel_from_dict",
     "check_seed",
     "substream",
-    "complex_gaussian",
 ]
 
 # Substream labels; frame/noise labels live here so all RNG keying is in one place.
@@ -44,6 +43,9 @@ LABEL_DOWNLINK = 1
 LABEL_MIXER = 2
 LABEL_FRAME = 3
 LABEL_NOISE = 4
+
+# Largest symbol-extension factor ``plan_extension`` plans.
+MAX_EXTENSION = 64
 
 
 def check_seed(seed: int) -> int:
@@ -112,10 +114,11 @@ def _box_muller(uniforms: np.ndarray) -> np.ndarray:
 def _gaussian_rows(seed: int, keys: list[tuple[int, int]], n: int) -> np.ndarray:
     """A (len(keys), n) array of complex Gaussians, one row per (label, index) key.
 
-    Row r is ``complex_gaussian(substream(seed, *keys[r]), (n,))``, but one
-    Philox serves every row: it is re-keyed per row into the state that
-    ``Philox(key=...)`` starts in: counter 0 and an empty buffer.  That skips
-    the seed sequence every new bit generator builds.
+    Row r takes n radius uniforms, then n angle uniforms, from
+    ``substream(seed, *keys[r])``, but one Philox serves every row: it is
+    re-keyed per row into the state that ``Philox(key=...)`` starts in:
+    counter 0 and an empty buffer.  That skips the seed sequence every new
+    bit generator builds.
     """
     uniforms = np.empty((len(keys), 2, n))
     rng = np.random.Generator(np.random.Philox(key=0))
@@ -126,19 +129,6 @@ def _gaussian_rows(seed: int, keys: list[tuple[int, int]], n: int) -> np.ndarray
         rng.bit_generator.state = fresh
         rng.random(out=row)
     return _box_muller(uniforms)
-
-
-def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian samples.
-
-    Entries are (x + iy)/sqrt(2) with x, y standard normal, produced by a
-    Box-Muller transform of the generator's uniforms so the mapping from
-    raw stream to samples is fully specified: the first prod(shape)
-    uniforms u1 give the radii sqrt(-2 log(1 - u1)), the next prod(shape)
-    the angles.
-    """
-    n = int(np.prod(shape))
-    return _box_muller(rng.random((1, 2, n)))[0].reshape(shape)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -202,15 +192,13 @@ class ExtensionPlan:
     side: str
 
 
-def plan_extension(
-    cfg: SystemConfig, target: CornerPoint, max_extension: int = 64
-) -> ExtensionPlan:
+def plan_extension(cfg: SystemConfig, target: CornerPoint) -> ExtensionPlan:
     """Smallest extension factor and deactivation hitting the target ratio.
 
     Above the corner the relay gives up antennas; below it the sources do.
     When the required count is a fraction s/t in lowest terms, the system
     is first extended by t so that s antennas of the extended block
-    realize the exact ratio.
+    realize the exact ratio.  A factor above ``MAX_EXTENSION`` raises.
     """
     alpha = target.abscissa
     if cfg.ratio >= alpha:
@@ -225,10 +213,10 @@ def plan_extension(
         m_eff = int(keep * t)
         n_eff = t * cfg.N
         side = "source"
-    if t > max_extension:
+    if t > MAX_EXTENSION:
         raise InfeasibleConfigurationError(
             f"reaching ratio {alpha} needs a {t}-symbol extension, above the cap "
-            f"{max_extension}",
+            f"{MAX_EXTENSION}",
             inequality="t <= max_extension",
         )
     return ExtensionPlan(t=t, effective_M=m_eff, effective_N=n_eff, side=side)

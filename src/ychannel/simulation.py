@@ -541,19 +541,12 @@ def estimate_dof_slope(
 
 
 def result_record(result: SimResult) -> dict:
-    """Flatten a result into the stable CSV column set."""
-    return {
-        "K": result.cfg.K,
-        "M": result.cfg.M,
-        "N": result.cfg.N,
-        "beta": result.beta,
-        "t": result.t,
-        "seed": result.seed,
-        "snr_db": "" if result.snr_db is None else result.snr_db,
-        "relay_err": result.relay_recovery_error,
-        "user_err": "" if result.user_recovery_error is None else result.user_recovery_error,
-        "sum_rate": "" if result.sum_rate is None else result.sum_rate,
-    }
+    """Flatten a result into the ``CSV_COLUMNS`` values, in order; None becomes ""."""
+    values = (
+        result.cfg.K, result.cfg.M, result.cfg.N, result.beta, result.t, result.seed,
+        result.snr_db, result.relay_recovery_error, result.user_recovery_error, result.sum_rate,
+    )
+    return {name: "" if v is None else v for name, v in zip(CSV_COLUMNS, values, strict=True)}
 
 
 def write_records_csv(records: list[dict], fh) -> None:

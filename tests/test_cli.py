@@ -83,20 +83,26 @@ class TestBound:
         assert a.stdout == b.stdout
 
 
-# Parses --grid strings in a child process, one JSON string per input line, so
-# that a parse that never returns (Fraction expanding 10**exponent) can be timed
-# out and killed instead of hanging the test run.
+# Parses --grid strings in a child process, one JSON string per input line and
+# one JSON [exit code, stderr] per output line, so that a parse that never
+# returns (Fraction expanding 10**exponent) can be timed out and killed instead
+# of hanging the test run.  An uncaught exception exits 1 with its traceback on
+# stderr, as it would in a child process of its own.
 GRID_WORKER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 from ychannel import cli
 print("ready", flush=True)
 for line in sys.stdin:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(["sweep", "--k", "5", "--grid", json.loads(line)])
+            code = cli.main(["sweep", "--k", "5", "--grid=" + json.loads(line)])
         except SystemExit as exc:
             code = exc.code
-    print(code, flush=True)
+        except Exception:
+            code = 1
+            traceback.print_exc()
+    print(json.dumps([code, err.getvalue()]), flush=True)
 """
 
 
@@ -104,8 +110,8 @@ class GridWorker:
     def __init__(self):
         self.proc = None
 
-    def exit_code(self, text, seconds):
-        """The sweep's exit code for ``--grid text``, or None past the time limit."""
+    def sweep(self, text, seconds):
+        """The sweep's exit code and stderr for ``--grid=text``; (None, "") past the time limit."""
         if self.proc is None:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", GRID_WORKER],
@@ -118,8 +124,8 @@ class GridWorker:
         self.proc.stdin.flush()
         if not select.select([self.proc.stdout], [], [], seconds)[0]:
             self.close()
-            return None
-        return int(self.proc.stdout.readline())
+            return None, ""
+        return tuple(json.loads(self.proc.stdout.readline()))
 
     def close(self):
         if self.proc is not None:
@@ -189,10 +195,10 @@ class TestSweep:
         ["1/2,abc", "0", "-1", "1/0", "1e400", "1e9999999999", "1e-9999999999",
          "1,0e99999999999"],
     )
-    def test_bad_grid_is_usage_error(self, grid):
-        proc = run_cli_process("sweep", "--k", "5", f"--grid={grid}", timeout=30)
-        assert proc.returncode == 2
-        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    def test_bad_grid_is_usage_error(self, grid_worker, grid):
+        code, stderr = grid_worker.sweep(grid, seconds=30)
+        assert code == 2
+        assert "usage:" in stderr and "Traceback" not in stderr
 
     def test_exponent_entries_keep_their_values(self):
         rows = self.parse(run_cli("sweep", "--k", "5", "--grid", "1e2,1/2,25e-3").stdout)
@@ -205,7 +211,7 @@ class TestSweep:
     @example("1e9999999999")
     @example("1e-9999999999")
     def test_any_grid_text_parses_or_is_usage_error(self, grid_worker, text):
-        code = grid_worker.exit_code(text, seconds=5)
+        code, _ = grid_worker.sweep(text, seconds=5)
         assert code in (0, 2), f"--grid {text!r}: exit {code} (None: still parsing after 5 s)"
 
 

@@ -41,7 +41,7 @@ from ychannel import (
 )
 from ychannel import alignment, simulation
 from ychannel.channel import ChannelSet
-from ychannel.simulation import RECOVERY_TOL, result_record, write_records_csv
+from ychannel.simulation import CSV_COLUMNS, RECOVERY_TOL, result_record, write_records_csv
 
 
 def corner_setup(K, M, N, beta, seed):
@@ -266,7 +266,6 @@ class TestBroadcastPhase:
         for a in (
             compression.matrix,
             compression.row_residuals,
-            compression.singular_values,
             scheme.aligned_basis,
             *scheme.precoders.values(),
             bc.relay_precoder,
@@ -627,7 +626,6 @@ def assert_same_scheme(got, want):
     for a, b in [
         (got.compression.matrix, want.compression.matrix),
         (got.compression.row_residuals, want.compression.row_residuals),
-        (got.compression.singular_values, want.compression.singular_values),
         (got.aligned_basis, want.aligned_basis),
     ]:
         assert_same_bits(a, b)
@@ -755,3 +753,10 @@ class TestRecords:
         record = result_record(result)
         assert record["snr_db"] == ""
         assert record["sum_rate"] == ""
+
+    def test_record_keys_are_the_csv_columns(self):
+        # DictWriter writes "" for a missing key without an error, so the
+        # header test alone would not catch a dropped key
+        for snr_db in (None, 30.0):
+            record = result_record(end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=snr_db))
+            assert list(record) == CSV_COLUMNS
