@@ -24,8 +24,6 @@ from .alignment import (
     StreamAllocation,
     allocate_streams,
     assemble_scheme,
-    build_compression_matrix,
-    build_precoders,
     load_scheme,
     required_row_counts,
     save_scheme,

@@ -12,9 +12,10 @@ Construction order, for a branch index ``beta``:
 1. ``allocate_streams`` fixes the symmetric per-pair stream count.
 2. ``required_row_counts`` distributes compression rows over the
    ``C(K, beta)`` antenna subsets and checks the feasibility inequalities.
-3. ``_compress`` takes q left-null rows of each subset's stacked channel.
-4. ``_precode`` pulls each pair's joint precoder from the null space of
-   the compressed pair channel.
+3. ``build_compression_matrix`` takes q left-null rows of each subset's
+   stacked channel.
+4. ``build_precoders`` pulls each pair's joint precoder from the null space
+   of the compressed pair channel.
 5. ``assemble_schemes``, which runs steps 3 and 4, stacks the aligned
    basis and certifies residual and conditioning.
 
@@ -26,11 +27,10 @@ first drops the rows that the provenance says annihilate both channels of
 the pair, and checks that they do.  Its rank check's singular values give
 the precoders' spectral norms, which scale the alignment residual in step 5.
 
-``assemble_schemes`` runs steps 3 to 5 for several channel sets at once,
-over a leading member axis, and returns every member's scheme or raises;
-the simulation builds each seed's uplink scheme and its downlink dual that
-way.  ``assemble_scheme`` is a batch of one, and ``build_compression_matrix``
-and ``build_precoders`` are single-member entry points to steps 3 and 4.
+Steps 3 and 4 work on a leading member axis.  ``assemble_schemes`` runs
+steps 3 to 5 once for several channel sets, and returns every member's
+scheme or raises; the simulation builds each seed's uplink scheme and its
+downlink dual that way.  ``assemble_scheme`` is a batch of one.
 
 ``verify_alignment_conditions`` re-checks the two structural conditions of
 the scheme (row membership counts and precoder null-space residuals)
@@ -64,7 +64,12 @@ from .errors import (
     InfeasibleConfigurationError,
     NeedsExtensionError,
 )
-from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
+from .serialization import (
+    complex_matrix_from_pairs,
+    complex_matrix_to_pairs,
+    stored_entries,
+    stored_section,
+)
 
 __all__ = [
     "StreamAllocation",
@@ -75,8 +80,6 @@ __all__ = [
     "AlignmentReport",
     "allocate_streams",
     "required_row_counts",
-    "build_compression_matrix",
-    "build_precoders",
     "assemble_scheme",
     "assemble_schemes",
     "verify_alignment_conditions",
@@ -284,11 +287,6 @@ def _rank_lost(sv: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return sv[..., -1] <= NULL_SPACE_RTOL * np.maximum(sv[..., 0], floor)
 
 
-def _check_cfg(ch: ChannelSet, alloc: StreamAllocation) -> None:
-    if ch.cfg != alloc.cfg:
-        raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
-
-
 @functools.lru_cache(maxsize=64)
 def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """The C(K, beta) subsets as a read-only (subsets, beta) user array, and each row's subset."""
@@ -308,10 +306,16 @@ def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray
     return shared
 
 
-def _compress(
+def build_compression_matrix(
     H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int
 ) -> tuple[np.ndarray, list[CompressionMatrix], np.ndarray]:
-    """``build_compression_matrix`` for each of B uplink sets H, (B, K, N, M), norms (B, K).
+    """Extract q left-null rows per antenna subset, lexicographic order, for B members.
+
+    H is the (B, K, N, M) uplink stack and norms its (B, K) spectral norms.
+    A row annihilating the N x beta*M stack H_S is a null vector of H_S^T.
+    The row-residual gate scales with max over g in S of ||H_g||_2, a lower
+    bound on ||H_S||_2.  The H_S^T are written straight into the null-space
+    blocks, and the residuals read H_S back from them.
 
     Returns the stacked (B, rows, N) matrices, one ``CompressionMatrix`` per
     member and each member's ||P||_2, the top singular value of the rank
@@ -351,21 +355,6 @@ def _compress(
     return matrices, compressions, spectra[:, 0]
 
 
-def build_compression_matrix(
-    ch: ChannelSet, alloc: StreamAllocation, beta: int
-) -> CompressionMatrix:
-    """Extract q left-null rows per antenna subset, lexicographic order.
-
-    A row annihilating the N x beta*M stack H_S is a null vector of H_S^T.
-    The row-residual gate scales with max over g in S of ||H_g||_2, a lower
-    bound on ||H_S||_2.  The H_S^T are written straight into the null-space
-    blocks, and the residuals read H_S back from them.
-    """
-    _check_cfg(ch, alloc)
-    H = np.stack(ch.uplink)[None]
-    return _compress(H, ch.uplink_norms[None], alloc, beta)[1][0]
-
-
 def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``compressed[:, users, rows]`` of a (B, K, rows, M) stack, the indices broadcast together.
 
@@ -380,20 +369,30 @@ def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray) -> np.n
     return out
 
 
-def _precode(
+def build_precoders(
     H: np.ndarray,
     norms: np.ndarray,
     P: np.ndarray,
     row_subsets: tuple[tuple[int, ...], ...],
     alloc: StreamAllocation,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``build_precoders`` for B members that share the row provenance; P is (B, rows, N).
+    """Per-pair precoders from the compressed pair channel's null space, for B members.
+
+    The B members share the row provenance; P is the (B, rows, N) stack of
+    compression matrices.  The rows whose provenance subset holds both i
+    and j annihilate H_i and H_j.  They are checked against
+    ``[P H_i, -P H_j]`` and dropped; at the corner the 2M - x rows left have
+    a null space of dimension exactly x.  Each stacked null vector splits
+    into the two directions' precoder columns; both halves are scaled
+    jointly so the larger one has unit norm, keeping the alignment identity
+    intact while bounding per-stream transmit power.
 
     Returns the read-only precoder halves (B, 2 pairs, M, x), whose row k
     is V_ij of the k-th pair i < j and row k + pairs its V_ji; ||V_ij||_2
-    (B, pairs); and the compressed channels P H_g (B, K, rows, M), which
-    certification reuses.  A failing check names the first failing
-    member's pair or direction.
+    (B, pairs), the top singular values of the rank check, so that
+    certification scales its residual without a second SVD; and the
+    compressed channels P H_g (B, K, rows, M), which certification reuses.
+    A failing check names the first failing member's pair or direction.
     """
     B, K, N, M = H.shape
     need, pairs = alloc.per_pair, alloc.pairs
@@ -456,29 +455,6 @@ def _precoder_dict(halves: np.ndarray, pairs: list[tuple[int, int]]) -> dict:
     return precoders
 
 
-def build_precoders(
-    ch: ChannelSet, compression: CompressionMatrix, alloc: StreamAllocation
-) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
-    """Per-pair precoders from the compressed pair channel's null space.
-
-    The rows whose provenance subset holds both i and j annihilate H_i and
-    H_j.  They are checked against ``[P H_i, -P H_j]`` and dropped; at the
-    corner the 2M - x rows left have a null space of dimension exactly x.
-    Each stacked null vector splits into the two directions' precoder
-    columns; both halves are scaled jointly so the larger one has unit
-    norm, keeping the alignment identity intact while bounding per-stream
-    transmit power.
-
-    Returns the precoders and ||V_ij||_2 for each pair i < j in pair order,
-    the top singular values of the rank check, so that ``assemble_scheme``
-    scales its residual without a second SVD.
-    """
-    _check_cfg(ch, alloc)
-    H, P = np.stack(ch.uplink)[None], compression.matrix[None]
-    halves, v_norms, _ = _precode(H, ch.uplink_norms[None], P, compression.row_subsets, alloc)
-    return _precoder_dict(halves[0], alloc.pairs), v_norms[0]
-
-
 @dataclass(frozen=True)
 class AlignmentScheme:
     """A fully assembled relaying scheme.
@@ -526,14 +502,15 @@ def assemble_schemes(
     if not members:
         raise ConfigurationError("assemble_schemes needs at least one channel set")
     for ch in members:
-        _check_cfg(ch, alloc)
+        if ch.cfg != alloc.cfg:
+            raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
     H = np.array([ch.uplink for ch in members])  # B x K x N x M
     norms = np.linalg.norm(H, 2, axis=(2, 3))
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
-    P, compressions, top = _compress(H, norms, alloc, beta)
-    halves, v_norms, compressed = _precode(H, norms, P, compressions[0].row_subsets, alloc)
+    P, compressions, top = build_compression_matrix(H, norms, alloc, beta)
+    halves, v_norms, compressed = build_precoders(H, norms, P, compressions[0].row_subsets, alloc)
     pairs = alloc.pairs
     count, span = len(pairs), np.arange(alloc.rows)
     first, second = (np.array(side) for side in zip(*pairs))
@@ -685,12 +662,17 @@ def _finite_non_negative(v: object) -> bool:
 def scheme_from_dict(data: dict) -> AlignmentScheme:
     """Load an exported scheme; shapes and provenance must follow from cfg, beta and x."""
     with stored_entries("scheme"):
-        cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
-        beta, allocation, stored_precoders = data["beta"], data["allocation"], data["precoders"]
-        stored, basis_pairs = data["compression"], data["aligned_basis"]
-        matrix_pairs, row_subsets = stored["matrix"], stored["row_subsets"]
-        residuals = stored["row_residuals"]
-        metrics = data["metrics"]["alignment_residual"], data["metrics"]["basis_condition"]
+        data = stored_section(data, dict, "scheme")
+        dims = stored_section(data["cfg"], dict, "scheme cfg")
+        cfg = SystemConfig(dims["K"], dims["M"], dims["N"])
+        allocation = stored_section(data["allocation"], dict, "scheme allocation")
+        stored_precoders = stored_section(data["precoders"], dict, "scheme precoders")
+        stored = stored_section(data["compression"], dict, "scheme compression")
+        beta, basis_pairs, matrix_pairs = data["beta"], data["aligned_basis"], stored["matrix"]
+        row_subsets = stored_section(stored["row_subsets"], list, "scheme row_subsets")
+        residuals = stored_section(stored["row_residuals"], list, "scheme row_residuals")
+        stored_metrics = stored_section(data["metrics"], dict, "scheme metrics")
+        metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
     if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
         raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
     keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}

@@ -23,7 +23,12 @@ from .errors import (
     DimensionError,
     InfeasibleConfigurationError,
 )
-from .serialization import complex_matrix_from_pairs, complex_matrix_to_pairs, stored_entries
+from .serialization import (
+    complex_matrix_from_pairs,
+    complex_matrix_to_pairs,
+    stored_entries,
+    stored_section,
+)
 
 __all__ = [
     "ChannelSet",
@@ -217,7 +222,7 @@ def plan_extension(cfg: SystemConfig, target: CornerPoint) -> ExtensionPlan:
         raise InfeasibleConfigurationError(
             f"reaching ratio {alpha} needs a {t}-symbol extension, above the cap "
             f"{MAX_EXTENSION}",
-            inequality="t <= max_extension",
+            inequality="t <= MAX_EXTENSION",
         )
     return ExtensionPlan(t=t, effective_M=m_eff, effective_N=n_eff, side=side)
 
@@ -280,9 +285,12 @@ def channel_to_dict(ch: ChannelSet) -> dict:
 
 def channel_from_dict(data: dict) -> ChannelSet:
     with stored_entries("channel fixture"):
-        cfg = SystemConfig(data["cfg"]["K"], data["cfg"]["M"], data["cfg"]["N"])
+        data = stored_section(data, dict, "channel fixture")
+        dims = stored_section(data["cfg"], dict, "channel fixture cfg")
+        cfg = SystemConfig(dims["K"], dims["M"], dims["N"])
         seed = data["seed"]
-        uplink, downlink = data["uplink"], data["downlink"]
+        uplink = stored_section(data["uplink"], list, "channel fixture uplink")
+        downlink = stored_section(data["downlink"], list, "channel fixture downlink")
     seed = check_seed(seed)
     uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in uplink)
     downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in downlink)

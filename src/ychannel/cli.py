@@ -120,7 +120,9 @@ def _snr_grid(text: str) -> list[float]:
     return grid
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="ychannel",
         description="DoF bounds and alignment relaying for K-user MIMO Y networks",
@@ -310,14 +312,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused by every later one."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* runs
     try:
         return command(args)

@@ -39,6 +39,17 @@ def complex_matrix_from_pairs(rows: list) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
+def stored_section(value: object, kind: type, what: str):
+    """``value`` if it is a ``kind``: dict for a JSON object, list for an array.
+
+    A section of another JSON type raises ``ConfigurationError`` naming ``what``.
+    """
+    if not isinstance(value, kind):
+        name = {dict: "object", list: "array"}[kind]
+        raise ConfigurationError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
 @contextmanager
 def stored_entries(what: str):
     """Report a key missing from a stored ``what`` as ``ConfigurationError``."""

@@ -29,8 +29,6 @@ from ychannel import (
     YChannelError,
     allocate_streams,
     assemble_scheme,
-    build_compression_matrix,
-    build_precoders,
     channel_from_dict,
     channel_to_dict,
     corner_points,
@@ -55,6 +53,15 @@ def build_all(K, M, N, beta, seed):
     alloc = allocate_streams(cfg, beta)
     scheme = assemble_scheme(ch, alloc, beta)
     return ch, alloc, scheme
+
+
+def one_member_precoders(ch, compression, alloc):
+    """The precoder stage on a one-member stack: precoders by direction, ||V_ij||_2 per pair."""
+    H, P = np.stack(ch.uplink)[None], compression.matrix[None]
+    halves, norms, _ = alignment.build_precoders(
+        H, ch.uplink_norms[None], P, compression.row_subsets, alloc
+    )
+    return alignment._precoder_dict(halves[0], alloc.pairs), norms[0]
 
 
 def brute_force_max_x(K, M, N, beta):
@@ -234,7 +241,7 @@ class TestPrecoders:
             row_residuals=scheme.compression.row_residuals,
         )
         with pytest.raises(AlignmentInfeasibleError):
-            build_precoders(ch, corrupted, alloc)
+            one_member_precoders(ch, corrupted, alloc)
 
 
 class TestAssembledScheme:
@@ -268,7 +275,7 @@ class TestAssembledScheme:
     def test_nan_precoder_fails_certification(self, monkeypatch, direction):
         # either side of the alignment identity may carry the NaN
         ch, alloc, _ = build_all(4, 3, 7, 2, 1)
-        real = alignment._precode
+        real = alignment.build_precoders
         # the precoder stage's halves hold V_ij of pair k in row k, V_ji in row k + pairs
         row = alloc.pairs.index(min(direction, direction[::-1]))
         row += len(alloc.pairs) * (direction[0] > direction[1])
@@ -279,7 +286,7 @@ class TestAssembledScheme:
             halves[0, row, 0, 0] = np.nan
             return halves, norms, compressed
 
-        monkeypatch.setattr(alignment, "_precode", poisoned)
+        monkeypatch.setattr(alignment, "build_precoders", poisoned)
         with pytest.raises(AlignmentVerificationError):
             assemble_scheme(ch, alloc, 2)
 
@@ -590,7 +597,7 @@ class TestBatchedConstruction:
             named = "(1,3)"
         corrupted = CompressionMatrix(P, tuple(subsets), scheme.compression.row_residuals)
         with pytest.raises(AlignmentInfeasibleError) as err:
-            build_precoders(ch, corrupted, alloc)
+            one_member_precoders(ch, corrupted, alloc)
         assert str(err.value).startswith(f"pair {named}:")
 
     def test_empty_batch_is_a_configuration_error(self):
@@ -651,7 +658,7 @@ class TestPrecoderSpectrum:
     def test_returned_norms_are_the_spectral_norms(self, K, M, N, beta):
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
-            precoders, norms = build_precoders(ch, scheme.compression, alloc)
+            precoders, norms = one_member_precoders(ch, scheme.compression, alloc)
             assert norms.shape == (len(alloc.pairs),)
             for k, pair in enumerate(alloc.pairs):
                 assert_same_bits(precoders[pair], scheme.precoders[pair])
@@ -814,18 +821,30 @@ class TestSchemeSerialization:
         with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
             scheme_from_dict(json.loads(json.dumps(data)))
 
-    @pytest.mark.parametrize("mutate", ["metrics_missing", "K_string", "M_string"])
+    @pytest.mark.parametrize(
+        "mutate",
+        ["metrics_missing", "K_string", "M_string", "not_an_object", "cfg_number",
+         "allocation_array", "precoders_number", "metrics_array", "row_subsets_number",
+         "row_residuals_number"],
+    )
     def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
-        # these raised a bare KeyError or TypeError
+        # these raised a bare KeyError, TypeError or AttributeError
         _, _, scheme = build_all(4, 3, 7, 2, 1)
         data = scheme_to_dict(scheme)
         if mutate == "metrics_missing":
             del data["metrics"]
         elif mutate == "K_string":
             data["cfg"]["K"] = "4"
-        else:
+        elif mutate == "M_string":
             data["cfg"]["M"] = "3"
-        with pytest.raises(ConfigurationError, match="metrics|must be an int"):
+        elif mutate == "not_an_object":
+            data = []
+        elif mutate in ("row_subsets_number", "row_residuals_number"):
+            data["compression"][mutate.removesuffix("_number")] = 5
+        else:
+            section, kind = mutate.split("_")
+            data[section] = 5 if kind == "number" else []
+        with pytest.raises(ConfigurationError, match="metrics|must be an int|must be a JSON"):
             scheme_from_dict(json.loads(json.dumps(data)))
 
     @pytest.mark.parametrize(

@@ -339,8 +339,9 @@ class TestPlanExtension:
     def test_extension_cap(self):
         # ratio 1 against the corner 81/26 needs t = 81
         cap = "reaching ratio 81/26 needs a 81-symbol extension, above the cap 64"
-        with pytest.raises(InfeasibleConfigurationError, match=cap):
+        with pytest.raises(InfeasibleConfigurationError, match=cap) as err:
             plan_extension(SystemConfig(6, 1, 1), corner(6, 3))
+        assert err.value.inequality == "t <= MAX_EXTENSION"
 
     def test_apply_plan_shapes(self):
         cfg = SystemConfig(5, 1, 3)
@@ -404,7 +405,9 @@ class TestFixtureFormat:
         with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
             channel_from_dict(json.loads(json.dumps(data)))
 
-    @pytest.mark.parametrize("mutate", ["downlink_missing", "K_string", "M_string"])
+    @pytest.mark.parametrize(
+        "mutate", ["downlink_missing", "K_string", "M_string", "uplink_number"]
+    )
     def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
         # these raised a bare KeyError or TypeError
         data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
@@ -412,9 +415,11 @@ class TestFixtureFormat:
             del data["downlink"]
         elif mutate == "K_string":
             data["cfg"]["K"] = "4"
-        else:
+        elif mutate == "M_string":
             data["cfg"]["M"] = "3"
-        with pytest.raises(ConfigurationError, match="downlink|must be an int"):
+        else:
+            data["uplink"] = 3
+        with pytest.raises(ConfigurationError, match="downlink|must be an int|must be a JSON"):
             channel_from_dict(json.loads(json.dumps(data)))
 
     @pytest.mark.parametrize("seed", [-5, 2**64])

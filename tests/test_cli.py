@@ -475,8 +475,8 @@ class TestParserReuse:
 
     def test_reused_parser_matches_a_fresh_one(self, monkeypatch):
         reused = [run_cli(*argv) for argv in self.COMMANDS]
-        assert cli._parser() is cli._parser()
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         fresh = [run_cli(*argv) for argv in self.COMMANDS]
         assert [p.returncode for p in reused] == [2, 0, 0, 0]
         for got, want in zip(reused, fresh):

@@ -671,6 +671,20 @@ class TestBatchedPrepare:
             )
             assert_same_bits(prep.stream_gains, alone.stream_gains)
 
+    def test_each_stage_runs_once_on_the_uplink_and_its_dual(self, monkeypatch):
+        members = {"build_compression_matrix": [], "build_precoders": []}
+        for name, calls in members.items():
+            real = getattr(alignment, name)
+
+            def counted(H, *args, real=real, calls=calls):
+                calls.append(H.shape[0])
+                return real(H, *args)
+
+            monkeypatch.setattr(alignment, name, counted)
+        prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+        assert prep.bc is not None
+        assert members == {"build_compression_matrix": [2], "build_precoders": [2]}
+
     def test_failed_dual_leaves_the_uplink_as_built_alone(self, monkeypatch):
         # two users share a downlink, so only the dual construction fails
         real = simulation._dual_channels
