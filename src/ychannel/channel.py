@@ -157,6 +157,11 @@ class ChannelSet:
     downlink: tuple[np.ndarray, ...]
 
     @cached_property
+    def downlink_stack(self) -> np.ndarray:
+        """The read-only (K, M, N) stack of the downlink matrices."""
+        return _freeze(np.array(self.downlink))
+
+    @cached_property
     def uplink_norms(self) -> np.ndarray:
         """Spectral norm ||H_g||_2 of every uplink matrix, from one batched SVD."""
         norms = np.linalg.norm(np.stack(self.uplink), 2, axis=(1, 2))
@@ -257,17 +262,18 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
         )
     uplink, downlink = ch.uplink, ch.downlink
     if t > 1:
-        eye = np.eye(t)
-        uplink = [np.kron(eye, h) for h in uplink]
-        downlink = [np.kron(eye, g) for g in downlink]
+        # kron(eye(t), A) of every stacked A in one broadcast product, entry for entry
+        eye = np.eye(t)[:, None, :, None]
+        uplink = (eye * np.array(uplink)[:, None, :, None]).reshape(K, t * N, t * M)
+        downlink = (eye * np.array(downlink)[:, None, :, None]).reshape(K, t * M, t * N)
         if plan.side == "relay":
             (mixer,) = _random_unitaries(ch.seed, range(1), t * N)
-            uplink = [mixer @ h for h in uplink]
-            downlink = [g @ mixer.conj().T for g in downlink]
+            uplink = mixer @ uplink
+            downlink = downlink @ mixer.conj().T
         else:
             mixers = _random_unitaries(ch.seed, range(1, K + 1), t * M)
-            uplink = [h @ mixer.conj().T for h, mixer in zip(uplink, mixers)]
-            downlink = [mixer @ g for g, mixer in zip(downlink, mixers)]
+            uplink = uplink @ mixers.conj().transpose(0, 2, 1)
+            downlink = mixers @ downlink
     uplink = tuple(_freeze(h[:n_eff, :m_eff]) for h in uplink)
     downlink = tuple(_freeze(g[:m_eff, :n_eff]) for g in downlink)
     return ChannelSet(SystemConfig(K, m_eff, n_eff), ch.seed, uplink, downlink)

@@ -14,7 +14,8 @@ from .errors import ConfigurationError
 
 
 def complex_matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def complex_matrix_from_pairs(rows: list) -> np.ndarray:

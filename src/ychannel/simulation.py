@@ -28,7 +28,7 @@ import itertools
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -142,16 +142,30 @@ def _stream_noise_var(scheme: AlignmentScheme, snr_db: float) -> float:
     return (scheme.cfg.K - 1) * scheme.alloc.per_pair * 10.0 ** (-snr_db / 10.0)
 
 
-def _awgn(rng: np.random.Generator | None, size: int, noise_var: float) -> np.ndarray:
+def _awgn(rng: np.random.Generator | None, shape: tuple[int, ...], noise_var: float) -> np.ndarray:
+    """Complex AWGN per row of ``shape``: the row's real normals, then its imaginary ones."""
     if not 0.0 <= noise_var < np.inf:  # NaN fails too
         raise ConfigurationError(f"noise variance must be finite and >= 0, got {noise_var}")
     if noise_var == 0.0:
-        return np.zeros(size, dtype=complex)
+        return np.zeros(shape, dtype=complex)
     if rng is None:
         raise ConfigurationError("noisy runs need an explicit rng")
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return np.sqrt(noise_var / 2.0) * (re + 1j * im)
+    normals = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+    return np.sqrt(noise_var / 2.0) * (normals[..., 0, :] + 1j * normals[..., 1, :])
+
+
+def _by_source(table: dict, K: int) -> np.ndarray:
+    """A dict over ordered pairs (i, j) as one array, i by its k-th partner j."""
+    rows = np.array([table[d] for d in itertools.permutations(range(K), 2)])
+    return rows.reshape(K, K - 1, *rows.shape[1:])
+
+
+def _uplink_sum(scheme: AlignmentScheme, ch: ChannelSet, streams: np.ndarray) -> np.ndarray:
+    """Noiseless relay observation sum_i H_i sum_j V_ij s_ij, added from zeros in source
+    and partner order (the order its bits depend on)."""
+    products = (_by_source(scheme.precoders, scheme.cfg.K) @ streams[..., None])[..., 0]
+    x = reduce(np.add, products.transpose(1, 0, 2), np.zeros(products.shape[::2], complex))
+    return reduce(np.add, map(np.matmul, ch.uplink, x), np.zeros(scheme.cfg.N, complex))
 
 
 def mac_phase(
@@ -162,18 +176,16 @@ def mac_phase(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Superimpose all precoded uplink transmissions at the relay."""
-    cfg = scheme.cfg
+    cfg, x = scheme.cfg, scheme.alloc.per_pair
     if ch.cfg != cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {cfg}")
-    y = np.zeros(cfg.N, dtype=complex)
-    for i in range(cfg.K):
-        x = np.zeros(cfg.M, dtype=complex)
-        for j in range(cfg.K):
-            if i == j:
-                continue
-            x = x + scheme.precoders[(i, j)] @ frame.streams[(i, j)]
-        y = y + ch.uplink[i] @ x
-    return y + _awgn(rng, cfg.N, noise_var)
+    try:
+        streams = _by_source(frame.streams, cfg.K)
+    except (KeyError, ValueError) as exc:  # a missing pair, or streams of unequal lengths
+        raise DimensionError(f"frame needs one stream of length {x} per pair: {exc!r}") from None
+    if streams.shape[2:] != (x,):
+        raise DimensionError(f"frame streams have shape {streams.shape[2:]}, need ({x},)")
+    return _uplink_sum(scheme, ch, streams) + _awgn(rng, (cfg.N,), noise_var)
 
 
 def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
@@ -216,14 +228,14 @@ def _dual_channels(ch: ChannelSet) -> ChannelSet:
 
 
 @lru_cache(maxsize=64)
-def _selector_targets(K: int, x: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Directions in user-by-partner order, and the read-only pair block each filter selects."""
-    directions = list(itertools.permutations(range(K), 2))
+def _selector_targets(K: int, x: int) -> np.ndarray:
+    """The read-only pair block each filter selects, (K, K-1, x, rows) user by partner."""
     block = {pair: k for k, pair in enumerate(itertools.combinations(range(K), 2))}
     rows = K * (K - 1) * x // 2
-    want = np.eye(rows).reshape(-1, x, rows)[[block[min(d), max(d)] for d in directions]]
+    picks = [block[min(d), max(d)] for d in itertools.permutations(range(K), 2)]
+    want = np.eye(rows).reshape(-1, x, rows)[picks].reshape(K, K - 1, x, rows)
     want.setflags(write=False)
-    return directions, want
+    return want
 
 
 def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme) -> BcScheme:
@@ -241,13 +253,11 @@ def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme
     # Filters are laid out user by partner, K x (K-1), so one product forms
     # all K(K-1) selectors and each user's downlink is broadcast, not copied.
     K, x = cfg.K, scheme.alloc.per_pair
-    directions, want = _selector_targets(K, x)
-    by_user = np.stack([dual.precoders[d] for d in directions]).reshape(K, K - 1, cfg.M, x)
-    by_user = by_user.transpose(0, 1, 3, 2) / gamma
+    by_user = _by_source(dual.precoders, K).transpose(0, 1, 3, 2) / gamma
     by_user.setflags(write=False)  # the filters are views of it
     filters = {(i, j): by_user[i, j - (j > i)] for i, j in _messages(scheme)}
-    selectors = by_user @ np.stack(ch.downlink)[:, None] @ precoder
-    residual = float(np.abs(selectors - want.reshape(selectors.shape)).max())  # keeps a NaN
+    selectors = by_user @ ch.downlink_stack[:, None] @ precoder
+    residual = float(np.abs(selectors - _selector_targets(K, x)).max())  # keeps a NaN
     if not residual <= SELECTOR_TOL:
         raise BroadcastInfeasibleError(
             f"downlink selector residual {residual:.3e} exceeds {SELECTOR_TOL:.1e}"
@@ -278,21 +288,38 @@ def bc_phase(
     s_plus: NetworkCodedVector,
     noise_var: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> list[np.ndarray]:
-    """Broadcast the network-coded vector; returns raw per-user receptions."""
+) -> np.ndarray:
+    """Broadcast the network-coded vector; row i is user i's raw reception."""
+    K, N = ch.cfg.K, ch.cfg.N
+    if (bc.relay_precoder.shape[0], len(bc.filters)) != (N, K * (K - 1)):
+        raise DimensionError(f"channel cfg {ch.cfg} does not match the downlink scheme")
+    if np.shape(s_plus.entries) != bc.relay_precoder.shape[1:]:
+        raise DimensionError(
+            f"sum vector shape {np.shape(s_plus.entries)} does not match the relay "
+            f"precoder's {bc.relay_precoder.shape[1]} columns"
+        )
     x = bc.relay_precoder @ s_plus.entries
-    return [g @ x + _awgn(rng, ch.cfg.M, noise_var) for g in ch.downlink]
+    return ch.downlink_stack @ x + _awgn(rng, (K, ch.cfg.M), noise_var)
+
+
+def _user_filters(bc: BcScheme, K: int) -> np.ndarray:
+    """Every user's filters (K, K-1, x, M), user by partner, each column major as
+    ``_bc_from_dual`` lays it out: a row-major copy changes the bits of its products."""
+    return _by_source({d: f.T for d, f in bc.filters.items()}, K).swapaxes(-1, -2)
 
 
 def decode_user(
     scheme: AlignmentScheme, bc: BcScheme, user: int, y: np.ndarray
 ) -> dict[tuple[int, int], np.ndarray]:
     """Filter a user's reception into its pair blocks of the sum vector."""
-    return {
-        (min(user, j), max(user, j)): bc.filters[(user, j)] @ y
-        for j in range(scheme.cfg.K)
-        if j != user
-    }
+    K, M = scheme.cfg.K, scheme.cfg.M
+    if user not in range(K):
+        raise DimensionError(f"user {user} is not one of the K={K} users")
+    if np.shape(y) != (M,):
+        raise DimensionError(f"reception shape {np.shape(y)} does not match M={M}")
+    blocks = _user_filters(bc, K)[user] @ y
+    partners = [j for j in range(K) if j != user]
+    return {(min(user, j), max(user, j)): block for j, block in zip(partners, blocks)}
 
 
 def cancel_self_interference(
@@ -337,7 +364,8 @@ class PreparedPipeline:
 
     ``ch`` is the planned channel set and ``scheme`` the certified uplink
     scheme on it; ``bc`` is the certified downlink scheme, or None with the
-    dual construction's failure text in ``bc_failure``.
+    dual construction's failure text in ``bc_failure``.  Each cached
+    property is formed once and reused at every SNR point.
     """
 
     cfg: SystemConfig
@@ -361,6 +389,29 @@ class PreparedPipeline:
         for stream in (*frame.streams.values(), truth.entries):
             stream.setflags(write=False)
         return frame, truth
+
+    @cached_property
+    def relay_observation(self) -> np.ndarray:
+        """The noiseless relay observation of ``frame``, read-only; ``simulate`` adds the noise."""
+        y = _uplink_sum(self.scheme, self.ch, _by_source(self.frame[0].streams, self.cfg.K))
+        y.setflags(write=False)
+        return y
+
+    @cached_property
+    def user_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (filters, sent, wanted), user by partner.  Needs ``bc``.
+
+        Entry (i, k) holds user i's filter for its k-th partner j (x, M),
+        the stream s_ij it sent and the stream s_ji it wants (x,).
+        """
+        if self.bc is None:
+            raise BroadcastInfeasibleError(self.bc_failure)
+        K, streams = self.cfg.K, self.frame[0].streams
+        swapped = {d[::-1]: s for d, s in streams.items()}
+        stacks = (_user_filters(self.bc, K), _by_source(streams, K), _by_source(swapped, K))
+        for a in stacks:
+            a.setflags(write=False)
+        return stacks
 
     @cached_property
     def stream_gains(self) -> np.ndarray:
@@ -440,29 +491,27 @@ def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResul
     downlink failure is recorded in ``bc_failure`` without failing the
     uplink result.  Every call draws from a fresh noise substream.  The SNR
     must lie in [-SNR_DB_MAX, SNR_DB_MAX] dB.
+
+    A call adds the relay noise to ``prep.relay_observation``, runs
+    ``relay_decode`` and ``bc_phase``, and filters all users in one product
+    over ``prep.user_stacks``, with the bytes of the per-stage functions.
     """
-    scheme, ch, seed, bc = prep.scheme, prep.ch, prep.seed, prep.bc
+    scheme, seed, bc = prep.scheme, prep.seed, prep.bc
     # a bad SNR fails here, before any work, not at the rates
     sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
     rng = substream(seed, LABEL_NOISE)
     with _stage("mac"):
-        frame, truth = prep.frame
-        y = mac_phase(scheme, ch, frame, sigma2, rng)
+        y = prep.relay_observation + _awgn(rng, (scheme.cfg.N,), sigma2)
     with _stage("relay_decode"):
         decoded = relay_decode(scheme, y)
-        relay_err = float(np.abs(decoded.entries - truth.entries).max())
+        relay_err = float(np.abs(decoded.entries - prep.frame[1].entries).max())
     user_err: float | None = None
     if bc is not None:
         with _stage("bc"):
-            received = bc_phase(bc, ch, decoded, sigma2, rng)
-            worst = 0.0
-            for user in range(scheme.cfg.K):
-                blocks = decode_user(scheme, bc, user, received[user])
-                partners = cancel_self_interference(frame, user, blocks)
-                for partner, estimate in partners.items():
-                    err = np.abs(estimate - frame.streams[(partner, user)]).max()
-                    worst = max(worst, float(err))
-            user_err = worst
+            received = bc_phase(bc, prep.ch, decoded, sigma2, rng)
+            filters, sent, wanted = prep.user_stacks
+            estimates = (filters @ received[:, None, :, None])[..., 0] - sent
+            user_err = float(np.abs(estimates - wanted).max())
     rates = total = None
     if snr_db is not None and bc is not None:
         rates = pairwise_rates(prep, snr_db)
@@ -509,8 +558,8 @@ def sum_rate_curve(
     cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> np.ndarray:
     """Mean sum rate per SNR point, averaged over seeds."""
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
+    if not seeds or not snr_grid_db:
+        raise ConfigurationError("need at least one seed and one SNR point")
     _check_snr_grid(snr_grid_db)
     curves = []
     for seed in seeds:
@@ -525,10 +574,15 @@ def _check_fit_grid(snr_grid_db: list[float]) -> None:
 
 
 def fit_slope(snr_grid_db: list[float], sum_rates: np.ndarray) -> float:
-    """Least-squares slope of sum rate versus log2 of the linear SNR."""
+    """Least-squares slope of sum rate versus log2 of the linear SNR: one finite rate per point."""
     _check_fit_grid(snr_grid_db)
+    rates = np.asarray(sum_rates, dtype=float)
+    if rates.shape != (len(snr_grid_db),) or not np.isfinite(rates).all():
+        raise ConfigurationError(
+            f"slope fit needs one finite sum rate per SNR point, got {rates.tolist()}"
+        )
     x = np.asarray(snr_grid_db, dtype=float) * (np.log2(10.0) / 10.0)
-    return float(np.polyfit(x, np.asarray(sum_rates, dtype=float), 1)[0])
+    return float(np.polyfit(x, rates, 1)[0])
 
 
 def estimate_dof_slope(

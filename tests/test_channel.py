@@ -38,6 +38,7 @@ from ychannel.channel import (
     _gaussian_rows,
     substream,
 )
+from ychannel.serialization import complex_matrix_to_pairs
 
 
 def corner(K, beta):
@@ -235,6 +236,20 @@ class TestApplyExtensionPlan:
                             assert x.shape == y.shape
                             assert x.tobytes() == np.ascontiguousarray(y).tobytes()
         assert kinds >= {(True, "relay"), (True, "source"), (False, "relay"), (False, "none")}
+
+    @pytest.mark.parametrize("t", [2, 5, 7, 15])
+    @pytest.mark.parametrize("side", ["relay", "source"])
+    def test_broadcast_lift_matches_kron_bit_for_bit(self, t, side):
+        # one broadcast product per direction against np.kron per matrix,
+        # signed zeros included (tobytes tells -0.0 from 0.0)
+        cfg = SystemConfig(4, 2, 3)
+        plan = ExtensionPlan(t, t * 2 - (side == "source"), t * 3 - (side == "relay"), side)
+        for seed in range(20):
+            ch = sample_channels(cfg, seed)
+            got = apply_extension_plan(ch, plan)
+            ups, downs = two_step_reference(ch, plan)
+            for x, y in zip((*got.uplink, *got.downlink), (*ups, *downs)):
+                assert x.tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 class TestSubstreamKeys:
@@ -444,6 +459,16 @@ class TestFixtureFormat:
         assert isinstance(entry, list) and len(entry) == 2
         assert entry[0] == ch.uplink[0][0, 0].real
         assert entry[1] == ch.uplink[0][0, 0].imag
+
+    def test_pairs_match_per_entry_floats(self):
+        # the one-call encoding gives the per-entry [float(re), float(im)] lists
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        for matrix in (m, m.real, np.arange(6).reshape(2, 3)):
+            want = [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+            got = complex_matrix_to_pairs(matrix)
+            assert json.dumps(got) == json.dumps(want)
 
     def test_matches_frozen_fixture(self):
         # Golden fixture: resampling with the recorded (cfg, seed) must

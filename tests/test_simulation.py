@@ -15,6 +15,7 @@ from ychannel import (
     DegenerateChannelError,
     DimensionError,
     InfeasibleConfigurationError,
+    NetworkCodedVector,
     StageError,
     SymbolFrame,
     SystemConfig,
@@ -140,6 +141,19 @@ class TestMacPhase:
         nc = stack_network_coded(scheme, frame)
         with pytest.raises(ConfigurationError, match="noise variance"):
             bc_phase(bc, ch, nc, noise_var, rng)
+
+    def test_frame_shape_mismatch_is_a_dimension_error(self):
+        ch, scheme = corner_setup(4, 3, 7, 2, 1)  # x = 1
+        streams = make_frame(scheme, 0).streams
+        frames = [
+            {k: v for k, v in streams.items() if k != (2, 1)},
+            {**streams, (2, 1): np.zeros(2, dtype=complex)},
+            {k: np.zeros(2, dtype=complex) for k in streams},
+            {k: np.zeros((1, 1), dtype=complex) for k in streams},
+        ]
+        for frame in frames:
+            with pytest.raises(DimensionError, match="frame"):
+                mac_phase(scheme, ch, SymbolFrame(frame), 0.0)
 
 
 class TestRelayDecode:
@@ -309,6 +323,25 @@ class TestBroadcastPhase:
                 truth = frame.streams[(partner, user)]
                 assert np.abs(estimate - truth).max() <= 1e-6
 
+    def test_shape_mismatches_are_dimension_errors(self):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        scheme, ch, bc = prep.scheme, prep.ch, prep.bc
+        decoded = relay_decode(scheme, prep.relay_observation)
+        for other in (SystemConfig(5, 4, 13), SystemConfig(5, 3, 7), SystemConfig(4, 3, 8)):
+            with pytest.raises(DimensionError, match="does not match the downlink scheme"):
+                bc_phase(bc, sample_channels(other, 1), decoded)
+        for rows in ((5,), (7,), (6, 1)):
+            wrong = NetworkCodedVector(np.zeros(rows, dtype=complex))
+            with pytest.raises(DimensionError, match="sum vector"):
+                bc_phase(bc, ch, wrong)
+        received = bc_phase(bc, ch, decoded)
+        for user in (7, 4, -1):
+            with pytest.raises(DimensionError, match="K=4 users"):
+                decode_user(scheme, bc, user, received[0])
+        for shape in ((2,), (4,), (3, 1)):
+            with pytest.raises(DimensionError, match="M=3"):
+                decode_user(scheme, bc, 0, np.zeros(shape, dtype=complex))
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize(
@@ -389,24 +422,30 @@ class TestEndToEnd:
                 return substream(seed, label, index)
             return np.random.default_rng(next(fresh))
 
-        relay, users = [], []
+        relay, received = [], []
 
         def recorded_relay(scheme, y):
             relay.append(relay_decode(scheme, y))
             return relay[-1]
 
-        def recorded_user(scheme, bc, user, y):
-            users.append((user, decode_user(scheme, bc, user, y)))
-            return users[-1][1]
+        def recorded_bc(*args):
+            received.append(bc_phase(*args))
+            return received[-1]
 
         monkeypatch.setattr(simulation, "substream", noise_stream)
         monkeypatch.setattr(simulation, "relay_decode", recorded_relay)
-        monkeypatch.setattr(simulation, "decode_user", recorded_user)
+        monkeypatch.setattr(simulation, "bc_phase", recorded_bc)
         for _ in range(draws):
             simulate(prep, snr_db=snr_db)
         monkeypatch.undo()
 
         scheme = prep.scheme
+        assert len(received) == draws
+        users = [
+            (user, decode_user(scheme, prep.bc, user, y))
+            for rows in received
+            for user, y in enumerate(rows)
+        ]
         truth = stack_network_coded(scheme, make_frame(scheme, prep.seed)).entries
         relay_est = np.array([r.entries for r in relay])
         v = np.mean(np.abs(relay_est - truth) ** 2, axis=0)
@@ -493,6 +532,20 @@ class TestRates:
         monkeypatch.setattr(simulation, "mac_phase", None)  # no phase may run
         with pytest.raises(ConfigurationError, match="dB"):
             simulate(prep, snr_db=snr_db)
+
+    @pytest.mark.parametrize(
+        "rates", [[1.0, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [[1.0, 2.0, 3.0]]]
+    )
+    def test_fit_slope_needs_one_finite_rate_per_point(self, rates):
+        with pytest.raises(ConfigurationError, match="one finite sum rate per SNR point"):
+            fit_slope([1, 2, 3], np.array(rates))
+
+    def test_sum_rate_curve_needs_an_snr_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigurationError, match="one SNR point"):
+            sum_rate_curve(SystemConfig(4, 3, 7), 2, [1], [])
+        assert calls == []
 
     def test_fit_slope_zero_rates(self):
         assert fit_slope([30, 40, 50, 60], np.zeros(4)) == 0.0
@@ -618,6 +671,133 @@ class TestPreparedPipeline:
         monkeypatch.setattr(alignment, "assemble_scheme", counted)
         sum_rate_curve(SystemConfig(4, 3, 7), 2, [0, 1, 2], [30.0, 40.0, 50.0])
         assert calls == [0, 0, 1, 1, 2, 2]
+
+
+def per_stage_run(prep, snr_db):
+    """(noiseless relay observation, relay error, user error) from the per-stage
+    loop ``simulate`` replaced.
+
+    One matrix at a time: the uplink sums from zeros per source and over
+    sources, the relay noise's real then imaginary normals, then each
+    user's, the solve, and every user's filters, cancellation and error
+    maximum from its dicts.
+    """
+    scheme, ch, bc = prep.scheme, prep.ch, prep.bc
+    K, M, N, x = scheme.cfg.K, scheme.cfg.M, scheme.cfg.N, scheme.alloc.per_pair
+    sigma2 = 0.0 if snr_db is None else (K - 1) * x * 10.0 ** (-snr_db / 10.0)
+    rng = simulation.substream(prep.seed, simulation.LABEL_NOISE)
+
+    def awgn(size):
+        if sigma2 == 0.0:
+            return np.zeros(size, dtype=complex)
+        re = rng.standard_normal(size)
+        im = rng.standard_normal(size)
+        return np.sqrt(sigma2 / 2.0) * (re + 1j * im)
+
+    frame = make_frame(scheme, prep.seed)
+    y = np.zeros(N, dtype=complex)
+    for i in range(K):
+        sent = np.zeros(M, dtype=complex)
+        for j in range(K):
+            if j != i:
+                sent = sent + scheme.precoders[(i, j)] @ frame.streams[(i, j)]
+        y = y + ch.uplink[i] @ sent
+    noiseless = y
+    y = y + awgn(N)
+    decoded = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix @ y)
+    relay_err = float(np.abs(decoded - stack_network_coded(scheme, frame).entries).max())
+    if bc is None:
+        return noiseless, relay_err, None
+    relay_tx = bc.relay_precoder @ decoded
+    received = [g @ relay_tx + awgn(M) for g in ch.downlink]
+    worst = 0.0
+    for user in range(K):
+        for j in range(K):
+            if j != user:
+                estimate = bc.filters[(user, j)] @ received[user] - frame.streams[(user, j)]
+                worst = max(worst, float(np.abs(estimate - frame.streams[(j, user)]).max()))
+    return noiseless, relay_err, worst
+
+
+class TestStackedSimulate:
+    """``simulate`` runs one short pass per SNR point over cached stacks."""
+
+    GRID = [None, 20.0, 45.5, 70.0]
+
+    # (5, 1, 3) extends t = 5 on the relay side, (4, 4, 9) t = 7 on the source side
+    @pytest.mark.parametrize(
+        "K,M,N,beta", [(4, 3, 7, 2), (5, 1, 3, 2), (4, 4, 9, 2), (6, 5, 21, 4), (6, 15, 32, 2)]
+    )
+    def test_bit_identical_to_the_per_stage_loop(self, K, M, N, beta):
+        prep = prepare(SystemConfig(K, M, N), beta, 1)
+        assert prep.bc is not None
+        for snr_db in self.GRID:
+            got = simulate(prep, snr_db=snr_db)
+            noiseless, *want = per_stage_run(prep, snr_db)
+            assert_same_bits(prep.relay_observation, noiseless)
+            assert [got.relay_recovery_error, got.user_recovery_error] == want, snr_db
+
+    def test_bit_identical_without_a_downlink_scheme(self):
+        prep = dataclasses.replace(prepare(SystemConfig(4, 3, 7), 2, 1), bc=None, bc_failure="x")
+        for snr_db in self.GRID:
+            got = simulate(prep, snr_db=snr_db)
+            _, *want = per_stage_run(prep, snr_db)
+            assert [got.relay_recovery_error, got.user_recovery_error] == want
+            assert got.bc_failure == "x" and got.sum_rate is None
+        with pytest.raises(BroadcastInfeasibleError, match="x"):
+            prep.user_stacks
+
+    def test_stages_match_their_per_matrix_products(self):
+        prep = prepare(SystemConfig(6, 15, 32), 2, 2)  # x = 2
+        scheme, ch, bc = prep.scheme, prep.ch, prep.bc
+        K, M = scheme.cfg.K, scheme.cfg.M
+        y = mac_phase(scheme, ch, prep.frame[0], 0.0)
+        assert_same_bits(y, prep.relay_observation)
+        decoded = relay_decode(scheme, y)
+        received = bc_phase(bc, ch, decoded, 0.0)
+        assert received.shape == (K, M)
+        for user in range(K):
+            relay_tx = bc.relay_precoder @ decoded.entries
+            assert_same_bits(received[user], ch.downlink[user] @ relay_tx + np.zeros(M))
+            blocks = decode_user(scheme, bc, user, received[user])
+            for j in range(K):
+                if j != user:
+                    got = blocks[(min(user, j), max(user, j))]
+                    assert_same_bits(got, bc.filters[(user, j)] @ received[user])
+
+    def test_reverse_order_gives_equal_results(self):
+        cfg = SystemConfig(4, 3, 7)
+        forward, backward = prepare(cfg, 2, 5), prepare(cfg, 2, 5)
+        ahead = [simulate(forward, snr_db=snr) for snr in self.GRID]
+        behind = [simulate(backward, snr_db=snr) for snr in reversed(self.GRID)]
+        assert ahead == behind[::-1]
+        # and a second pass over the warm pipeline repeats the first
+        assert [simulate(forward, snr_db=snr) for snr in self.GRID] == ahead
+
+    def test_cached_arrays_are_read_only_and_formed_once(self):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+        simulate(prep, snr_db=30.0)
+        cached = (prep.relay_observation, *prep.user_stacks, prep.ch.downlink_stack)
+        for a in cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        simulate(prep, snr_db=40.0)
+        again = (prep.relay_observation, *prep.user_stacks, prep.ch.downlink_stack)
+        assert all(a is b for a, b in zip(cached, again))
+
+    def test_user_filters_keep_the_column_major_layout(self):
+        # a row-major copy of the filters changes the bits of their products
+        prep = prepare(SystemConfig(6, 15, 32), 2, 0)
+        filters, sent, wanted = prep.user_stacks
+        assert filters.shape == (6, 5, 2, 15)
+        assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in filters[0])
+        streams = prep.frame[0].streams
+        for i, j in ordered_pairs(prep.scheme):
+            k = j - (j > i)
+            assert_same_bits(filters[i, k], prep.bc.filters[(i, j)])
+            assert_same_bits(sent[i, k], streams[(i, j)])
+            assert_same_bits(wanted[i, k], streams[(j, i)])
 
 
 def assert_same_scheme(got, want):
