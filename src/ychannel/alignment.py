@@ -52,7 +52,7 @@ import numpy as np
 
 from .bounds import corner_abscissa, corner_points
 from .channel import ChannelSet
-from .config import SystemConfig
+from .config import SystemConfig, check_integer
 from .errors import (
     AlignmentInfeasibleError,
     AlignmentVerificationError,
@@ -133,7 +133,7 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     denominator of x; a ratio below the corner abscissa cannot host the
     allocation at all.
     """
-    K = cfg.K
+    K, beta = cfg.K, check_integer(beta, "beta")
     if K < 4:  # no beta in [2, K - 2]
         raise ConfigurationError(f"K={K} has no constructible corner with beta >= 2, got {beta}")
     if not 2 <= beta <= K - 2:
@@ -179,7 +179,7 @@ def required_row_counts(
     (the left null space is big enough) and ``p >= rows - 2M + d_ij``
     (enough rows to shrink the pair channel's rank).
     """
-    K = cfg.K
+    K, beta = cfg.K, check_integer(beta, "beta")
     rows = alloc.rows
     subsets = comb(K, beta)
     q, rem = divmod(rows, subsets)
@@ -501,6 +501,7 @@ def assemble_schemes(
     """
     if not members:
         raise ConfigurationError("assemble_schemes needs at least one channel set")
+    beta = check_integer(beta, "beta")
     for ch in members:
         if ch.cfg != alloc.cfg:
             raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
@@ -600,7 +601,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
     P, M, pairs = scheme.compression.matrix, scheme.cfg.M, scheme.alloc.pairs
     first, second = (list(side) for side in zip(*pairs))
-    compressed = P @ np.stack(ch.uplink)  # K x rows x M
+    compressed = P @ ch.uplink  # K x rows x M
     a = np.concatenate([compressed[first], -compressed[second]], axis=2)
     scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
     found = np.count_nonzero(

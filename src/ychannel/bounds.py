@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .config import SystemConfig
+from .config import SystemConfig, check_integer
 from .errors import ConfigurationError
 
 __all__ = [
@@ -122,6 +122,7 @@ def last_breakpoint(K: int) -> Fraction:
 
 def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of plateau branch ``beta``."""
+    beta = check_integer(beta, "beta")
     kk = _pairs2(K)
     lo = Fraction(beta * (kk + (beta - 1) * (beta - 2)), kk + beta * (beta - 1))
     return lo, Fraction(beta)
@@ -129,6 +130,7 @@ def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
 
 def slope_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of slope branch ``beta``."""
+    beta = check_integer(beta, "beta")
     kk = _pairs2(K)
     hi = Fraction((beta + 1) * (kk + beta * (beta - 1)), kk + (beta + 1) * beta)
     return Fraction(beta), hi
@@ -168,12 +170,14 @@ def upper_bound(cfg: SystemConfig) -> Fraction:
 
 def corner_abscissa(K: int, beta: int) -> Fraction:
     """Antenna ratio of the corner with branch index ``beta`` (>= 2)."""
+    beta = check_integer(beta, "beta")
     kk = _pairs2(K)
     return beta + Fraction(2 * kk, (2 + kk - beta * (beta - 1)) * comb(K, beta))
 
 
 def corner_height(K: int, beta: int) -> Fraction:
     """DoF per source antenna at the corner with index ``beta`` (>= 2)."""
+    beta = check_integer(beta, "beta")
     kk = _pairs2(K)
     return Fraction(4 * kk, 2 + kk - beta * (beta - 1))
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import CornerPoint
-from .config import SystemConfig
+from .config import SystemConfig, check_integer
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -58,12 +58,7 @@ def check_seed(seed: int) -> int:
 
     NumPy integers are accepted; a bool, a float or a string is not a seed.
     """
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        value = operator.index(seed)
-    except TypeError:
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
+    value = check_integer(seed, "seed")
     if not 0 <= value < 1 << 64:
         raise ConfigurationError(f"seed must be in [0, 2^64), got {value}")
     return value
@@ -146,25 +141,21 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 class ChannelSet:
     """One realization of all uplink and downlink channel matrices.
 
-    ``uplink[i]`` is the N x M matrix from source i to the relay and
-    ``downlink[i]`` the M x N matrix from the relay to source i.
-    Immutable once created; the arrays are write-locked.
+    ``uplink`` is the (K, N, M) stack whose ``uplink[i]`` is the matrix from
+    source i to the relay, and ``downlink`` the (K, M, N) stack whose
+    ``downlink[i]`` is the matrix from the relay to source i.  Immutable
+    once created; the arrays are write-locked.
     """
 
     cfg: SystemConfig
     seed: int
-    uplink: tuple[np.ndarray, ...]
-    downlink: tuple[np.ndarray, ...]
-
-    @cached_property
-    def downlink_stack(self) -> np.ndarray:
-        """The read-only (K, M, N) stack of the downlink matrices."""
-        return _freeze(np.array(self.downlink))
+    uplink: np.ndarray
+    downlink: np.ndarray
 
     @cached_property
     def uplink_norms(self) -> np.ndarray:
         """Spectral norm ||H_g||_2 of every uplink matrix, from one batched SVD."""
-        norms = np.linalg.norm(np.stack(self.uplink), 2, axis=(1, 2))
+        norms = np.linalg.norm(self.uplink, 2, axis=(1, 2))
         norms.setflags(write=False)
         return norms
 
@@ -180,8 +171,7 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     K, M, N = cfg.K, cfg.M, cfg.N
     keys = [(LABEL_UPLINK, i) for i in range(K)] + [(LABEL_DOWNLINK, i) for i in range(K)]
     draws = _freeze(_gaussian_rows(seed, keys, N * M))
-    uplink = tuple(draws[i].reshape(N, M) for i in range(K))
-    downlink = tuple(draws[K + i].reshape(M, N) for i in range(K))
+    uplink, downlink = draws[:K].reshape(K, N, M), draws[K:].reshape(K, M, N)
     return ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=downlink)
 
 
@@ -260,12 +250,14 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
             f"extension plan t={t}, effective (M, N) = ({m_eff}, {n_eff}) needs "
             f"t >= 1, 1 <= M <= t*{M} and 1 <= N <= t*{N}"
         )
+    if t > 1 and plan.side not in ("relay", "source"):
+        raise DimensionError(f"a t={t} extension needs side 'relay' or 'source', got {plan.side!r}")
     uplink, downlink = ch.uplink, ch.downlink
     if t > 1:
         # kron(eye(t), A) of every stacked A in one broadcast product, entry for entry
         eye = np.eye(t)[:, None, :, None]
-        uplink = (eye * np.array(uplink)[:, None, :, None]).reshape(K, t * N, t * M)
-        downlink = (eye * np.array(downlink)[:, None, :, None]).reshape(K, t * M, t * N)
+        uplink = (eye * uplink[:, None, :, None]).reshape(K, t * N, t * M)
+        downlink = (eye * downlink[:, None, :, None]).reshape(K, t * M, t * N)
         if plan.side == "relay":
             (mixer,) = _random_unitaries(ch.seed, range(1), t * N)
             uplink = mixer @ uplink
@@ -274,8 +266,7 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
             mixers = _random_unitaries(ch.seed, range(1, K + 1), t * M)
             uplink = uplink @ mixers.conj().transpose(0, 2, 1)
             downlink = mixers @ downlink
-    uplink = tuple(_freeze(h[:n_eff, :m_eff]) for h in uplink)
-    downlink = tuple(_freeze(g[:m_eff, :n_eff]) for g in downlink)
+    uplink, downlink = _freeze(uplink[:, :n_eff, :m_eff]), _freeze(downlink[:, :m_eff, :n_eff])
     return ChannelSet(SystemConfig(K, m_eff, n_eff), ch.seed, uplink, downlink)
 
 
@@ -298,8 +289,8 @@ def channel_from_dict(data: dict) -> ChannelSet:
         uplink = stored_section(data["uplink"], list, "channel fixture uplink")
         downlink = stored_section(data["downlink"], list, "channel fixture downlink")
     seed = check_seed(seed)
-    uplink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in uplink)
-    downlink = tuple(_freeze(complex_matrix_from_pairs(m)) for m in downlink)
+    uplink = [complex_matrix_from_pairs(m) for m in uplink]
+    downlink = [complex_matrix_from_pairs(m) for m in downlink]
     counts = (len(uplink), len(downlink))
     if counts != (cfg.K, cfg.K):
         raise DimensionError(f"need {cfg.K} matrices per direction, got {counts}")
@@ -309,4 +300,4 @@ def channel_from_dict(data: dict) -> ChannelSet:
     for g in downlink:
         if g.shape != (cfg.M, cfg.N):
             raise DimensionError(f"downlink matrix shape {g.shape} != {(cfg.M, cfg.N)}")
-    return ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=downlink)
+    return ChannelSet(cfg, seed, _freeze(np.array(uplink)), _freeze(np.array(downlink)))

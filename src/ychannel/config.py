@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,3 +37,16 @@ class SystemConfig:
     def ratio(self) -> Fraction:
         """Relay-to-source antenna ratio N/M as an exact rational."""
         return Fraction(self.N, self.M)
+
+
+def check_integer(value: int, name: str) -> int:
+    """``value`` as an int; ``name`` labels the ``ConfigurationError`` otherwise.
+
+    NumPy integers are accepted; a bool, a float or a string is not an integer.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None

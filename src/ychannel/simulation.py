@@ -44,7 +44,7 @@ from .channel import (
     sample_channels,
     substream,
 )
-from .config import SystemConfig
+from .config import SystemConfig, check_integer
 from .errors import (
     BroadcastInfeasibleError,
     ConfigurationError,
@@ -207,24 +207,22 @@ class BcScheme:
 
     ``relay_precoder`` maps the network-coded vector to relay antennas and
     is scaled so the relay sends total power (K-1)x, the same as each
-    source, when every sum entry has variance 2; ``filters[(i, j)]``
-    recovers the (i, j) pair block at user i.
+    source, when every sum entry has variance 2.  ``filters`` is the
+    read-only (K, K-1, x, M) stack, user by partner: ``filters[i, k]``
+    recovers user i's pair block with its k-th partner j (k = j - (j > i)).
+    Each filter is column major, as the construction forms it; a row-major
+    copy changes the bits of its products.
     """
 
     relay_precoder: np.ndarray
-    filters: dict[tuple[int, int], np.ndarray]
+    filters: np.ndarray
     selector_residual: float
     dual_basis_condition: float
 
 
 def _dual_channels(ch: ChannelSet) -> ChannelSet:
     """The dual channel set: the transposed downlink is its uplink, and vice versa."""
-    return ChannelSet(
-        cfg=ch.cfg,
-        seed=ch.seed,
-        uplink=tuple(np.ascontiguousarray(g.T) for g in ch.downlink),
-        downlink=tuple(np.ascontiguousarray(h.T) for h in ch.uplink),
-    )
+    return ChannelSet(ch.cfg, ch.seed, ch.downlink.transpose(0, 2, 1), ch.uplink.transpose(0, 2, 1))
 
 
 @lru_cache(maxsize=64)
@@ -253,10 +251,9 @@ def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme
     # Filters are laid out user by partner, K x (K-1), so one product forms
     # all K(K-1) selectors and each user's downlink is broadcast, not copied.
     K, x = cfg.K, scheme.alloc.per_pair
-    by_user = _by_source(dual.precoders, K).transpose(0, 1, 3, 2) / gamma
-    by_user.setflags(write=False)  # the filters are views of it
-    filters = {(i, j): by_user[i, j - (j > i)] for i, j in _messages(scheme)}
-    selectors = by_user @ ch.downlink_stack[:, None] @ precoder
+    filters = _by_source(dual.precoders, K).transpose(0, 1, 3, 2) / gamma
+    filters.setflags(write=False)
+    selectors = filters @ ch.downlink[:, None] @ precoder
     residual = float(np.abs(selectors - _selector_targets(K, x)).max())  # keeps a NaN
     if not residual <= SELECTOR_TOL:
         raise BroadcastInfeasibleError(
@@ -291,7 +288,7 @@ def bc_phase(
 ) -> np.ndarray:
     """Broadcast the network-coded vector; row i is user i's raw reception."""
     K, N = ch.cfg.K, ch.cfg.N
-    if (bc.relay_precoder.shape[0], len(bc.filters)) != (N, K * (K - 1)):
+    if (bc.relay_precoder.shape[0], len(bc.filters)) != (N, K):
         raise DimensionError(f"channel cfg {ch.cfg} does not match the downlink scheme")
     if np.shape(s_plus.entries) != bc.relay_precoder.shape[1:]:
         raise DimensionError(
@@ -299,13 +296,7 @@ def bc_phase(
             f"precoder's {bc.relay_precoder.shape[1]} columns"
         )
     x = bc.relay_precoder @ s_plus.entries
-    return ch.downlink_stack @ x + _awgn(rng, (K, ch.cfg.M), noise_var)
-
-
-def _user_filters(bc: BcScheme, K: int) -> np.ndarray:
-    """Every user's filters (K, K-1, x, M), user by partner, each column major as
-    ``_bc_from_dual`` lays it out: a row-major copy changes the bits of its products."""
-    return _by_source({d: f.T for d, f in bc.filters.items()}, K).swapaxes(-1, -2)
+    return ch.downlink @ x + _awgn(rng, (K, ch.cfg.M), noise_var)
 
 
 def decode_user(
@@ -313,11 +304,11 @@ def decode_user(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Filter a user's reception into its pair blocks of the sum vector."""
     K, M = scheme.cfg.K, scheme.cfg.M
-    if user not in range(K):
+    if isinstance(user, bool) or user not in range(K):
         raise DimensionError(f"user {user} is not one of the K={K} users")
     if np.shape(y) != (M,):
         raise DimensionError(f"reception shape {np.shape(y)} does not match M={M}")
-    blocks = _user_filters(bc, K)[user] @ y
+    blocks = bc.filters[user] @ y
     partners = [j for j in range(K) if j != user]
     return {(min(user, j), max(user, j)): block for j, block in zip(partners, blocks)}
 
@@ -398,17 +389,17 @@ class PreparedPipeline:
         return y
 
     @cached_property
-    def user_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (filters, sent, wanted), user by partner.  Needs ``bc``.
+    def user_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (sent, wanted), user by partner, the layout of ``bc.filters``.
 
-        Entry (i, k) holds user i's filter for its k-th partner j (x, M),
-        the stream s_ij it sent and the stream s_ji it wants (x,).
+        Entry (i, k) holds the stream s_ij that user i sent to its k-th
+        partner j and the stream s_ji it wants from j (x,).  Needs ``bc``.
         """
         if self.bc is None:
             raise BroadcastInfeasibleError(self.bc_failure)
         K, streams = self.cfg.K, self.frame[0].streams
         swapped = {d[::-1]: s for d, s in streams.items()}
-        stacks = (_user_filters(self.bc, K), _by_source(streams, K), _by_source(swapped, K))
+        stacks = (_by_source(streams, K), _by_source(swapped, K))
         for a in stacks:
             a.setflags(write=False)
         return stacks
@@ -432,7 +423,7 @@ class PreparedPipeline:
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
         # both messages of a pair travel as the same block of sums
         mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)
-        filters = np.stack([self.bc.filters[msg[::-1]] for msg in _messages(scheme)])
+        filters = np.stack([self.bc.filters[j, i - (i > j)] for i, j in _messages(scheme)])
         bc_gain = np.linalg.norm(filters, axis=2) ** 2
         gains = np.maximum(mac_gain, bc_gain)
         gains.setflags(write=False)
@@ -453,6 +444,7 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     symbol extension (t > 1) is structural: ``InfeasibleConfigurationError``.
     """
     with _stage("synthesis"):
+        beta = check_integer(beta, "beta")
         target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
         if target is None:
             raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
@@ -494,7 +486,7 @@ def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResul
 
     A call adds the relay noise to ``prep.relay_observation``, runs
     ``relay_decode`` and ``bc_phase``, and filters all users in one product
-    over ``prep.user_stacks``, with the bytes of the per-stage functions.
+    of ``bc.filters``, with the bytes of the per-stage functions.
     """
     scheme, seed, bc = prep.scheme, prep.seed, prep.bc
     # a bad SNR fails here, before any work, not at the rates
@@ -509,8 +501,8 @@ def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResul
     if bc is not None:
         with _stage("bc"):
             received = bc_phase(bc, prep.ch, decoded, sigma2, rng)
-            filters, sent, wanted = prep.user_stacks
-            estimates = (filters @ received[:, None, :, None])[..., 0] - sent
+            sent, wanted = prep.user_stacks
+            estimates = (bc.filters @ received[:, None, :, None])[..., 0] - sent
             user_err = float(np.abs(estimates - wanted).max())
     rates = total = None
     if snr_db is not None and bc is not None:
@@ -558,7 +550,7 @@ def sum_rate_curve(
     cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> np.ndarray:
     """Mean sum rate per SNR point, averaged over seeds."""
-    if not seeds or not snr_grid_db:
+    if len(seeds) == 0 or len(snr_grid_db) == 0:
         raise ConfigurationError("need at least one seed and one SNR point")
     _check_snr_grid(snr_grid_db)
     curves = []
@@ -569,6 +561,7 @@ def sum_rate_curve(
 
 
 def _check_fit_grid(snr_grid_db: list[float]) -> None:
+    _check_snr_grid(snr_grid_db)
     if len(set(snr_grid_db)) < 2:
         raise ConfigurationError("slope fit needs at least 2 distinct SNR points")
 

@@ -135,6 +135,31 @@ class TestAllocate:
         with pytest.raises(ConfigurationError):
             allocate_streams(SystemConfig(5, 4, 13), 1)
 
+    @pytest.mark.parametrize("beta", [2.0, "2", True, None, np.float64(2.0)])
+    def test_non_integer_beta_is_refused(self, beta):
+        # 2.0 raised a bare TypeError from comb, and True passed as beta 1
+        cfg = SystemConfig(4, 3, 7)
+        alloc, ch = allocate_streams(cfg, 2), sample_channels(cfg, 0)
+        for build in (
+            lambda: allocate_streams(cfg, beta),
+            lambda: required_row_counts(cfg, alloc, beta),
+            lambda: assemble_scheme(ch, alloc, beta),
+        ):
+            with pytest.raises(ConfigurationError, match="beta must be an integer"):
+                build()
+
+    def test_numpy_integer_beta_is_kept_as_an_int(self, tmp_path):
+        # an np.int64 beta was stored in the scheme, and json refused to save it
+        cfg = SystemConfig(4, 3, 7)
+        ch = sample_channels(cfg, 0)
+        scheme = assemble_scheme(ch, allocate_streams(cfg, np.int64(2)), np.int64(2))
+        assert type(scheme.beta) is int
+        assert required_row_counts(cfg, scheme.alloc, np.int64(2)) == required_row_counts(
+            cfg, scheme.alloc, 2
+        )
+        save_scheme(scheme, str(tmp_path / "scheme.json"))
+        assert load_scheme(str(tmp_path / "scheme.json")).beta == 2
+
     @pytest.mark.parametrize("beta", [1, 2])
     def test_three_users_message_names_missing_corner(self, beta):
         with pytest.raises(ConfigurationError) as err:

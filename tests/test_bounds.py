@@ -24,6 +24,7 @@ from ychannel import (
     regime_of,
     upper_bound,
 )
+from ychannel.bounds import corner_abscissa, corner_height, plateau_interval, slope_interval
 
 F = Fraction
 
@@ -159,6 +160,13 @@ class TestCornerPoints:
     def test_rejects_small_k(self):
         with pytest.raises(ConfigurationError):
             corner_points(2)
+
+    @pytest.mark.parametrize("beta", [2.0, "2", True, None])
+    def test_rejects_non_integer_beta(self, beta):
+        # 2.0 raised a bare TypeError from comb or Fraction, or gave a float abscissa
+        for formula in (corner_abscissa, corner_height, plateau_interval, slope_interval):
+            with pytest.raises(ConfigurationError, match="beta must be an integer"):
+                formula(5, beta)
 
 
 class TestAchievable:

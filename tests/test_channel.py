@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ class TestApplyExtensionPlan:
         with pytest.raises(DimensionError, match="extension plan"):
             apply_extension_plan(sample_channels(cfg, 4), plan)
 
+    @pytest.mark.parametrize("side", ["none", "sideways", ""])
+    def test_extension_needs_a_side(self, side):
+        # any side but "relay" used to get source-side mixers
+        ch = sample_channels(SystemConfig(4, 3, 7), 4)
+        with pytest.raises(DimensionError, match="needs side 'relay' or 'source'"):
+            apply_extension_plan(ch, ExtensionPlan(2, 6, 14, side))
+        assert apply_extension_plan(ch, ExtensionPlan(1, 3, 7, side)).cfg == ch.cfg
+
     def test_block_diagonal_lift(self):
         # with nothing truncated, the relay rotation cancels in H^H H
         ch = sample_channels(SystemConfig(3, 5, 11), 2)
@@ -305,6 +314,47 @@ class TestBatchedDraws:
         for pair in pairs:
             want = reference_gaussian(rng, (alloc.per_pair,))
             assert frame.streams[pair].tobytes() == want.tobytes()
+
+
+class TestChannelStacks:
+    """Each direction is one read-only, C-ordered stack whose matrices are, byte for
+    byte, those of the per-matrix reference: one generator per matrix, then kron, mix
+    and slice."""
+
+    @staticmethod
+    def assert_stacks(ch, ups, downs):
+        K, M, N = ch.cfg.K, ch.cfg.M, ch.cfg.N
+        for got, want, shape in ((ch.uplink, ups, (K, N, M)), (ch.downlink, downs, (K, M, N))):
+            assert type(got) is np.ndarray and got.shape == shape and got.dtype == complex
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == b"".join(np.ascontiguousarray(m).tobytes() for m in want)
+            with pytest.raises(ValueError):
+                got[0, 0, 0] = 0
+
+    # (5, 5, 12) is a t = 1 prefix deactivation, (5, 1, 3) a t = 5 relay-side
+    # extension and (4, 4, 9) a t = 7 source-side one
+    @pytest.mark.parametrize(
+        "K, M, N, t, side", [(5, 5, 12, 1, "relay"), (5, 1, 3, 5, "relay"), (4, 4, 9, 7, "source")]
+    )
+    def test_stacks_match_the_per_matrix_reference(self, K, M, N, t, side):
+        cfg, seed = SystemConfig(K, M, N), 3
+        plan = plan_extension(cfg, corner(K, 2))
+        assert (plan.t, plan.side) == (t, side)
+        reference = SimpleNamespace(
+            cfg=cfg,
+            seed=seed,
+            uplink=[reference_gaussian(substream(seed, LABEL_UPLINK, i), (N, M)) for i in range(K)],
+            downlink=[
+                reference_gaussian(substream(seed, LABEL_DOWNLINK, i), (M, N)) for i in range(K)
+            ],
+        )
+        sampled = sample_channels(cfg, seed)
+        self.assert_stacks(sampled, reference.uplink, reference.downlink)
+        extended = apply_extension_plan(sampled, plan)
+        ups, downs = two_step_reference(reference, plan)
+        self.assert_stacks(extended, ups, downs)
+        loaded = channel_from_dict(json.loads(json.dumps(channel_to_dict(extended))))
+        self.assert_stacks(loaded, ups, downs)
 
 
 class TestPlanExtension:

@@ -211,6 +211,18 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def partner_index(user, partner):
+    """Where ``partner`` sits among ``user``'s partners in a user-by-partner stack."""
+    return partner - (partner > user)
+
+
+def filter_stack(filters, K):
+    """A dict of per-pair filters as the (K, K-1, x, M) user-by-partner stack, each
+    filter column major as the construction lays it out."""
+    rows = [[filters[(i, j)].T for j in range(K) if j != i] for i in range(K)]
+    return np.array(rows).swapaxes(-1, -2)
+
+
 class TestBroadcastPhase:
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3)])
     def test_bit_identical_to_per_pair_oracle(self, K, M, N, beta):
@@ -219,9 +231,9 @@ class TestBroadcastPhase:
             bc = build_bc_scheme(scheme, ch)
             precoder, filters, residual = per_pair_bc(scheme, ch)
             assert_same_bits(bc.relay_precoder, precoder)
-            assert list(bc.filters) == list(filters)
-            for direction, f in filters.items():
-                assert_same_bits(bc.filters[direction], f)
+            assert bc.filters.shape == (K, K - 1, scheme.alloc.per_pair, M)
+            for (user, partner), f in filters.items():
+                assert_same_bits(bc.filters[user, partner_index(user, partner)], f)
             assert bc.selector_residual == residual
 
     def test_selector_certification(self):
@@ -237,7 +249,8 @@ class TestBroadcastPhase:
                 start, stop = next(
                     (s, e) for p, s, e in scheme.pair_blocks if p == pair
                 )
-                system = bc.filters[(user, j)] @ ch.downlink[user] @ bc.relay_precoder
+                f = bc.filters[user, partner_index(user, j)]
+                system = f @ ch.downlink[user] @ bc.relay_precoder
                 desired = system[:, start:stop]
                 other = np.delete(system, np.s_[start:stop], axis=1)
                 assert np.linalg.matrix_rank(desired) == stop - start
@@ -283,12 +296,12 @@ class TestBroadcastPhase:
             scheme.aligned_basis,
             *scheme.precoders.values(),
             bc.relay_precoder,
-            *bc.filters.values(),
+            bc.filters,
             prep.stream_gains,
         ):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
-            bc.filters[(1, 0)][0, 0] += 1e-3
+            bc.filters[1, partner_index(1, 0)][0, 0] += 1e-3
 
     def test_zero_vector_received_as_zero(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
@@ -335,7 +348,7 @@ class TestBroadcastPhase:
             with pytest.raises(DimensionError, match="sum vector"):
                 bc_phase(bc, ch, wrong)
         received = bc_phase(bc, ch, decoded)
-        for user in (7, 4, -1):
+        for user in (7, 4, -1, True):  # True was taken as user 1
             with pytest.raises(DimensionError, match="K=4 users"):
                 decode_user(scheme, bc, user, received[0])
         for shape in ((2,), (4,), (3, 1)):
@@ -383,6 +396,20 @@ class TestEndToEnd:
         with pytest.raises(StageError) as err:
             prepare(SystemConfig(5, 4, 11), 4, 0)  # K=5 has no beta=4 corner
         assert err.value.stage == "synthesis"
+
+    @pytest.mark.parametrize("beta", [2.0, "2", True, None])
+    def test_non_integer_beta_is_a_configuration_error(self, beta):
+        # 2.0 raised a bare TypeError from comb, as a seed of 2.0 would not
+        with pytest.raises(StageError) as err:
+            prepare(SystemConfig(4, 3, 7), beta, 0)
+        assert err.value.stage == "synthesis"
+        assert isinstance(err.value.cause, ConfigurationError)
+        assert "beta must be an integer" in str(err.value.cause)
+
+    def test_numpy_integer_beta_runs_like_int(self):
+        prep = prepare(SystemConfig(4, 3, 7), np.int64(2), 0)
+        assert type(prep.beta) is int and type(prep.scheme.beta) is int
+        assert simulate(prep, snr_db=30.0) == end_to_end(SystemConfig(4, 3, 7), 2, 0, snr_db=30.0)
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_bad_noise_var(self, snr_db):
@@ -471,7 +498,7 @@ def two_hop_rates(prep, snr_db):
     rates = {}
     for (i, j), start, stop in scheme.pair_blocks:
         for src, user in ((i, j), (j, i)):
-            f = np.linalg.norm(prep.bc.filters[(user, src)], axis=1)
+            f = np.linalg.norm(prep.bc.filters[user, partner_index(user, src)], axis=1)
             bc_rate = np.log2(1.0 + 1.0 / (sigma2 * f**2))
             rates[(src, user)] = float(np.minimum(mac_rate[start:stop], bc_rate).sum())
     return rates
@@ -539,6 +566,24 @@ class TestRates:
     def test_fit_slope_needs_one_finite_rate_per_point(self, rates):
         with pytest.raises(ConfigurationError, match="one finite sum rate per SNR point"):
             fit_slope([1, 2, 3], np.array(rates))
+
+    @pytest.mark.parametrize(
+        "grid", [["1", "2"], [1.0, np.inf], [1.0, np.nan]], ids=["strings", "inf", "nan"]
+    )
+    def test_fit_slope_checks_its_snr_points(self, grid, capfd):
+        # strings were converted, and inf or NaN reached LAPACK, which printed to stderr
+        with pytest.raises(ConfigurationError, match="dB"):
+            fit_slope(grid, np.array([1.0, 2.0]))
+        assert capfd.readouterr().err == ""
+
+    def test_numpy_seeds_and_grid_match_lists(self):
+        # "if not seeds" raised numpy's ambiguous truth value for an array
+        cfg, grid = SystemConfig(4, 3, 7), [30.0, 40.0, 55.5]
+        want = sum_rate_curve(cfg, 2, [0, 1], grid)
+        got = sum_rate_curve(cfg, 2, np.arange(2), np.array(grid))
+        assert got.tobytes() == want.tobytes()
+        slope = estimate_dof_slope(cfg, 2, [0], grid[:2])
+        assert estimate_dof_slope(cfg, 2, np.array([0]), np.array(grid[:2])) == slope
 
     def test_sum_rate_curve_needs_an_snr_point(self, monkeypatch):
         calls = []
@@ -714,7 +759,8 @@ def per_stage_run(prep, snr_db):
     for user in range(K):
         for j in range(K):
             if j != user:
-                estimate = bc.filters[(user, j)] @ received[user] - frame.streams[(user, j)]
+                f = bc.filters[user, partner_index(user, j)]
+                estimate = f @ received[user] - frame.streams[(user, j)]
                 worst = max(worst, float(np.abs(estimate - frame.streams[(j, user)]).max()))
     return noiseless, relay_err, worst
 
@@ -763,7 +809,7 @@ class TestStackedSimulate:
             for j in range(K):
                 if j != user:
                     got = blocks[(min(user, j), max(user, j))]
-                    assert_same_bits(got, bc.filters[(user, j)] @ received[user])
+                    assert_same_bits(got, bc.filters[user, partner_index(user, j)] @ received[user])
 
     def test_reverse_order_gives_equal_results(self):
         cfg = SystemConfig(4, 3, 7)
@@ -777,25 +823,25 @@ class TestStackedSimulate:
     def test_cached_arrays_are_read_only_and_formed_once(self):
         prep = prepare(SystemConfig(4, 3, 7), 2, 0)
         simulate(prep, snr_db=30.0)
-        cached = (prep.relay_observation, *prep.user_stacks, prep.ch.downlink_stack)
+        cached = (prep.relay_observation, *prep.user_stacks, prep.bc.filters, prep.ch.downlink)
         for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
         simulate(prep, snr_db=40.0)
-        again = (prep.relay_observation, *prep.user_stacks, prep.ch.downlink_stack)
+        again = (prep.relay_observation, *prep.user_stacks, prep.bc.filters, prep.ch.downlink)
         assert all(a is b for a, b in zip(cached, again))
 
     def test_user_filters_keep_the_column_major_layout(self):
         # a row-major copy of the filters changes the bits of their products
         prep = prepare(SystemConfig(6, 15, 32), 2, 0)
-        filters, sent, wanted = prep.user_stacks
+        filters, (sent, wanted) = prep.bc.filters, prep.user_stacks
         assert filters.shape == (6, 5, 2, 15)
         assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in filters[0])
-        streams = prep.frame[0].streams
+        streams, per_pair = prep.frame[0].streams, per_pair_bc(prep.scheme, prep.ch)[1]
         for i, j in ordered_pairs(prep.scheme):
-            k = j - (j > i)
-            assert_same_bits(filters[i, k], prep.bc.filters[(i, j)])
+            k = partner_index(i, j)
+            assert_same_bits(filters[i, k], per_pair[(i, j)])
             assert_same_bits(sent[i, k], streams[(i, j)])
             assert_same_bits(wanted[i, k], streams[(j, i)])
 
@@ -840,12 +886,13 @@ class TestBatchedPrepare:
             precoder, filters, residual = per_pair_bc(scheme, ch)
             dual = assemble_scheme(transposed(ch), scheme.alloc, beta)
             assert_same_bits(prep.bc.relay_precoder, precoder)
-            assert list(prep.bc.filters) == list(simulation._messages(scheme))
-            for direction, f in filters.items():
-                assert_same_bits(prep.bc.filters[direction], f)
+            assert prep.bc.filters.shape == (K, K - 1, scheme.alloc.per_pair, ch.cfg.M)
+            for (user, partner), f in filters.items():
+                assert_same_bits(prep.bc.filters[user, partner_index(user, partner)], f)
             assert prep.bc.selector_residual == residual
             assert prep.bc.dual_basis_condition == dual.basis_condition
-            bc = simulation.BcScheme(precoder, filters, residual, dual.basis_condition)
+            stack = filter_stack(filters, K)
+            bc = simulation.BcScheme(precoder, stack, residual, dual.basis_condition)
             alone = simulation.PreparedPipeline(
                 prep.cfg, beta, seed, prep.t, ch, scheme, bc, None
             )
@@ -871,7 +918,7 @@ class TestBatchedPrepare:
 
         def degenerate(ch):
             dual = real(ch)
-            return dataclasses.replace(dual, uplink=(dual.uplink[1], *dual.uplink[1:]))
+            return dataclasses.replace(dual, uplink=dual.uplink[[1, 1, 2, 3]])
 
         monkeypatch.setattr(simulation, "_dual_channels", degenerate)
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
