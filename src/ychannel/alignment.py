@@ -446,29 +446,31 @@ def build_precoders(
     return halves, sv[:, : len(pairs), 0], compressed
 
 
-def _precoder_dict(halves: np.ndarray, pairs: list[tuple[int, int]]) -> dict:
-    """One member's halves keyed by direction: (i, j) then (j, i) for each pair i < j."""
-    precoders: dict[tuple[int, int], np.ndarray] = {}
-    for k, (i, j) in enumerate(pairs):
-        precoders[(i, j)] = halves[k]
-        precoders[(j, i)] = halves[k + len(pairs)]
-    return precoders
+@functools.lru_cache(maxsize=64)
+def _direction_rows(K: int) -> np.ndarray:
+    """Read-only (K, K-1) map of user i's k-th partner j to the ``build_precoders`` row of V_ij."""
+    pairs = list(itertools.combinations(range(K), 2))
+    rows = np.array([pairs.index((min(d), max(d))) + len(pairs) * (d[0] > d[1])
+                     for d in itertools.permutations(range(K), 2)]).reshape(K, K - 1)
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
 class AlignmentScheme:
     """A fully assembled relaying scheme.
 
-    ``aligned_basis`` maps the stacked pairwise symbol sums to the
-    compressed relay observation; it is square and well conditioned for
-    generic channels.
+    ``precoders[i, k]`` is V_ij for user i's k-th partner j (k = j - (j > i)),
+    one read-only (K, K-1, M, x) stack like ``BcScheme.filters``.
+    ``aligned_basis`` maps the stacked pairwise symbol sums to the compressed
+    relay observation; it is square and well conditioned for generic channels.
     """
 
     cfg: SystemConfig
     beta: int
     alloc: StreamAllocation
     compression: CompressionMatrix
-    precoders: dict[tuple[int, int], np.ndarray]
+    precoders: np.ndarray
     aligned_basis: np.ndarray
     alignment_residual: float
     basis_condition: float
@@ -512,9 +514,8 @@ def assemble_schemes(
         vars(ch).setdefault("uplink_norms", row)  # the cached property
     P, compressions, top = build_compression_matrix(H, norms, alloc, beta)
     halves, v_norms, compressed = build_precoders(H, norms, P, compressions[0].row_subsets, alloc)
-    pairs = alloc.pairs
-    count, span = len(pairs), np.arange(alloc.rows)
-    first, second = (np.array(side) for side in zip(*pairs))
+    first, second = (np.array(side) for side in zip(*alloc.pairs))
+    count, span = len(first), np.arange(alloc.rows)
     # P H_i V_ij and P H_j V_ji of every pair i < j; each gather is used before the next
     blocks = _gather(compressed, first[:, None], span) @ halves[:, :count]
     other = _gather(compressed, second[:, None], span) @ halves[:, count:]
@@ -535,20 +536,22 @@ def assemble_schemes(
         raise DecodabilityError(
             f"aligned basis condition number {bad:.3e} exceeds {BASIS_COND_MAX:.1e}"
         )
-    basis.setflags(write=False)
+    precoders = np.take(halves, _direction_rows(alloc.cfg.K), axis=1)  # a C-ordered copy
+    for a in (precoders, basis):
+        a.setflags(write=False)
     return [
         AlignmentScheme(
             cfg=ch.cfg,
             beta=beta,
             alloc=alloc,
             compression=compression,
-            precoders=_precoder_dict(member_halves, pairs),
+            precoders=member_precoders,
             aligned_basis=member_basis,
             alignment_residual=float(member_residual),
             basis_condition=condition,
         )
-        for ch, compression, member_halves, member_basis, member_residual, condition in zip(
-            members, compressions, halves, basis, residual, conditions
+        for ch, compression, member_precoders, member_basis, member_residual, condition in zip(
+            members, compressions, precoders, basis, residual, conditions
         )
     ]
 
@@ -600,7 +603,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     if ch.cfg != scheme.cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
     P, M, pairs = scheme.compression.matrix, scheme.cfg.M, scheme.alloc.pairs
-    first, second = (list(side) for side in zip(*pairs))
+    first, second = (np.array(side) for side in zip(*pairs))
     compressed = P @ ch.uplink  # K x rows x M
     a = np.concatenate([compressed[first], -compressed[second]], axis=2)
     scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
@@ -608,8 +611,8 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
         np.linalg.norm(a, axis=2) <= scale[:, None] * np.linalg.norm(P, axis=1), axis=1
     )
     required = P.shape[0] - 2 * M + scheme.alloc.per_pair
-    v = np.stack([np.vstack([scheme.precoders[p], scheme.precoders[p[::-1]]]) for p in pairs])
-    residuals = np.abs(a @ v).max(axis=(1, 2), initial=0.0)
+    v = scheme.precoders[np.c_[first, second], np.c_[second - 1, first]]  # V_ij, V_ji per pair
+    residuals = np.abs(a @ v.reshape(len(pairs), 2 * M, -1)).max(axis=(1, 2), initial=0.0)
     # the spectral norms need finite matrices; a NaN tolerance fails unscaled
     norms = np.full(len(ch.uplink), np.nan)
     if np.isfinite(compressed).all():
@@ -623,22 +626,18 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
 
 def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     """JSON-ready scheme export (matrices as row-major [re, im] pairs)."""
+    keys = [f"{i},{j}" for i, j in itertools.permutations(range(scheme.cfg.K), 2)]  # sorted
+    precoders = itertools.chain.from_iterable(complex_matrix_to_pairs(scheme.precoders))
     return {
         "cfg": {"K": scheme.cfg.K, "M": scheme.cfg.M, "N": scheme.cfg.N},
         "beta": scheme.beta,
-        "allocation": {
-            f"{i},{j}": scheme.alloc.per_pair
-            for i, j in itertools.permutations(range(scheme.cfg.K), 2)
-        },
+        "allocation": dict.fromkeys(keys, scheme.alloc.per_pair),
         "compression": {
             "matrix": complex_matrix_to_pairs(scheme.compression.matrix),
             "row_subsets": [list(s) for s in scheme.compression.row_subsets],
             "row_residuals": [float(r) for r in scheme.compression.row_residuals],
         },
-        "precoders": {
-            f"{i},{j}": complex_matrix_to_pairs(v)
-            for (i, j), v in sorted(scheme.precoders.items())
-        },
+        "precoders": dict(zip(keys, precoders)),  # user by partner, as the stack
         "aligned_basis": complex_matrix_to_pairs(scheme.aligned_basis),
         "metrics": {
             "alignment_residual": scheme.alignment_residual,
@@ -676,17 +675,17 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
     if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
         raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
-    keys = {f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)}
+    keys = [f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)]  # user by partner
     counts = set(allocation.values())
     x = counts.pop() if len(counts) == 1 else None
-    if set(allocation) != keys or type(x) is not int or x < 1:
+    if set(allocation) != set(keys) or type(x) is not int or x < 1:
         raise ConfigurationError(
             "scheme allocation must give one positive integer stream count for "
             "every ordered pair"
         )
     alloc = StreamAllocation(cfg=cfg, per_pair=x)
     rows = alloc.rows
-    if len(row_subsets) != rows or set(stored_precoders) != keys:
+    if len(row_subsets) != rows or set(stored_precoders) != set(keys):
         raise ConfigurationError(
             f"scheme needs {rows} row subsets and a precoder for every ordered pair"
         )
@@ -707,10 +706,9 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         row_subsets=tuple(map(tuple, row_subsets)),
         row_residuals=residuals,
     )
-    precoders = {
-        tuple(int(k) for k in key.split(",")): _stored_matrix(v, (cfg.M, x), f"precoder {key}")
-        for key, v in stored_precoders.items()
-    }
+    precoders = [_stored_matrix(stored_precoders[k], (cfg.M, x), f"precoder {k}") for k in keys]
+    precoders = np.reshape(precoders, (cfg.K, cfg.K - 1, cfg.M, x))
+    precoders.setflags(write=False)
     basis = _stored_matrix(basis_pairs, (rows, rows), "aligned basis")
     return AlignmentScheme(
         cfg=cfg,

@@ -22,10 +22,8 @@ class SystemConfig:
     N: int
 
     def __post_init__(self) -> None:
-        for name in ("K", "M", "N"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+        for name in ("K", "M", "N"):  # NumPy integers are stored as ints, for JSON
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.K < 3:
             raise ConfigurationError(f"need at least 3 users, got K={self.K}")
         if self.M < 1:

@@ -117,9 +117,10 @@ class NetworkCodedVector:
     entries: np.ndarray
 
 
-def _messages(scheme: AlignmentScheme) -> list[tuple[int, int]]:
-    """Ordered pairs in message order: (i, j) then (j, i) for each scheme pair i < j."""
-    return [msg for i, j in scheme.alloc.pairs for msg in ((i, j), (j, i))]
+@lru_cache(maxsize=64)
+def _messages(K: int) -> tuple[tuple[int, int], ...]:
+    """Ordered pairs in message order: (i, j) then (j, i) for each pair i < j of K users."""
+    return tuple(msg for i, j in itertools.combinations(range(K), 2) for msg in ((i, j), (j, i)))
 
 
 def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
@@ -163,7 +164,7 @@ def _by_source(table: dict, K: int) -> np.ndarray:
 def _uplink_sum(scheme: AlignmentScheme, ch: ChannelSet, streams: np.ndarray) -> np.ndarray:
     """Noiseless relay observation sum_i H_i sum_j V_ij s_ij, added from zeros in source
     and partner order (the order its bits depend on)."""
-    products = (_by_source(scheme.precoders, scheme.cfg.K) @ streams[..., None])[..., 0]
+    products = (scheme.precoders @ streams[..., None])[..., 0]
     x = reduce(np.add, products.transpose(1, 0, 2), np.zeros(products.shape[::2], complex))
     return reduce(np.add, map(np.matmul, ch.uplink, x), np.zeros(scheme.cfg.N, complex))
 
@@ -247,11 +248,11 @@ def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme
     per_node = (cfg.K - 1) * scheme.alloc.per_pair
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
     precoder *= gamma
-    # filter (user, partner) must select the pair's block of the sum vector.
-    # Filters are laid out user by partner, K x (K-1), so one product forms
-    # all K(K-1) selectors and each user's downlink is broadcast, not copied.
+    # filter (user, partner) must select the pair's block of the sum vector.  The dual's
+    # precoders come user by partner, K x (K-1), so one product forms all K(K-1)
+    # selectors and each user's downlink is broadcast, not copied.
     K, x = cfg.K, scheme.alloc.per_pair
-    filters = _by_source(dual.precoders, K).transpose(0, 1, 3, 2) / gamma
+    filters = dual.precoders.transpose(0, 1, 3, 2) / gamma
     filters.setflags(write=False)
     selectors = filters @ ch.downlink[:, None] @ precoder
     residual = float(np.abs(selectors - _selector_targets(K, x)).max())  # keeps a NaN
@@ -423,7 +424,7 @@ class PreparedPipeline:
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
         # both messages of a pair travel as the same block of sums
         mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)
-        filters = np.stack([self.bc.filters[j, i - (i > j)] for i, j in _messages(scheme)])
+        filters = np.stack([self.bc.filters[j, i - (i > j)] for i, j in _messages(scheme.cfg.K)])
         bc_gain = np.linalg.norm(filters, axis=2) ** 2
         gains = np.maximum(mac_gain, bc_gain)
         gains.setflags(write=False)
@@ -543,7 +544,7 @@ def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int
     """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
     sigma2 = _stream_noise_var(prep.scheme, snr_db)
     rates = np.log2(1.0 + 1.0 / (sigma2 * prep.stream_gains)).sum(axis=1)
-    return dict(zip(_messages(prep.scheme), rates.tolist()))
+    return dict(zip(_messages(prep.cfg.K), rates.tolist()))
 
 
 def sum_rate_curve(

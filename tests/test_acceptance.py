@@ -206,13 +206,11 @@ def test_criterion_4_alignment_verifier():
             if not verify_alignment_conditions(corrupted, ch).passed:
                 caught_rows += 1
         caught_precoders = 0
-        pairs = list(scheme.precoders)
+        directions = scheme.precoders.shape[0] * scheme.precoders.shape[1]
         for _ in range(50):
-            precoders = dict(scheme.precoders)
-            key = pairs[rng.integers(0, len(pairs))]
-            bumped = np.array(precoders[key])
-            bumped[rng.integers(0, bumped.shape[0]), 0] += 1e-3
-            precoders[key] = bumped
+            precoders = np.array(scheme.precoders)
+            user, partner = np.unravel_index(rng.integers(0, directions), precoders.shape[:2])
+            precoders[user, partner, rng.integers(0, precoders.shape[2]), 0] += 1e-3
             corrupted = dataclasses.replace(scheme, precoders=precoders)
             if not verify_alignment_conditions(corrupted, ch).passed:
                 caught_precoders += 1

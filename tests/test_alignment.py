@@ -43,6 +43,7 @@ from ychannel import (
 )
 from ychannel import alignment
 from ychannel.alignment import CompressionMatrix
+from ychannel.channel import ChannelSet
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
 
@@ -55,13 +56,26 @@ def build_all(K, M, N, beta, seed):
     return ch, alloc, scheme
 
 
+def partner_index(user, partner):
+    """Where ``partner`` sits among ``user``'s partners in a user-by-partner stack."""
+    return partner - (partner > user)
+
+
+def by_direction(halves, pairs):
+    """Precoder halves keyed by direction: V_ij of the k-th pair in row k, V_ji in row k + pairs."""
+    precoders = {}
+    for k, (i, j) in enumerate(pairs):
+        precoders[(i, j)], precoders[(j, i)] = halves[k], halves[k + len(pairs)]
+    return precoders
+
+
 def one_member_precoders(ch, compression, alloc):
     """The precoder stage on a one-member stack: precoders by direction, ||V_ij||_2 per pair."""
     H, P = np.stack(ch.uplink)[None], compression.matrix[None]
     halves, norms, _ = alignment.build_precoders(
         H, ch.uplink_norms[None], P, compression.row_subsets, alloc
     )
-    return alignment._precoder_dict(halves[0], alloc.pairs), norms[0]
+    return by_direction(halves[0], alloc.pairs), norms[0]
 
 
 def brute_force_max_x(K, M, N, beta):
@@ -224,8 +238,8 @@ class TestCompressionMatrix:
 class TestPrecoders:
     def test_twelve_nonzero_columns(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        assert len(scheme.precoders) == 12
-        for v in scheme.precoders.values():
+        assert scheme.precoders.shape[:2] == (4, 3)
+        for v in scheme.precoders.reshape(12, *scheme.precoders.shape[2:]):
             assert v.shape == (3, 1)
             assert np.linalg.norm(v) > 0.0
             assert np.linalg.norm(v[:, 0]) <= 1.0 + 1e-12
@@ -287,12 +301,13 @@ class TestAssembledScheme:
                 assert sv[-1] > 1e-6 * sv[0]
                 P = scheme.compression.matrix
                 for i, j in alloc.pairs:
-                    left = P @ ch.uplink[i] @ scheme.precoders[(i, j)]
-                    right = P @ ch.uplink[j] @ scheme.precoders[(j, i)]
+                    v_ij = scheme.precoders[i, partner_index(i, j)]
+                    left = P @ ch.uplink[i] @ v_ij
+                    right = P @ ch.uplink[j] @ scheme.precoders[j, partner_index(j, i)]
                     scale = (
                         np.linalg.norm(P, 2)
                         * np.linalg.norm(ch.uplink[i], 2)
-                        * np.linalg.norm(scheme.precoders[(i, j)], 2)
+                        * np.linalg.norm(v_ij, 2)
                     )
                     assert np.abs(left - right).max() / scale <= 1e-8
 
@@ -434,10 +449,8 @@ class TestVerifier:
 
     def test_detects_perturbed_precoder(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        precoders = dict(scheme.precoders)
-        bumped = np.array(precoders[(0, 1)])
-        bumped[0, 0] += 1e-3
-        precoders[(0, 1)] = bumped
+        precoders = np.array(scheme.precoders)
+        precoders[0, partner_index(0, 1), 0, 0] += 1e-3
         corrupted = dataclasses.replace(scheme, precoders=precoders)
         report = verify_alignment_conditions(corrupted, ch)
         assert not report.passed
@@ -466,10 +479,8 @@ class TestVerifier:
 
     def test_nan_precoder_fails(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        precoders = dict(scheme.precoders)
-        poisoned = np.array(precoders[(2, 1)])
-        poisoned[0, 0] = np.nan
-        precoders[(2, 1)] = poisoned
+        precoders = np.array(scheme.precoders)
+        precoders[2, partner_index(2, 1), 0, 0] = np.nan
         report = verify_alignment_conditions(dataclasses.replace(scheme, precoders=precoders), ch)
         assert not report.per_pair[(1, 2)].condition2
         assert all(report.per_pair[p].passed for p in report.per_pair if p != (1, 2))
@@ -487,7 +498,8 @@ def reference_verifier(scheme, ch):
             np.linalg.norm(P @ target, axis=1) <= alignment.VERIFY_TOL * scale * row_norms
         )
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
-        stacked = np.vstack([scheme.precoders[(i, j)], scheme.precoders[(j, i)]])
+        V = scheme.precoders
+        stacked = np.vstack([V[i, partner_index(i, j)], V[j, partner_index(j, i)]])
         residual = float(np.abs(a @ stacked).max())
         out[(i, j)] = (found, residual, alignment.VERIFY_TOL * max(1.0, np.linalg.norm(a, 2)))
     return out
@@ -577,10 +589,7 @@ def per_pair_construction(ch, alloc, beta):
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
     halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
-    count = len(alloc.pairs)
-    precoders = {}
-    for k, (i, j) in enumerate(alloc.pairs):
-        precoders[(i, j)], precoders[(j, i)] = halves[k], halves[k + count]
+    precoders = by_direction(halves, alloc.pairs)
     blocks, residuals = [], []
     for i, j in alloc.pairs:
         left = P @ ch.uplink[i] @ precoders[(i, j)]
@@ -601,9 +610,9 @@ class TestBatchedConstruction:
             P, row_residuals, precoders, basis, residual = per_pair_construction(ch, alloc, beta)
             assert_same_bits(scheme.compression.matrix, P)
             assert_same_bits(scheme.compression.row_residuals, row_residuals)
-            assert list(scheme.precoders) == list(precoders)
-            for direction, v in precoders.items():
-                assert_same_bits(scheme.precoders[direction], v)
+            assert scheme.precoders.shape == (K, K - 1, ch.cfg.M, alloc.per_pair)
+            for (i, j), v in precoders.items():
+                assert_same_bits(scheme.precoders[i, partner_index(i, j)], v)
             assert_same_bits(scheme.aligned_basis, basis)
             assert scheme.alignment_residual == residual
 
@@ -685,9 +694,9 @@ class TestPrecoderSpectrum:
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             precoders, norms = one_member_precoders(ch, scheme.compression, alloc)
             assert norms.shape == (len(alloc.pairs),)
-            for k, pair in enumerate(alloc.pairs):
-                assert_same_bits(precoders[pair], scheme.precoders[pair])
-                assert norms[k] == np.linalg.norm(precoders[pair], 2)
+            for k, (i, j) in enumerate(alloc.pairs):
+                assert_same_bits(precoders[i, j], scheme.precoders[i, partner_index(i, j)])
+                assert norms[k] == np.linalg.norm(precoders[i, j], 2)
 
     def test_assemble_takes_no_svd_of_the_precoder_stack(self, monkeypatch):
         cfg = SystemConfig(6, 15, 32)
@@ -708,6 +717,65 @@ class TestPrecoderSpectrum:
         assert calls.count((1, 2 * pairs, cfg.M, x)) == 1, calls
 
 
+def dual_channels(ch):
+    """The dual channel set, as ``prepare`` forms it: the transposed downlinks as uplinks."""
+    return ChannelSet(ch.cfg, ch.seed, ch.downlink.transpose(0, 2, 1), ch.uplink.transpose(0, 2, 1))
+
+
+class TestPrecoderStack:
+    """``AlignmentScheme.precoders`` is one read-only (K, K-1, M, x) stack, user by partner."""
+
+    @staticmethod
+    def built(K, M, N, beta, seed):
+        """The channel sets, then the uplink and dual schemes built in one batch, and the
+        uplink after a JSON round trip."""
+        ch, alloc, _ = build_all(K, M, N, beta, seed)
+        members = (ch, dual_channels(ch))
+        uplink, dual = alignment.assemble_schemes(members, alloc, beta)
+        loaded = scheme_from_dict(json.loads(json.dumps(scheme_to_dict(uplink))))
+        return members, (uplink, dual, loaded)
+
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (6, 5, 21, 4)])
+    def test_read_only_c_ordered_user_by_partner(self, K, M, N, beta):
+        _, schemes = self.built(K, M, N, beta, 0)
+        for scheme in schemes:
+            V = scheme.precoders
+            assert V.shape == (K, K - 1, M, scheme.alloc.per_pair)
+            assert V.flags.c_contiguous and not V.flags.writeable
+            with pytest.raises(ValueError):
+                V[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                V[0, 0][0, 0] += 1e-3
+
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3)])
+    def test_entries_match_the_per_pair_oracle(self, K, M, N, beta):
+        for seed in (0, 1):
+            members, (uplink, dual, _) = self.built(K, M, N, beta, seed)
+            for ch, scheme in zip(members, (uplink, dual)):
+                precoders = per_pair_construction(ch, scheme.alloc, beta)[2]
+                assert len(precoders) == K * (K - 1)
+                for (i, j), v in precoders.items():
+                    assert_same_bits(scheme.precoders[i, partner_index(i, j)], v)
+
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (5, 4, 13, 3)])
+    def test_json_round_trip_is_bit_exact(self, K, M, N, beta):
+        _, (uplink, _, loaded) = self.built(K, M, N, beta, 1)
+        assert_same_bits(loaded.precoders, uplink.precoders)
+        data = scheme_to_dict(uplink)
+        keys = [f"{i},{j}" for i, j in itertools.permutations(range(K), 2)]
+        assert list(data["precoders"]) == keys == sorted(keys)
+        assert json.dumps(scheme_to_dict(loaded)) == json.dumps(data)
+
+    def test_numpy_integer_config_exports_like_ints(self, tmp_path):
+        # SystemConfig refused NumPy integers; it stores them as ints, so json can write them
+        cfg = SystemConfig(*np.array([4, 3, 7]))
+        scheme = assemble_scheme(sample_channels(cfg, 1), allocate_streams(cfg, 2), 2)
+        reference = build_all(4, 3, 7, 2, 1)[2]
+        for name, s in (("numpy.json", scheme), ("int.json", reference)):
+            save_scheme(s, str(tmp_path / name))
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+
 class TestCompressionSpectrum:
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (6, 26, 81, 3)])
     def test_top_singular_value_is_the_spectral_norm(self, K, M, N, beta):
@@ -715,9 +783,10 @@ class TestCompressionSpectrum:
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             P, V = scheme.compression.matrix, scheme.precoders
+            # for i < j, j is user i's partner j - 1 and i is user j's partner i
             residuals = [
-                np.abs(P @ ch.uplink[i] @ V[(i, j)] - P @ ch.uplink[j] @ V[(j, i)]).max()
-                / (np.linalg.norm(P, 2) * ch.uplink_norms[i] * np.linalg.norm(V[(i, j)], 2))
+                np.abs(P @ ch.uplink[i] @ V[i, j - 1] - P @ ch.uplink[j] @ V[j, i]).max()
+                / (np.linalg.norm(P, 2) * ch.uplink_norms[i] * np.linalg.norm(V[i, j - 1], 2))
                 for i, j in alloc.pairs
             ]
             assert scheme.alignment_residual == float(np.max(residuals))
@@ -783,8 +852,7 @@ class TestSchemeSerialization:
         assert back.alloc == scheme.alloc
         assert np.allclose(back.compression.matrix, scheme.compression.matrix)
         assert np.allclose(back.aligned_basis, scheme.aligned_basis)
-        for key, v in scheme.precoders.items():
-            assert np.allclose(back.precoders[key], v)
+        assert np.allclose(back.precoders, scheme.precoders)
         assert scheme_to_dict(back) == data
         assert len(data["allocation"]) == 12
         assert set(data["allocation"].values()) == {1}

@@ -6,16 +6,20 @@ closed forms for K=3 and K=4, the corner-contribution envelope, and the
 piecewise achievable listing for K>4.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ychannel import (
     ConfigurationError,
+    InfeasibleConfigurationError,
+    NeedsExtensionError,
     Regime,
     SystemConfig,
     achievable_dof,
@@ -24,6 +28,7 @@ from ychannel import (
     regime_of,
     upper_bound,
 )
+from ychannel import alignment, bounds
 from ychannel.bounds import corner_abscissa, corner_height, plateau_interval, slope_interval
 
 F = Fraction
@@ -103,6 +108,13 @@ class TestUpperBound:
         with pytest.raises(ConfigurationError, match="must be an int"):
             SystemConfig(*counts)
 
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        # these raised "K must be an int"; seeds and beta already took them
+        cfg = SystemConfig(*np.array([4, 3, 7]))
+        assert cfg == SystemConfig(4, 3, 7)
+        assert [type(v) for v in (cfg.K, cfg.M, cfg.N)] == [int, int, int]
+        assert upper_bound(cfg) == upper_bound(SystemConfig(4, 3, 7))
+
 
 class TestRegime:
     def test_slope_beta2(self):
@@ -160,6 +172,44 @@ class TestCornerPoints:
     def test_rejects_small_k(self):
         with pytest.raises(ConfigurationError):
             corner_points(2)
+
+    @pytest.mark.parametrize(
+        "formula", [corner_abscissa, corner_height, plateau_interval, slope_interval]
+    )
+    def test_rejects_beta_outside_the_branches(self, formula):
+        # at K = 4, beta = 5 divided by comb(4, 5) = 0, beta = -1 made comb raise
+        # ValueError, and beta = 0 or 4 gave numbers for corners that do not exist
+        for K, beta in [(4, -1), (4, 0), (4, 1), (4, 3), (4, 4), (4, 5), (3, 2), (6, 5)]:
+            with pytest.raises(ConfigurationError, match=f"beta must be in .* got {beta}"):
+                formula(K, beta)
+        for K in range(4, 9):
+            assert [formula(K, np.int64(beta)) for beta in range(2, K - 1)] == [
+                formula(K, beta) for beta in range(2, K - 1)
+            ]
+
+    def test_callers_stay_inside_the_branches(self, monkeypatch):
+        # regime_of, corner_points and allocate_streams ask only for existing branches
+        asked = []
+        for module in (bounds, alignment):
+            for name in ("corner_abscissa", "corner_height", "plateau_interval", "slope_interval"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def recorded(K, beta, real=real):
+                        asked.append((K, beta))
+                        return real(K, beta)
+
+                    monkeypatch.setattr(module, name, recorded)
+        for K in range(3, 9):
+            corner_points(K)
+            for M, N in itertools.product(range(1, 5), range(1, 4 * K)):
+                regime_of(SystemConfig(K, M, N))
+                for beta in range(-1, K + 2):
+                    try:
+                        alignment.allocate_streams(SystemConfig(K, M, N), beta)
+                    except (ConfigurationError, InfeasibleConfigurationError, NeedsExtensionError):
+                        pass
+        assert asked and all(beta in range(2, K - 1) for K, beta in asked)
 
     @pytest.mark.parametrize("beta", [2.0, "2", True, None])
     def test_rejects_non_integer_beta(self, beta):

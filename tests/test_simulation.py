@@ -95,7 +95,7 @@ class TestMacPhase:
         frame = zero_frame(scheme)
         frame.streams[(0, 1)][0] = 1.0
         y = mac_phase(scheme, ch, frame, 0.0)
-        expected = ch.uplink[0] @ scheme.precoders[(0, 1)][:, 0]
+        expected = ch.uplink[0] @ scheme.precoders[0, partner_index(0, 1)][:, 0]
         assert np.allclose(y, expected)
 
     def test_superposition(self):
@@ -195,7 +195,10 @@ def per_pair_bc(scheme, ch):
     per_node = (cfg.K - 1) * alloc.per_pair
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
     precoder *= gamma
-    filters = {pair: v.T / gamma for pair, v in dual.precoders.items()}
+    filters = {
+        (i, j): dual.precoders[i, partner_index(i, j)].T / gamma
+        for i, j in itertools.permutations(range(cfg.K), 2)
+    }
     residuals = []
     for (i, j), start, stop in scheme.pair_blocks:
         want = np.zeros((stop - start, alloc.rows))
@@ -263,9 +266,9 @@ class TestBroadcastPhase:
         single, batched = simulation.assemble_scheme, simulation.assemble_schemes
 
         def poison(dual):
-            v = dual.precoders[(0, 1)].copy()
-            v[0, 0] = np.nan
-            return dataclasses.replace(dual, precoders={**dual.precoders, (0, 1): v})
+            v = np.array(dual.precoders)
+            v[0, partner_index(0, 1), 0, 0] = np.nan
+            return dataclasses.replace(dual, precoders=v)
 
         monkeypatch.setattr(simulation, "assemble_scheme", lambda *args: poison(single(*args)))
         with pytest.raises(BroadcastInfeasibleError):
@@ -294,7 +297,7 @@ class TestBroadcastPhase:
             compression.matrix,
             compression.row_residuals,
             scheme.aligned_basis,
-            *scheme.precoders.values(),
+            scheme.precoders,
             bc.relay_precoder,
             bc.filters,
             prep.stream_gains,
@@ -514,6 +517,14 @@ class TestRates:
             for snr_db in (0.0, 17.5, 30.0, 60.0, 90.0):
                 rates = simulation.pairwise_rates(prep, snr_db)
                 assert list(rates.items()) == list(two_hop_rates(prep, snr_db).items())
+
+    def test_message_order_is_formed_once_per_k(self):
+        order = simulation._messages(5)
+        assert order is simulation._messages(5) and isinstance(order, tuple)
+        pairs = itertools.combinations(range(5), 2)
+        assert order == tuple(msg for i, j in pairs for msg in ((i, j), (j, i)))
+        prep = prepare(SystemConfig(5, 4, 13), 3, 0)
+        assert tuple(simulation.pairwise_rates(prep, 30.0)) == order
 
     def test_rates_do_no_linear_algebra_per_point(self, monkeypatch):
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
@@ -745,7 +756,7 @@ def per_stage_run(prep, snr_db):
         sent = np.zeros(M, dtype=complex)
         for j in range(K):
             if j != i:
-                sent = sent + scheme.precoders[(i, j)] @ frame.streams[(i, j)]
+                sent = sent + scheme.precoders[i, partner_index(i, j)] @ frame.streams[(i, j)]
         y = y + ch.uplink[i] @ sent
     noiseless = y
     y = y + awgn(N)
@@ -853,11 +864,9 @@ def assert_same_scheme(got, want):
         (got.compression.matrix, want.compression.matrix),
         (got.compression.row_residuals, want.compression.row_residuals),
         (got.aligned_basis, want.aligned_basis),
+        (got.precoders, want.precoders),
     ]:
         assert_same_bits(a, b)
-    assert list(got.precoders) == list(want.precoders)
-    for direction, v in want.precoders.items():
-        assert_same_bits(got.precoders[direction], v)
     assert got.alignment_residual == want.alignment_residual
     assert got.basis_condition == want.basis_condition
 
