@@ -50,7 +50,7 @@ from sys import float_info
 
 import numpy as np
 
-from .bounds import corner_abscissa, corner_points
+from .bounds import check_beta, corner_abscissa, corner_points
 from .channel import ChannelSet
 from .config import SystemConfig, check_integer
 from .errors import (
@@ -133,11 +133,10 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     denominator of x; a ratio below the corner abscissa cannot host the
     allocation at all.
     """
-    K, beta = cfg.K, check_integer(beta, "beta")
+    K = cfg.K
     if K < 4:  # no beta in [2, K - 2]
         raise ConfigurationError(f"K={K} has no constructible corner with beta >= 2, got {beta}")
-    if not 2 <= beta <= K - 2:
-        raise ConfigurationError(f"beta must be in [2, {K - 2}] for K={K}, got {beta}")
+    beta = check_beta(K, beta)
     alpha = corner_abscissa(K, beta)
     if cfg.ratio < alpha:
         n_min = -(-alpha.numerator * cfg.M // alpha.denominator)  # ceil(alpha * M)
@@ -447,13 +446,17 @@ def build_precoders(
 
 
 @functools.lru_cache(maxsize=64)
-def _direction_rows(K: int) -> np.ndarray:
-    """Read-only (K, K-1) map of user i's k-th partner j to the ``build_precoders`` row of V_ij."""
-    pairs = list(itertools.combinations(range(K), 2))
-    rows = np.array([pairs.index((min(d), max(d))) + len(pairs) * (d[0] > d[1])
-                     for d in itertools.permutations(range(K), 2)]).reshape(K, K - 1)
-    rows.setflags(write=False)
-    return rows
+def message_order(K: int) -> tuple:
+    """Every ordered pair (i, j) of K users in message order, (i, j) then (j, i) for each
+    pair i < j, and where each message sits in a user-by-partner stack: at its sender,
+    (i, j - (j > i)), as in ``AlignmentScheme.precoders``, and at its receiver,
+    (j, i - (i > j)), as in ``BcScheme.filters``.  The index arrays are read-only."""
+    messages = tuple(m for i, j in itertools.combinations(range(K), 2) for m in ((i, j), (j, i)))
+    src, dst = np.array(messages).T
+    sent, received = (src, dst - (dst > src)), (dst, src - (src > dst))
+    for a in sent + received:
+        a.setflags(write=False)
+    return messages, sent, received
 
 
 @dataclass(frozen=True)
@@ -536,7 +539,10 @@ def assemble_schemes(
         raise DecodabilityError(
             f"aligned basis condition number {bad:.3e} exceeds {BASIS_COND_MAX:.1e}"
         )
-    precoders = np.take(halves, _direction_rows(alloc.cfg.K), axis=1)  # a C-ordered copy
+    K, (users, slots) = alloc.cfg.K, message_order(alloc.cfg.K)[1]
+    precoders = np.empty((len(members), K, K - 1, *halves.shape[2:]), complex)
+    precoders[:, users[0::2], slots[0::2]] = halves[:, :count]  # pair p's V_ij: row p
+    precoders[:, users[1::2], slots[1::2]] = halves[:, count:]  # its V_ji: row count + p
     for a in (precoders, basis):
         a.setflags(write=False)
     return [
@@ -603,7 +609,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     if ch.cfg != scheme.cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
     P, M, pairs = scheme.compression.matrix, scheme.cfg.M, scheme.alloc.pairs
-    first, second = (np.array(side) for side in zip(*pairs))
+    first, second = (list(side) for side in zip(*pairs))
     compressed = P @ ch.uplink  # K x rows x M
     a = np.concatenate([compressed[first], -compressed[second]], axis=2)
     scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
@@ -611,7 +617,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
         np.linalg.norm(a, axis=2) <= scale[:, None] * np.linalg.norm(P, axis=1), axis=1
     )
     required = P.shape[0] - 2 * M + scheme.alloc.per_pair
-    v = scheme.precoders[np.c_[first, second], np.c_[second - 1, first]]  # V_ij, V_ji per pair
+    v = scheme.precoders[message_order(scheme.cfg.K)[1]]  # V_ij then V_ji for each pair
     residuals = np.abs(a @ v.reshape(len(pairs), 2 * M, -1)).max(axis=(1, 2), initial=0.0)
     # the spectral norms need finite matrices; a NaN tolerance fails unscaled
     norms = np.full(len(ch.uplink), np.nan)

@@ -110,7 +110,7 @@ def betas(K: int) -> range:
     return range(2, K - 1)
 
 
-def _branch_index(K: int, beta: int) -> int:
+def check_beta(K: int, beta: int) -> int:
     """``beta`` as an int, or a ``ConfigurationError`` unless it is one of ``betas(K)``."""
     beta = check_integer(beta, "beta")
     if beta not in betas(K):
@@ -130,7 +130,7 @@ def last_breakpoint(K: int) -> Fraction:
 
 def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of plateau branch ``beta``."""
-    beta = _branch_index(K, beta)
+    beta = check_beta(K, beta)
     kk = _pairs2(K)
     lo = Fraction(beta * (kk + (beta - 1) * (beta - 2)), kk + beta * (beta - 1))
     return lo, Fraction(beta)
@@ -138,7 +138,7 @@ def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
 
 def slope_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of slope branch ``beta``."""
-    beta = _branch_index(K, beta)
+    beta = check_beta(K, beta)
     kk = _pairs2(K)
     hi = Fraction((beta + 1) * (kk + beta * (beta - 1)), kk + (beta + 1) * beta)
     return Fraction(beta), hi
@@ -178,14 +178,14 @@ def upper_bound(cfg: SystemConfig) -> Fraction:
 
 def corner_abscissa(K: int, beta: int) -> Fraction:
     """Antenna ratio of the corner with branch index ``beta`` in ``betas(K)``."""
-    beta = _branch_index(K, beta)
+    beta = check_beta(K, beta)
     kk = _pairs2(K)
     return beta + Fraction(2 * kk, (2 + kk - beta * (beta - 1)) * comb(K, beta))
 
 
 def corner_height(K: int, beta: int) -> Fraction:
     """DoF per source antenna at the corner with index ``beta`` in ``betas(K)``."""
-    beta = _branch_index(K, beta)
+    beta = check_beta(K, beta)
     kk = _pairs2(K)
     return Fraction(4 * kk, 2 + kk - beta * (beta - 1))
 

@@ -32,7 +32,13 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .alignment import AlignmentScheme, allocate_streams, assemble_scheme, assemble_schemes
+from .alignment import (
+    AlignmentScheme,
+    allocate_streams,
+    assemble_scheme,
+    assemble_schemes,
+    message_order,
+)
 from .bounds import corner_points
 from .channel import (
     LABEL_FRAME,
@@ -115,12 +121,6 @@ class NetworkCodedVector:
     """Stacked pairwise sums in the scheme's pair order."""
 
     entries: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _messages(K: int) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs in message order: (i, j) then (j, i) for each pair i < j of K users."""
-    return tuple(msg for i, j in itertools.combinations(range(K), 2) for msg in ((i, j), (j, i)))
 
 
 def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
@@ -229,10 +229,10 @@ def _dual_channels(ch: ChannelSet) -> ChannelSet:
 @lru_cache(maxsize=64)
 def _selector_targets(K: int, x: int) -> np.ndarray:
     """The read-only pair block each filter selects, (K, K-1, x, rows) user by partner."""
-    block = {pair: k for k, pair in enumerate(itertools.combinations(range(K), 2))}
-    rows = K * (K - 1) * x // 2
-    picks = [block[min(d), max(d)] for d in itertools.permutations(range(K), 2)]
-    want = np.eye(rows).reshape(-1, x, rows)[picks].reshape(K, K - 1, x, rows)
+    messages, sent, _ = message_order(K)
+    rows = len(messages) * x // 2
+    want = np.empty((K, K - 1, x, rows))
+    want[sent] = np.eye(rows).reshape(-1, x, rows).repeat(2, axis=0)  # both messages of a pair
     want.setflags(write=False)
     return want
 
@@ -424,7 +424,7 @@ class PreparedPipeline:
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
         # both messages of a pair travel as the same block of sums
         mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)
-        filters = np.stack([self.bc.filters[j, i - (i > j)] for i, j in _messages(scheme.cfg.K)])
+        filters = np.stack([self.bc.filters[e] for e in zip(*message_order(scheme.cfg.K)[2])])
         bc_gain = np.linalg.norm(filters, axis=2) ** 2
         gains = np.maximum(mac_gain, bc_gain)
         gains.setflags(write=False)
@@ -544,7 +544,7 @@ def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int
     """Rate of every ordered message at one SNR: log2(1 + SINR), SINR from ``stream_gains``."""
     sigma2 = _stream_noise_var(prep.scheme, snr_db)
     rates = np.log2(1.0 + 1.0 / (sigma2 * prep.stream_gains)).sum(axis=1)
-    return dict(zip(_messages(prep.cfg.K), rates.tolist()))
+    return dict(zip(message_order(prep.cfg.K)[0], rates.tolist()))
 
 
 def sum_rate_curve(

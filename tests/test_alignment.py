@@ -41,9 +41,8 @@ from ychannel import (
     scheme_to_dict,
     verify_alignment_conditions,
 )
-from ychannel import alignment
+from ychannel import alignment, simulation
 from ychannel.alignment import CompressionMatrix
-from ychannel.channel import ChannelSet
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
 
@@ -717,11 +716,6 @@ class TestPrecoderSpectrum:
         assert calls.count((1, 2 * pairs, cfg.M, x)) == 1, calls
 
 
-def dual_channels(ch):
-    """The dual channel set, as ``prepare`` forms it: the transposed downlinks as uplinks."""
-    return ChannelSet(ch.cfg, ch.seed, ch.downlink.transpose(0, 2, 1), ch.uplink.transpose(0, 2, 1))
-
-
 class TestPrecoderStack:
     """``AlignmentScheme.precoders`` is one read-only (K, K-1, M, x) stack, user by partner."""
 
@@ -730,7 +724,7 @@ class TestPrecoderStack:
         """The channel sets, then the uplink and dual schemes built in one batch, and the
         uplink after a JSON round trip."""
         ch, alloc, _ = build_all(K, M, N, beta, seed)
-        members = (ch, dual_channels(ch))
+        members = (ch, simulation._dual_channels(ch))
         uplink, dual = alignment.assemble_schemes(members, alloc, beta)
         loaded = scheme_from_dict(json.loads(json.dumps(scheme_to_dict(uplink))))
         return members, (uplink, dual, loaded)

@@ -41,6 +41,7 @@ from ychannel import (
     sum_rate_curve,
 )
 from ychannel import alignment, simulation
+from ychannel.alignment import message_order
 from ychannel.channel import ChannelSet
 from ychannel.simulation import CSV_COLUMNS, RECOVERY_TOL, result_record, write_records_csv
 
@@ -519,10 +520,14 @@ class TestRates:
                 assert list(rates.items()) == list(two_hop_rates(prep, snr_db).items())
 
     def test_message_order_is_formed_once_per_k(self):
-        order = simulation._messages(5)
-        assert order is simulation._messages(5) and isinstance(order, tuple)
+        order, sent, received = message_order(5)
+        assert message_order(5)[0] is order and isinstance(order, tuple)
         pairs = itertools.combinations(range(5), 2)
         assert order == tuple(msg for i, j in pairs for msg in ((i, j), (j, i)))
+        # a message's entry in a user-by-partner stack, at its sender and at its receiver
+        assert list(zip(*sent)) == [(i, j - (j > i)) for i, j in order]
+        assert list(zip(*received)) == [(j, i - (i > j)) for i, j in order]
+        assert not any(a.flags.writeable for a in sent + received)
         prep = prepare(SystemConfig(5, 4, 13), 3, 0)
         assert tuple(simulation.pairwise_rates(prep, 30.0)) == order
 

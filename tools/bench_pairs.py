@@ -4,7 +4,7 @@ Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in the parent checkout and once in the change checkout, with the same
 seed.  Odd-numbered pairs run the parent first and even-numbered pairs the
 change, so a drift in machine speed falls on both sides alike.  Pair k uses
-seed ``base_seed + k - 1``.
+seed k.  Each pair's metric values are printed as it finishes.
 
 For every end-to-end metric in the change's ``BENCHMARK.json`` it prints each
 side's median and quartiles (``statistics.quantiles(method="inclusive")``),
@@ -17,7 +17,6 @@ reference-scaled values.
         --workload corner_battery --workload montecarlo_cli --pairs 5 --seconds 20
 
 Exit status: 0 when every run printed ``"correct": true``, 1 otherwise.
-``--json`` also writes every run's result line to a file.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ def parse_args(argv):
                         help="workload to run (repeatable); default: every workload")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--base-seed", type=int, default=1)
-    parser.add_argument("--json", type=Path, help="write every run's result here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
@@ -93,23 +90,22 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    log, correct = [], True
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    correct = True
     for workload in workloads:
         runs = []
-        for k in range(args.pairs):
-            seed = args.base_seed + k
-            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for seed in range(1, args.pairs + 1):
+            order = ["parent", "change"] if seed % 2 else ["change", "parent"]
             results = {}
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
                 results[side] = run_bench(checkout, workload, seed, args.seconds)
-                log.append({"workload": workload, "pair": k + 1, "seed": seed, "side": side,
-                            "result": results[side]})
                 correct &= results[side].get("correct") is True
             runs.append((results["parent"], results["change"]))
+            for side in ("parent", "change"):
+                cells = " ".join(f"{n}={value(results[side], n):.4g}" for n in names)
+                print(f"{workload} pair {seed} {side}: {cells}", flush=True)
         summarize(workload, runs, spec["end_to_end"])
-    if args.json:
-        args.json.write_text(json.dumps(log, indent=1))
     if not correct:
         print("bench_pairs: a run printed \"correct\": false", file=sys.stderr)
     return 0 if correct else 1
