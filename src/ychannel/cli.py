@@ -277,7 +277,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         save_scheme(scheme, args.out)
         print(f"scheme written to {args.out}")
     ok = report.passed and result.relay_recovery_error <= RECOVERY_TOL
-    if result.bc_failure is None and result.user_recovery_error > RECOVERY_TOL:
+    if result.bc_failure is None and not result.user_recovery_error <= RECOVERY_TOL:  # NaN fails
         ok = False
     return 0 if ok else 1
 

@@ -111,9 +111,16 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """One frame of symbols, one vector per ordered user pair."""
+    """One frame of symbols, the (K, K-1, x) stack user by partner: ``stack[i, k]`` is
+    the stream s_ij that user i sends to its k-th partner j (k = j - (j > i))."""
 
-    streams: dict[tuple[int, int], np.ndarray]
+    stack: np.ndarray
+
+    @cached_property
+    def streams(self) -> dict[tuple[int, int], np.ndarray]:
+        """A view of the stack's rows keyed by ordered pair (i, j), in ``permutations`` order."""
+        pairs = itertools.permutations(range(len(self.stack)), 2)
+        return {(i, j): self.stack[i, j - (j > i)] for i, j in pairs}
 
 
 @dataclass(frozen=True)
@@ -124,17 +131,19 @@ class NetworkCodedVector:
 
 
 def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
-    """Draw a deterministic frame of unit-variance complex Gaussian symbols."""
-    pairs = list(itertools.permutations(range(scheme.cfg.K), 2))
-    # pair by pair, count radius uniforms then count angle uniforms: one stream in order
-    uniforms = substream(seed, LABEL_FRAME).random((len(pairs), 2, scheme.alloc.per_pair))
-    return SymbolFrame(streams=dict(zip(pairs, _box_muller(uniforms))))
+    """Draw a deterministic frame of unit-variance complex Gaussian symbols, read-only."""
+    K, x = scheme.cfg.K, scheme.alloc.per_pair
+    # user by partner, count radius uniforms then count angle uniforms: one stream in order
+    uniforms = substream(seed, LABEL_FRAME).random((K * (K - 1), 2, x))
+    stack = _box_muller(uniforms).reshape(K, K - 1, x)
+    stack.setflags(write=False)
+    return SymbolFrame(stack)
 
 
 def stack_network_coded(scheme: AlignmentScheme, frame: SymbolFrame) -> NetworkCodedVector:
-    """Stack s_ij + s_ji over unordered pairs in scheme order."""
-    sums = [frame.streams[(i, j)] + frame.streams[(j, i)] for (i, j), _, _ in scheme.pair_blocks]
-    return NetworkCodedVector(entries=np.concatenate(sums))
+    """Stack s_ij + s_ji over the pairs i < j in pair order, the order of ``pair_blocks``."""
+    s = frame.stack[message_order(scheme.cfg.K)[1]]  # (i, j) then (j, i) per pair
+    return NetworkCodedVector(entries=(s[0::2] + s[1::2]).ravel())
 
 
 def _stream_noise_var(scheme: AlignmentScheme, snr_db: float) -> float:
@@ -155,12 +164,6 @@ def _awgn(rng: np.random.Generator | None, shape: tuple[int, ...], noise_var: fl
     return np.sqrt(noise_var / 2.0) * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
-def _by_source(table: dict, K: int) -> np.ndarray:
-    """A dict over ordered pairs (i, j) as one array, i by its k-th partner j."""
-    rows = np.array([table[d] for d in itertools.permutations(range(K), 2)])
-    return rows.reshape(K, K - 1, *rows.shape[1:])
-
-
 def _uplink_sum(scheme: AlignmentScheme, ch: ChannelSet, streams: np.ndarray) -> np.ndarray:
     """Noiseless relay observation sum_i H_i sum_j V_ij s_ij, added from zeros in source
     and partner order (the order its bits depend on)."""
@@ -177,16 +180,12 @@ def mac_phase(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Superimpose all precoded uplink transmissions at the relay."""
-    cfg, x = scheme.cfg, scheme.alloc.per_pair
+    cfg, need = scheme.cfg, (scheme.cfg.K, scheme.cfg.K - 1, scheme.alloc.per_pair)
     if ch.cfg != cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {cfg}")
-    try:
-        streams = _by_source(frame.streams, cfg.K)
-    except (KeyError, ValueError) as exc:  # a missing pair, or streams of unequal lengths
-        raise DimensionError(f"frame needs one stream of length {x} per pair: {exc!r}") from None
-    if streams.shape[2:] != (x,):
-        raise DimensionError(f"frame streams have shape {streams.shape[2:]}, need ({x},)")
-    return _uplink_sum(scheme, ch, streams) + _awgn(rng, (cfg.N,), noise_var)
+    if np.shape(frame.stack) != need:
+        raise DimensionError(f"frame stack has shape {np.shape(frame.stack)}, need {need}")
+    return _uplink_sum(scheme, ch, frame.stack) + _awgn(rng, (cfg.N,), noise_var)
 
 
 def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
@@ -300,29 +299,26 @@ def bc_phase(
     return ch.downlink @ x + _awgn(rng, (K, ch.cfg.M), noise_var)
 
 
-def decode_user(
-    scheme: AlignmentScheme, bc: BcScheme, user: int, y: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
-    """Filter a user's reception into its pair blocks of the sum vector."""
-    K, M = scheme.cfg.K, scheme.cfg.M
-    if isinstance(user, bool) or user not in range(K):
+def _check_user(user: int, K: int) -> None:
+    if isinstance(user, bool) or not isinstance(user, numbers.Integral) or not 0 <= user < K:
         raise DimensionError(f"user {user} is not one of the K={K} users")
+
+
+def decode_user(scheme: AlignmentScheme, bc: BcScheme, user: int, y: np.ndarray) -> np.ndarray:
+    """Filter a user's reception into its (K-1, x) sums s_ij + s_ji, row k its k-th partner's."""
+    K, M = scheme.cfg.K, scheme.cfg.M
+    _check_user(user, K)
     if np.shape(y) != (M,):
         raise DimensionError(f"reception shape {np.shape(y)} does not match M={M}")
-    blocks = bc.filters[user] @ y
-    partners = [j for j in range(K) if j != user]
-    return {(min(user, j), max(user, j)): block for j, block in zip(partners, blocks)}
+    return bc.filters[user] @ y
 
 
-def cancel_self_interference(
-    frame: SymbolFrame, user: int, decoded: dict[tuple[int, int], np.ndarray]
-) -> dict[int, np.ndarray]:
-    """Subtract the user's own symbols to expose each partner's streams."""
-    out = {}
-    for (i, j), total in decoded.items():
-        partner = j if i == user else i
-        out[partner] = total - frame.streams[(user, partner)]
-    return out
+def cancel_self_interference(frame: SymbolFrame, user: int, decoded: np.ndarray) -> np.ndarray:
+    """``decode_user``'s blocks less the user's own symbols: row k is its k-th partner's s_ji."""
+    _check_user(user, len(frame.stack))
+    if np.shape(decoded) != frame.stack.shape[1:]:
+        raise DimensionError(f"decoded shape {np.shape(decoded)} is not {frame.stack.shape[1:]}")
+    return decoded - frame.stack[user]
 
 
 @dataclass(frozen=True)
@@ -378,14 +374,13 @@ class PreparedPipeline:
         """
         frame = make_frame(self.scheme, self.seed)
         truth = stack_network_coded(self.scheme, frame)
-        for stream in (*frame.streams.values(), truth.entries):
-            stream.setflags(write=False)
+        truth.entries.setflags(write=False)
         return frame, truth
 
     @cached_property
     def relay_observation(self) -> np.ndarray:
         """The noiseless relay observation of ``frame``, read-only; ``simulate`` adds the noise."""
-        y = _uplink_sum(self.scheme, self.ch, _by_source(self.frame[0].streams, self.cfg.K))
+        y = _uplink_sum(self.scheme, self.ch, self.frame[0].stack)
         y.setflags(write=False)
         return y
 
@@ -398,12 +393,11 @@ class PreparedPipeline:
         """
         if self.bc is None:
             raise BroadcastInfeasibleError(self.bc_failure)
-        K, streams = self.cfg.K, self.frame[0].streams
-        swapped = {d[::-1]: s for d, s in streams.items()}
-        stacks = (_by_source(streams, K), _by_source(swapped, K))
-        for a in stacks:
-            a.setflags(write=False)
-        return stacks
+        stack, (_, sent, received) = self.frame[0].stack, message_order(self.cfg.K)
+        wanted = np.empty_like(stack)
+        wanted[received] = stack[sent]
+        wanted.setflags(write=False)
+        return stack, wanted
 
     @cached_property
     def stream_gains(self) -> np.ndarray:
@@ -424,8 +418,7 @@ class PreparedPipeline:
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
         # both messages of a pair travel as the same block of sums
         mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)
-        filters = np.stack([self.bc.filters[e] for e in zip(*message_order(scheme.cfg.K)[2])])
-        bc_gain = np.linalg.norm(filters, axis=2) ** 2
+        bc_gain = np.linalg.norm(self.bc.filters[message_order(scheme.cfg.K)[2]], axis=2) ** 2
         gains = np.maximum(mac_gain, bc_gain)
         gains.setflags(write=False)
         return gains
@@ -557,6 +550,8 @@ def sum_rate_curve(
     curves = []
     for seed in seeds:
         prep = prepare(cfg, beta, seed)
+        if prep.bc is None:
+            raise BroadcastInfeasibleError(f"no rate available at seed {seed}: {prep.bc_failure}")
         curves.append([sum(pairwise_rates(prep, snr).values()) for snr in snr_grid_db])
     return np.mean(curves, axis=0)
 

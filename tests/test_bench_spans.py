@@ -2,7 +2,10 @@
 
 ``bench/spans.py`` wraps library functions by name and reads
 ``assemble_scheme``'s ``beta`` from its third positional argument; a
-rename or a reordered signature would break only the traced run.
+rename or a reordered signature would break only the traced run.  One
+self-test round of every workload kind runs here too, so a library change
+that breaks what ``bench/workloads.py`` reads fails in the tests, not only
+in a benchmark run.
 """
 
 import importlib
@@ -15,13 +18,17 @@ import pytest
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return bench_module("spans")
 
 
 def test_every_span_resolves(spans):
@@ -47,3 +54,15 @@ def test_benchmark_call_shapes_bind():
     inspect.signature(mac_phase).bind("scheme", "ch", "frame", 0.0)
     with pytest.raises(TypeError):
         inspect.signature(end_to_end).bind("cfg", "beta", "seed", 0.0)
+
+
+def test_selftest_round_runs_checks_and_catches_corruption(tmp_path):
+    # one round of every kind the benchmark runs: the frame's per-pair view,
+    # mac_phase, relay_decode(...).entries and pair_blocks among what it reads
+    workloads = bench_module("workloads")
+    for kind, inp in next(workloads.selftest_rounds(0)):
+        run, check, corrupt = workloads.KINDS[kind]
+        out = run(inp, str(tmp_path))
+        check(inp, out)
+        with pytest.raises(workloads.CheckError):
+            check(inp, corrupt(out))

@@ -310,10 +310,12 @@ class TestBatchedDraws:
         frame = make_frame(scheme, seed)
         rng = substream(seed, LABEL_FRAME)
         pairs = list(itertools.permutations(range(K), 2))
-        assert list(frame.streams) == pairs
-        for pair in pairs:
+        assert frame.stack.shape == (K, K - 1, alloc.per_pair)
+        assert list(frame.streams) == pairs  # the per-pair view keeps the draw order
+        for i, j in pairs:  # user by partner is the draw order
             want = reference_gaussian(rng, (alloc.per_pair,))
-            assert frame.streams[pair].tobytes() == want.tobytes()
+            assert frame.stack[i, j - (j > i)].tobytes() == want.tobytes()
+            assert frame.streams[(i, j)].tobytes() == want.tobytes()
 
 
 class TestChannelStacks:

@@ -8,6 +8,7 @@ end, run it as a child process.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import select
@@ -276,6 +277,18 @@ class TestSynthesize:
         )
         assert proc.returncode == 1
         assert "seed" in proc.stderr
+
+    @pytest.mark.parametrize("field", ["relay_recovery_error", "user_recovery_error"])
+    @pytest.mark.parametrize("err", [float("nan"), 2 * RECOVERY_TOL])
+    def test_bad_recovery_error_fails(self, monkeypatch, field, err):
+        # a NaN error fails as an error above the tolerance does, at either hop
+        def spoiled(prep):
+            return dataclasses.replace(simulation.simulate(prep), **{field: err})
+
+        monkeypatch.setattr(cli, "simulate", spoiled)
+        proc = run_cli("synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2")
+        assert proc.returncode == 1
+        assert f"recovery error: {err:.3e}" in proc.stdout
 
 
 class TestMonteCarlo:

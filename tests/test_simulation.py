@@ -59,10 +59,13 @@ def ordered_pairs(scheme):
 
 
 def zero_frame(scheme):
-    x = scheme.alloc.per_pair
-    return SymbolFrame(
-        streams={k: np.zeros(x, dtype=complex) for k in ordered_pairs(scheme)}
-    )
+    K, x = scheme.cfg.K, scheme.alloc.per_pair
+    return SymbolFrame(np.zeros((K, K - 1, x), dtype=complex))
+
+
+def stream(frame, i, j):
+    """s_ij, the stream user i sends to user j, from the user-by-partner stack."""
+    return frame.stack[i, partner_index(i, j)]
 
 
 class TestFrames:
@@ -70,9 +73,11 @@ class TestFrames:
         _, scheme = corner_setup(4, 3, 7, 2, 1)
         a = make_frame(scheme, 5)
         b = make_frame(scheme, 5)
+        assert a.stack.shape == (4, 3, 1) and not a.stack.flags.writeable
         assert list(a.streams) == ordered_pairs(scheme)
-        for key in ordered_pairs(scheme):
-            assert np.array_equal(a.streams[key], b.streams[key])
+        for i, j in ordered_pairs(scheme):
+            assert np.array_equal(stream(a, i, j), stream(b, i, j))
+            assert np.shares_memory(a.streams[(i, j)], stream(a, i, j))  # a view, not a copy
 
     def test_network_coded_stacking(self):
         _, scheme = corner_setup(4, 3, 7, 2, 1)
@@ -81,7 +86,7 @@ class TestFrames:
         assert nc.entries.shape == (6,)
         for (pair, start, stop) in scheme.pair_blocks:
             i, j = pair
-            expected = frame.streams[(i, j)] + frame.streams[(j, i)]
+            expected = stream(frame, i, j) + stream(frame, j, i)
             assert np.allclose(nc.entries[start:stop], expected)
 
 
@@ -94,7 +99,7 @@ class TestMacPhase:
     def test_single_stream_base_case(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = zero_frame(scheme)
-        frame.streams[(0, 1)][0] = 1.0
+        frame.stack[0, partner_index(0, 1), 0] = 1.0
         y = mac_phase(scheme, ch, frame, 0.0)
         expected = ch.uplink[0] @ scheme.precoders[0, partner_index(0, 1)][:, 0]
         assert np.allclose(y, expected)
@@ -103,11 +108,7 @@ class TestMacPhase:
         ch, scheme = corner_setup(5, 5, 11, 2, 3)
         f1 = make_frame(scheme, 1)
         f2 = make_frame(scheme, 2)
-        combo = SymbolFrame(
-            streams={
-                k: 2.0 * f1.streams[k] - 1j * f2.streams[k] for k in f1.streams
-            }
-        )
+        combo = SymbolFrame(2.0 * f1.stack - 1j * f2.stack)
         y = mac_phase(scheme, ch, combo, 0.0)
         y1 = mac_phase(scheme, ch, f1, 0.0)
         y2 = mac_phase(scheme, ch, f2, 0.0)
@@ -145,16 +146,18 @@ class TestMacPhase:
 
     def test_frame_shape_mismatch_is_a_dimension_error(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)  # x = 1
-        streams = make_frame(scheme, 0).streams
-        frames = [
-            {k: v for k, v in streams.items() if k != (2, 1)},
-            {**streams, (2, 1): np.zeros(2, dtype=complex)},
-            {k: np.zeros(2, dtype=complex) for k in streams},
-            {k: np.zeros((1, 1), dtype=complex) for k in streams},
+        stack = make_frame(scheme, 0).stack  # (4, 3, 1)
+        stacks = [
+            stack[:, :2],  # a partner's stream missing
+            stack[:3],  # a user missing
+            np.zeros((4, 3, 2), dtype=complex),  # x = 2
+            stack[..., None],
+            stack.reshape(12, 1),  # pair rows, not user by partner
+            make_frame(scheme, 0).streams,  # a dict has shape ()
         ]
-        for frame in frames:
+        for wrong in stacks:
             with pytest.raises(DimensionError, match="frame"):
-                mac_phase(scheme, ch, SymbolFrame(frame), 0.0)
+                mac_phase(scheme, ch, SymbolFrame(wrong), 0.0)
 
 
 class TestRelayDecode:
@@ -218,6 +221,11 @@ def assert_same_bits(got, want):
 def partner_index(user, partner):
     """Where ``partner`` sits among ``user``'s partners in a user-by-partner stack."""
     return partner - (partner > user)
+
+
+def others(user, K):
+    """``user``'s partners in stack order."""
+    return [j for j in range(K) if j != user]
 
 
 def filter_stack(filters, K):
@@ -323,9 +331,10 @@ class TestBroadcastPhase:
         received = bc_phase(bc, ch, nc, 0.0)
         for user in range(5):
             blocks = decode_user(scheme, bc, user, received[user])
-            for (i, j), value in blocks.items():
-                expected = frame.streams[(i, j)] + frame.streams[(j, i)]
-                assert np.abs(value - expected).max() <= 1e-6
+            assert blocks.shape == (4, scheme.alloc.per_pair)
+            for j in others(user, 5):
+                expected = stream(frame, user, j) + stream(frame, j, user)
+                assert np.abs(blocks[partner_index(user, j)] - expected).max() <= 1e-6
 
     def test_self_interference_cancellation(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
@@ -336,9 +345,10 @@ class TestBroadcastPhase:
         for user in range(4):
             blocks = decode_user(scheme, bc, user, received[user])
             partners = cancel_self_interference(frame, user, blocks)
-            for partner, estimate in partners.items():
-                truth = frame.streams[(partner, user)]
-                assert np.abs(estimate - truth).max() <= 1e-6
+            assert partners.shape == blocks.shape
+            for j in others(user, 4):
+                truth = stream(frame, j, user)
+                assert np.abs(partners[partner_index(user, j)] - truth).max() <= 1e-6
 
     def test_shape_mismatches_are_dimension_errors(self):
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
@@ -352,12 +362,21 @@ class TestBroadcastPhase:
             with pytest.raises(DimensionError, match="sum vector"):
                 bc_phase(bc, ch, wrong)
         received = bc_phase(bc, ch, decoded)
-        for user in (7, 4, -1, True):  # True was taken as user 1
+        frame = prep.frame[0]
+        blocks = decode_user(scheme, bc, 0, received[0])
+        # True was taken as user 1, and np.True_ is in range(4) as well
+        for user in (7, 4, -1, True, np.True_, 1.0):
             with pytest.raises(DimensionError, match="K=4 users"):
                 decode_user(scheme, bc, user, received[0])
+            with pytest.raises(DimensionError, match="K=4 users"):
+                cancel_self_interference(frame, user, blocks)
         for shape in ((2,), (4,), (3, 1)):
             with pytest.raises(DimensionError, match="M=3"):
                 decode_user(scheme, bc, 0, np.zeros(shape, dtype=complex))
+        # (3,) and (1,) would broadcast against the user's (3, 1) streams
+        for shape in ((3,), (1,), (1, 1), (3, 2), (4, 3, 1)):
+            with pytest.raises(DimensionError, match="decoded"):
+                cancel_self_interference(frame, 0, np.zeros(shape, dtype=complex))
 
 
 class TestEndToEnd:
@@ -485,7 +504,7 @@ class TestEndToEnd:
         assert len(expected) == K * (K - 1)
         for (i, j), start, stop in scheme.pair_blocks:
             for src, user in ((i, j), (j, i)):
-                own = [b[(i, j)] for u, b in users if u == user]
+                own = [b[partner_index(user, src)] for u, b in users if u == user]
                 w = np.mean(np.abs(np.array(own) - relay_est[:, start:stop]) ** 2, axis=0)
                 rate = np.minimum(
                     np.log2(1.0 + 2.0 / v[start:stop]), np.log2(1.0 + 1.0 / w)
@@ -668,7 +687,7 @@ class TestPreparedPipeline:
         assert calls == [3]
         frame, truth = prep.frame
         assert not truth.entries.flags.writeable
-        assert not any(stream.flags.writeable for stream in frame.streams.values())
+        assert not frame.stack.flags.writeable
 
     def test_one_record_serves_every_noise_level(self):
         cfg = SystemConfig(4, 3, 7)
@@ -692,8 +711,11 @@ class TestPreparedPipeline:
         result = end_to_end(SystemConfig(4, 3, 7), 2, 1, snr_db=30.0)
         assert result.bc_failure == "no dual"
         assert result.user_recovery_error is None and result.sum_rate is None
-        with pytest.raises(BroadcastInfeasibleError, match="no dual"):
+        # bc is None, and the error names the seed as montecarlo does
+        with pytest.raises(BroadcastInfeasibleError, match="no rate available at seed 1: no dual"):
             sum_rate_curve(SystemConfig(4, 3, 7), 2, [1], [30.0, 40.0])
+        with pytest.raises(BroadcastInfeasibleError, match="at seed 1: no dual"):
+            estimate_dof_slope(SystemConfig(4, 3, 7), 2, [1], [30.0, 40.0])
         monkeypatch.setattr(
             simulation, "_bc_from_dual", failing(DecodabilityError("singular"))
         )
@@ -761,7 +783,7 @@ def per_stage_run(prep, snr_db):
         sent = np.zeros(M, dtype=complex)
         for j in range(K):
             if j != i:
-                sent = sent + scheme.precoders[i, partner_index(i, j)] @ frame.streams[(i, j)]
+                sent = sent + scheme.precoders[i, partner_index(i, j)] @ stream(frame, i, j)
         y = y + ch.uplink[i] @ sent
     noiseless = y
     y = y + awgn(N)
@@ -776,8 +798,8 @@ def per_stage_run(prep, snr_db):
         for j in range(K):
             if j != user:
                 f = bc.filters[user, partner_index(user, j)]
-                estimate = f @ received[user] - frame.streams[(user, j)]
-                worst = max(worst, float(np.abs(estimate - frame.streams[(j, user)]).max()))
+                estimate = f @ received[user] - stream(frame, user, j)
+                worst = max(worst, float(np.abs(estimate - stream(frame, j, user)).max()))
     return noiseless, relay_err, worst
 
 
@@ -822,10 +844,10 @@ class TestStackedSimulate:
             relay_tx = bc.relay_precoder @ decoded.entries
             assert_same_bits(received[user], ch.downlink[user] @ relay_tx + np.zeros(M))
             blocks = decode_user(scheme, bc, user, received[user])
-            for j in range(K):
-                if j != user:
-                    got = blocks[(min(user, j), max(user, j))]
-                    assert_same_bits(got, bc.filters[user, partner_index(user, j)] @ received[user])
+            assert blocks.shape == (K - 1, scheme.alloc.per_pair)
+            for j in others(user, K):
+                got = blocks[partner_index(user, j)]
+                assert_same_bits(got, bc.filters[user, partner_index(user, j)] @ received[user])
 
     def test_reverse_order_gives_equal_results(self):
         cfg = SystemConfig(4, 3, 7)
@@ -854,12 +876,12 @@ class TestStackedSimulate:
         filters, (sent, wanted) = prep.bc.filters, prep.user_stacks
         assert filters.shape == (6, 5, 2, 15)
         assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in filters[0])
-        streams, per_pair = prep.frame[0].streams, per_pair_bc(prep.scheme, prep.ch)[1]
+        frame, per_pair = prep.frame[0], per_pair_bc(prep.scheme, prep.ch)[1]
         for i, j in ordered_pairs(prep.scheme):
             k = partner_index(i, j)
             assert_same_bits(filters[i, k], per_pair[(i, j)])
-            assert_same_bits(sent[i, k], streams[(i, j)])
-            assert_same_bits(wanted[i, k], streams[(j, i)])
+            assert_same_bits(sent[i, k], stream(frame, i, j))
+            assert_same_bits(wanted[i, k], stream(frame, j, i))
 
 
 def assert_same_scheme(got, want):
