@@ -85,6 +85,7 @@ from .simulation import (
     prepare,
     relay_decode,
     simulate,
+    simulate_grid,
     stack_network_coded,
     sum_rate_curve,
 )

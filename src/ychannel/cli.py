@@ -42,7 +42,7 @@ from .bounds import (
 )
 from .channel import check_seed
 from .config import SystemConfig
-from .errors import YChannelError
+from .errors import BroadcastInfeasibleError, YChannelError
 from .simulation import (
     RECOVERY_TOL,
     SNR_DB_MAX,
@@ -50,6 +50,7 @@ from .simulation import (
     prepare,
     result_record,
     simulate,
+    simulate_grid,
     write_records_csv,
 )
 
@@ -292,8 +293,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     for seed in seeds:
         prep = prepare(cfg, args.beta, seed)
         if prep.bc is None:
-            raise YChannelError(f"no rate available at seed {seed}: {prep.bc_failure}")
-        records += [result_record(simulate(prep, snr_db=snr)) for snr in grid]
+            raise BroadcastInfeasibleError(f"no rate available at seed {seed}: {prep.bc_failure}")
+        records += map(result_record, simulate_grid(prep, grid))
     # mean of the CSV sum_rate column per SNR point: the curve sum_rate_curve returns
     rates = np.reshape([rec["sum_rate"] for rec in records], (len(seeds), len(grid)))
     curve = rates.mean(axis=0)

@@ -78,6 +78,7 @@ __all__ = [
     "PreparedPipeline",
     "prepare",
     "simulate",
+    "simulate_grid",
     "end_to_end",
     "pairwise_rates",
     "sum_rate_curve",
@@ -140,9 +141,17 @@ def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
     return SymbolFrame(stack)
 
 
+def _frame_stack(scheme: AlignmentScheme, frame: SymbolFrame) -> np.ndarray:
+    """The frame's stack, refused unless it has the scheme's (K, K-1, x) shape."""
+    need = (scheme.cfg.K, scheme.cfg.K - 1, scheme.alloc.per_pair)
+    if np.shape(frame.stack) != need:
+        raise DimensionError(f"frame stack has shape {np.shape(frame.stack)}, need {need}")
+    return frame.stack
+
+
 def stack_network_coded(scheme: AlignmentScheme, frame: SymbolFrame) -> NetworkCodedVector:
     """Stack s_ij + s_ji over the pairs i < j in pair order, the order of ``pair_blocks``."""
-    s = frame.stack[message_order(scheme.cfg.K)[1]]  # (i, j) then (j, i) per pair
+    s = _frame_stack(scheme, frame)[message_order(scheme.cfg.K)[1]]  # (i, j) then (j, i)
     return NetworkCodedVector(entries=(s[0::2] + s[1::2]).ravel())
 
 
@@ -180,12 +189,9 @@ def mac_phase(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Superimpose all precoded uplink transmissions at the relay."""
-    cfg, need = scheme.cfg, (scheme.cfg.K, scheme.cfg.K - 1, scheme.alloc.per_pair)
-    if ch.cfg != cfg:
-        raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {cfg}")
-    if np.shape(frame.stack) != need:
-        raise DimensionError(f"frame stack has shape {np.shape(frame.stack)}, need {need}")
-    return _uplink_sum(scheme, ch, frame.stack) + _awgn(rng, (cfg.N,), noise_var)
+    if ch.cfg != scheme.cfg:
+        raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
+    return _uplink_sum(scheme, ch, _frame_stack(scheme, frame)) + _awgn(rng, (ch.cfg.N,), noise_var)
 
 
 def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
@@ -352,8 +358,7 @@ class PreparedPipeline:
 
     ``ch`` is the planned channel set and ``scheme`` the certified uplink
     scheme on it; ``bc`` is the certified downlink scheme, or None with the
-    dual construction's failure text in ``bc_failure``.  Each cached
-    property is formed once and reused at every SNR point.
+    dual construction's failure text in ``bc_failure``.
     """
 
     cfg: SystemConfig
@@ -367,37 +372,11 @@ class PreparedPipeline:
 
     @cached_property
     def frame(self) -> tuple[SymbolFrame, NetworkCodedVector]:
-        """The seed's symbol frame and its stacked pairwise sums, drawn once.
-
-        The frame depends on the seed alone, so every SNR point reuses it;
-        only the noise is drawn afresh per ``simulate`` call.
-        """
+        """The seed's symbol frame and its stacked pairwise sums, drawn once: no SNR enters."""
         frame = make_frame(self.scheme, self.seed)
         truth = stack_network_coded(self.scheme, frame)
         truth.entries.setflags(write=False)
         return frame, truth
-
-    @cached_property
-    def relay_observation(self) -> np.ndarray:
-        """The noiseless relay observation of ``frame``, read-only; ``simulate`` adds the noise."""
-        y = _uplink_sum(self.scheme, self.ch, self.frame[0].stack)
-        y.setflags(write=False)
-        return y
-
-    @cached_property
-    def user_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (sent, wanted), user by partner, the layout of ``bc.filters``.
-
-        Entry (i, k) holds the stream s_ij that user i sent to its k-th
-        partner j and the stream s_ji it wants from j (x,).  Needs ``bc``.
-        """
-        if self.bc is None:
-            raise BroadcastInfeasibleError(self.bc_failure)
-        stack, (_, sent, received) = self.frame[0].stack, message_order(self.cfg.K)
-        wanted = np.empty_like(stack)
-        wanted[received] = stack[sent]
-        wanted.setflags(write=False)
-        return stack, wanted
 
     @cached_property
     def stream_gains(self) -> np.ndarray:
@@ -467,53 +446,51 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     return PreparedPipeline(cfg, beta, ch.seed, plan.t, ch, scheme, bc, bc_failure)
 
 
-def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResult:
-    """Transmit both phases of a prepared pipeline at one SNR in dB; None is noiseless.
+def simulate_grid(prep: PreparedPipeline, snr_grid_db: list[float | None]) -> list[SimResult]:
+    """Transmit both phases of a prepared pipeline at each SNR in dB; None is noiseless.
 
-    AWGN of the per-stream variance ``pairwise_rates`` assumes is added at the
-    relay and the users, so errors and rates share one SNR.
-    Noiseless runs must recover the network-coded vector at the relay and
-    every partner stream at the users to within ``RECOVERY_TOL``.  A
-    downlink failure is recorded in ``bc_failure`` without failing the
-    uplink result.  Every call draws from a fresh noise substream.  The SNR
-    must lie in [-SNR_DB_MAX, SNR_DB_MAX] dB.
-
-    A call adds the relay noise to ``prep.relay_observation``, runs
-    ``relay_decode`` and ``bc_phase``, and filters all users in one product
-    of ``bc.filters``, with the bytes of the per-stage functions.
+    Every point, checked before any work, must lie in [-SNR_DB_MAX, SNR_DB_MAX] dB.  Each
+    draws a fresh noise substream, so it gives what a one-point grid gives, and adds AWGN of
+    the variance ``pairwise_rates`` assumes at the relay and the users.  Noiseless points
+    must recover every sum at the relay and every partner stream at the users to within
+    ``RECOVERY_TOL``.  A downlink failure is recorded in ``bc_failure``, not raised.
     """
+    _check_sequence(snr_grid_db, "the SNR grid")
+    _check_snr_grid([snr for snr in snr_grid_db if snr is not None])  # None is noiseless
     scheme, seed, bc = prep.scheme, prep.seed, prep.bc
-    # a bad SNR fails here, before any work, not at the rates
-    sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
-    rng = substream(seed, LABEL_NOISE)
-    with _stage("mac"):
-        y = prep.relay_observation + _awgn(rng, (scheme.cfg.N,), sigma2)
-    with _stage("relay_decode"):
-        decoded = relay_decode(scheme, y)
-        relay_err = float(np.abs(decoded.entries - prep.frame[1].entries).max())
-    user_err: float | None = None
-    if bc is not None:
-        with _stage("bc"):
-            received = bc_phase(bc, prep.ch, decoded, sigma2, rng)
-            sent, wanted = prep.user_stacks
-            estimates = (bc.filters @ received[:, None, :, None])[..., 0] - sent
-            user_err = float(np.abs(estimates - wanted).max())
-    rates = total = None
-    if snr_db is not None and bc is not None:
-        rates = pairwise_rates(prep, snr_db)
-        total = float(sum(rates.values()))
-    return SimResult(
-        cfg=prep.cfg,
-        beta=prep.beta,
-        t=prep.t,
-        seed=seed,
-        snr_db=snr_db,
-        relay_recovery_error=relay_err,
-        user_recovery_error=user_err,
-        bc_failure=prep.bc_failure,
-        sum_rate=total,
-        rates=rates,
-    )
+    (frame, truth), (_, sent, received) = prep.frame, message_order(prep.cfg.K)
+    observation = _uplink_sum(scheme, prep.ch, frame.stack)  # noiseless, for every point
+    wanted = np.empty_like(frame.stack)  # entry (i, k): the stream s_ji user i wants from j
+    wanted[received] = frame.stack[sent]
+    results = []
+    for snr_db in snr_grid_db:
+        sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
+        rng = substream(seed, LABEL_NOISE)
+        with _stage("mac"):
+            y = observation + _awgn(rng, (scheme.cfg.N,), sigma2)
+        with _stage("relay_decode"):
+            decoded = relay_decode(scheme, y)
+            relay_err = float(np.abs(decoded.entries - truth.entries).max())
+        user_err = rates = total = None
+        if bc is not None:
+            with _stage("bc"):
+                signals = bc_phase(bc, prep.ch, decoded, sigma2, rng)
+                estimates = (bc.filters @ signals[:, None, :, None])[..., 0] - frame.stack
+                user_err = float(np.abs(estimates - wanted).max())
+            if snr_db is not None:
+                rates = pairwise_rates(prep, snr_db)
+                total = float(sum(rates.values()))
+        results.append(SimResult(
+            cfg=prep.cfg, beta=prep.beta, t=prep.t, seed=seed, snr_db=snr_db,
+            relay_recovery_error=relay_err, user_recovery_error=user_err,
+            bc_failure=prep.bc_failure, sum_rate=total, rates=rates,
+        ))
+    return results
+
+
+def simulate(prep: PreparedPipeline, *, snr_db: float | None = None) -> SimResult:
+    """``simulate_grid`` at one SNR in dB, None for noiseless."""
+    return simulate_grid(prep, [snr_db])[0]
 
 
 def end_to_end(
@@ -523,8 +500,17 @@ def end_to_end(
     return simulate(prepare(cfg, beta, seed), snr_db=snr_db)
 
 
+def _check_sequence(values, what: str) -> int:
+    """The number of points in ``values``, refused if it has no length (a bare number)."""
+    try:
+        return len(values)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be a sequence, got {values!r}") from None
+
+
 def _check_snr_grid(snr_grid_db: list[float]) -> None:
-    """Reject any SNR point but a real number (not a bool) in [-SNR_DB_MAX, SNR_DB_MAX] dB."""
+    """Reject anything but a sequence of reals (not bools) in [-SNR_DB_MAX, SNR_DB_MAX] dB."""
+    _check_sequence(snr_grid_db, "the SNR grid")
     for snr in snr_grid_db:
         number = isinstance(snr, numbers.Real) and not isinstance(snr, bool)
         if not (number and abs(snr) <= SNR_DB_MAX):
@@ -544,9 +530,9 @@ def sum_rate_curve(
     cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> np.ndarray:
     """Mean sum rate per SNR point, averaged over seeds."""
-    if len(seeds) == 0 or len(snr_grid_db) == 0:
-        raise ConfigurationError("need at least one seed and one SNR point")
     _check_snr_grid(snr_grid_db)
+    if _check_sequence(seeds, "seeds") == 0 or len(snr_grid_db) == 0:
+        raise ConfigurationError("need at least one seed and one SNR point")
     curves = []
     for seed in seeds:
         prep = prepare(cfg, beta, seed)

@@ -418,6 +418,13 @@ class TestMonteCarlo:
         assert code == 1
         assert "no rate available at seed 0" in capsys.readouterr().err
         assert not out.exists()
+        # the class sum_rate_curve raises for the same failure
+        args = cli.build_parser().parse_args([
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "30,40",
+        ])
+        with pytest.raises(BroadcastInfeasibleError, match="no rate available at seed 0: no dual"):
+            cli.cmd_montecarlo(args)
 
     def test_structural_rank_loss_is_named(self, capsys):
         # the source-side t=7 plan of (4,1,2) loses compression rank on every

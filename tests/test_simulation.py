@@ -37,6 +37,7 @@ from ychannel import (
     relay_decode,
     sample_channels,
     simulate,
+    simulate_grid,
     stack_network_coded,
     sum_rate_curve,
 )
@@ -158,6 +159,9 @@ class TestMacPhase:
         for wrong in stacks:
             with pytest.raises(DimensionError, match="frame"):
                 mac_phase(scheme, ch, SymbolFrame(wrong), 0.0)
+            # the x = 2 stack gave a (12,) sum vector and the 3-user one an IndexError
+            with pytest.raises(DimensionError, match="frame"):
+                stack_network_coded(scheme, SymbolFrame(wrong))
 
 
 class TestRelayDecode:
@@ -353,7 +357,7 @@ class TestBroadcastPhase:
     def test_shape_mismatches_are_dimension_errors(self):
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
         scheme, ch, bc = prep.scheme, prep.ch, prep.bc
-        decoded = relay_decode(scheme, prep.relay_observation)
+        decoded = relay_decode(scheme, mac_phase(scheme, ch, prep.frame[0], 0.0))
         for other in (SystemConfig(5, 4, 13), SystemConfig(5, 3, 7), SystemConfig(4, 3, 8)):
             with pytest.raises(DimensionError, match="does not match the downlink scheme"):
                 bc_phase(bc, sample_channels(other, 1), decoded)
@@ -591,7 +595,9 @@ class TestRates:
     )
     def test_simulate_rejects_out_of_range_noise_first(self, snr_db, monkeypatch):
         prep = prepare(SystemConfig(4, 3, 7), 2, 0)
-        monkeypatch.setattr(simulation, "mac_phase", None)  # no phase may run
+        # no stage may run before the SNR is refused
+        for stage in ("mac_phase", "_uplink_sum", "relay_decode", "bc_phase"):
+            monkeypatch.setattr(simulation, stage, None)
         with pytest.raises(ConfigurationError, match="dB"):
             simulate(prep, snr_db=snr_db)
 
@@ -619,6 +625,26 @@ class TestRates:
         assert got.tobytes() == want.tobytes()
         slope = estimate_dof_slope(cfg, 2, [0], grid[:2])
         assert estimate_dof_slope(cfg, 2, np.array([0]), np.array(grid[:2])) == slope
+
+    def test_scalar_grids_and_seeds_are_configuration_errors(self, monkeypatch):
+        # each raised a bare TypeError from len() or iteration
+        cfg = SystemConfig(4, 3, 7)
+        calls = []
+        monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+            sum_rate_curve(cfg, 2, [1], 30.0)
+        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+            estimate_dof_slope(cfg, 2, [1], 30.0)
+        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+            fit_slope(30.0, [1.0])
+        with pytest.raises(ConfigurationError, match="seeds must be a sequence"):
+            sum_rate_curve(cfg, 2, 5, [30.0, 40.0])
+        assert calls == []
+        monkeypatch.undo()
+        prep = prepare(cfg, 2, 0)
+        for grid in (30.0, None, np.float64(30.0), np.array(30.0)):
+            with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+                simulate_grid(prep, grid)
 
     def test_sum_rate_curve_needs_an_snr_point(self, monkeypatch):
         calls = []
@@ -804,7 +830,7 @@ def per_stage_run(prep, snr_db):
 
 
 class TestStackedSimulate:
-    """``simulate`` runs one short pass per SNR point over cached stacks."""
+    """``simulate_grid`` runs one short pass per SNR point over the seed's stacks."""
 
     GRID = [None, 20.0, 45.5, 70.0]
 
@@ -815,28 +841,27 @@ class TestStackedSimulate:
     def test_bit_identical_to_the_per_stage_loop(self, K, M, N, beta):
         prep = prepare(SystemConfig(K, M, N), beta, 1)
         assert prep.bc is not None
-        for snr_db in self.GRID:
-            got = simulate(prep, snr_db=snr_db)
+        observation = mac_phase(prep.scheme, prep.ch, prep.frame[0], 0.0)
+        for snr_db, got in zip(self.GRID, simulate_grid(prep, self.GRID), strict=True):
             noiseless, *want = per_stage_run(prep, snr_db)
-            assert_same_bits(prep.relay_observation, noiseless)
+            assert_same_bits(observation, noiseless)
             assert [got.relay_recovery_error, got.user_recovery_error] == want, snr_db
 
     def test_bit_identical_without_a_downlink_scheme(self):
         prep = dataclasses.replace(prepare(SystemConfig(4, 3, 7), 2, 1), bc=None, bc_failure="x")
-        for snr_db in self.GRID:
-            got = simulate(prep, snr_db=snr_db)
+        for snr_db, got in zip(self.GRID, simulate_grid(prep, self.GRID), strict=True):
             _, *want = per_stage_run(prep, snr_db)
             assert [got.relay_recovery_error, got.user_recovery_error] == want
             assert got.bc_failure == "x" and got.sum_rate is None
         with pytest.raises(BroadcastInfeasibleError, match="x"):
-            prep.user_stacks
+            simulation.pairwise_rates(prep, 30.0)
 
     def test_stages_match_their_per_matrix_products(self):
         prep = prepare(SystemConfig(6, 15, 32), 2, 2)  # x = 2
         scheme, ch, bc = prep.scheme, prep.ch, prep.bc
         K, M = scheme.cfg.K, scheme.cfg.M
         y = mac_phase(scheme, ch, prep.frame[0], 0.0)
-        assert_same_bits(y, prep.relay_observation)
+        assert_same_bits(y, per_stage_run(prep, None)[0])
         decoded = relay_decode(scheme, y)
         received = bc_phase(bc, ch, decoded, 0.0)
         assert received.shape == (K, M)
@@ -857,26 +882,66 @@ class TestStackedSimulate:
         assert ahead == behind[::-1]
         # and a second pass over the warm pipeline repeats the first
         assert [simulate(forward, snr_db=snr) for snr in self.GRID] == ahead
+        assert simulate_grid(backward, self.GRID[::-1]) == behind
+
+    def test_mixed_grid_matches_one_point_calls(self):
+        # no state leaks from one point to the next, noiseless or noisy
+        grid = [None, -10.0, 45.5, None, 90.0]
+        prep = prepare(SystemConfig(4, 3, 7), 2, 4)
+        got = simulate_grid(prep, grid)
+        assert [r.snr_db for r in got] == grid
+        for snr_db, result in zip(grid, got, strict=True):
+            assert result == simulate(prepare(SystemConfig(4, 3, 7), 2, 4), snr_db=snr_db)
+            assert result == simulate(prep, snr_db=snr_db)
+        assert simulate_grid(prep, []) == []
+
+    def test_each_point_keys_one_noise_substream(self, monkeypatch):
+        prep = prepare(SystemConfig(4, 3, 7), 2, 1)
+        prep.frame  # drawn before counting: the frame keys its own substream
+        grid = [None, 20.0, 45.5, None, 70.0]
+        want = simulate_grid(prep, grid)
+        keyed = []
+        substream = simulation.substream
+
+        def counted(seed, label, index=0):
+            keyed.append((seed, label))
+            return substream(seed, label, index)
+
+        monkeypatch.setattr(simulation, "substream", counted)
+        assert simulate_grid(prep, grid) == want
+        assert keyed == [(1, simulation.LABEL_NOISE)] * len(grid)
+        # every point is checked before any is run
+        keyed.clear()
+        with pytest.raises(ConfigurationError, match="dB"):
+            simulate_grid(prep, [30.0, None, 4000.0])
+        assert keyed == []
 
     def test_cached_arrays_are_read_only_and_formed_once(self):
         prep = prepare(SystemConfig(4, 3, 7), 2, 0)
+
+        def cached():
+            frame, truth = prep.frame
+            return frame.stack, truth.entries, prep.bc.filters, prep.ch.downlink
+
         simulate(prep, snr_db=30.0)
-        cached = (prep.relay_observation, *prep.user_stacks, prep.bc.filters, prep.ch.downlink)
-        for a in cached:
+        first = cached()
+        for a in first:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
-        simulate(prep, snr_db=40.0)
-        again = (prep.relay_observation, *prep.user_stacks, prep.bc.filters, prep.ch.downlink)
-        assert all(a is b for a, b in zip(cached, again))
+        simulate_grid(prep, [40.0, None])
+        assert all(a is b for a, b in zip(first, cached()))
 
     def test_user_filters_keep_the_column_major_layout(self):
         # a row-major copy of the filters changes the bits of their products
         prep = prepare(SystemConfig(6, 15, 32), 2, 0)
-        filters, (sent, wanted) = prep.bc.filters, prep.user_stacks
+        filters, frame = prep.bc.filters, prep.frame[0]
+        _, sent_at, received_at = message_order(6)
+        sent, wanted = frame.stack, np.empty_like(frame.stack)
+        wanted[received_at] = sent[sent_at]
         assert filters.shape == (6, 5, 2, 15)
         assert all(f.flags.f_contiguous and not f.flags.c_contiguous for f in filters[0])
-        frame, per_pair = prep.frame[0], per_pair_bc(prep.scheme, prep.ch)[1]
+        per_pair = per_pair_bc(prep.scheme, prep.ch)[1]
         for i, j in ordered_pairs(prep.scheme):
             k = partner_index(i, j)
             assert_same_bits(filters[i, k], per_pair[(i, j)])

@@ -10,8 +10,10 @@ For every end-to-end metric in the change's ``BENCHMARK.json`` it prints each
 side's median and quartiles (``statistics.quantiles(method="inclusive")``),
 the change of the median, the number of pairs the change won (strictly
 better in its direction), and whether the change's median is worse than the
-parent's by more than the metric's bound.  Times are the benchmark's
-reference-scaled values.
+parent's by more than the metric's bound.  That verdict reads "unresolved"
+when the parent's own spread, its interquartile range over its median,
+exceeds the bound: such pairs cannot tell a shift of the bound's size from
+noise.  Times are the benchmark's reference-scaled values.
 
     python tools/bench_pairs.py --parent ../ychannel-parent --change . \\
         --workload corner_battery --workload montecarlo_cli --pairs 5 --seconds 20
@@ -78,12 +80,16 @@ def summarize(workload: str, runs: list[tuple[dict, dict]], spec: list[dict]) ->
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             sides.append((median, q1, q3))
         won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        base, new = sides[0][0], sides[1][0]
+        (base, low, high), new = sides[0], sides[1][0]
         shift = (new - base) / base if base else 0.0
         worse = -shift if higher else shift
+        if base and (high - low) / abs(base) > metric["bound"]:
+            verdict = "unresolved"
+        else:
+            verdict = "no" if worse <= metric["bound"] else "YES"
         cells = [f"{m:.4g} [{q1:.4g}, {q3:.4g}]" for m, q1, q3 in sides]
         print(f"  {name:<12} {cells[0]:>28} {cells[1]:>28} {shift:>+8.1%} "
-              f"{won:>3}/{len(runs):<2}  {'no' if worse <= metric['bound'] else 'YES'}")
+              f"{won:>3}/{len(runs):<2}  {verdict}")
 
 
 def main(argv=None) -> int:
