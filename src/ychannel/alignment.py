@@ -119,11 +119,6 @@ class StreamAllocation:
         """Row count of the compression matrix, d_total / 2."""
         return self.d_total // 2
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """Unordered pairs (i < j) in lexicographic order."""
-        return list(itertools.combinations(range(self.cfg.K), 2))
-
 
 def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     """Symmetric per-pair stream count achieving the corner for ``beta``.
@@ -287,6 +282,21 @@ def _rank_lost(sv: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def message_order(K: int) -> tuple:
+    """Every ordered pair (i, j) of K users in message order, (i, j) then (j, i) for each
+    pair i < j, and where each message sits in a user-by-partner stack: at its sender,
+    (i, j - (j > i)), as in ``AlignmentScheme.precoders``, and at its receiver,
+    (j, i - (i > j)), as in ``BcScheme.filters``.  The index arrays are read-only.  The
+    pairs are ``messages[0::2]``, with members ``sent[0][0::2]`` and ``sent[0][1::2]``."""
+    messages = tuple(m for i, j in itertools.combinations(range(K), 2) for m in ((i, j), (j, i)))
+    src, dst = np.array(messages).T
+    sent, received = (src, dst - (dst > src)), (dst, src - (src > dst))
+    for a in sent + received:
+        a.setflags(write=False)
+    return messages, sent, received
+
+
+@functools.lru_cache(maxsize=64)
 def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """The C(K, beta) subsets as a read-only (subsets, beta) user array, and each row's subset."""
     subsets = list(itertools.combinations(range(K), beta))
@@ -298,9 +308,9 @@ def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int
 @functools.lru_cache(maxsize=64)
 def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray:
     """Read-only (pairs, rows) mask: the row's subset holds both users of the pair."""
-    first, second = zip(*itertools.combinations(range(K), 2))
+    users = message_order(K)[1][0]
     member = np.array([[g in s for g in range(K)] for s in row_subsets])
-    shared = (member[:, list(first)] & member[:, list(second)]).T
+    shared = (member[:, users[0::2]] & member[:, users[1::2]]).T
     shared.setflags(write=False)
     return shared
 
@@ -386,17 +396,17 @@ def build_precoders(
     jointly so the larger one has unit norm, keeping the alignment identity
     intact while bounding per-stream transmit power.
 
-    Returns the read-only precoder halves (B, 2 pairs, M, x), whose row k
-    is V_ij of the k-th pair i < j and row k + pairs its V_ji; ||V_ij||_2
-    (B, pairs), the top singular values of the rank check, so that
-    certification scales its residual without a second SVD; and the
+    Returns the read-only (B, K, K-1, M, x) user-by-partner precoder stack;
+    ||V_ij||_2 (B, pairs), the top singular values of the rank check, so
+    that certification scales its residual without a second SVD; and the
     compressed channels P H_g (B, K, rows, M), which certification reuses.
     A failing check names the first failing member's pair or direction.
     """
     B, K, N, M = H.shape
-    need, pairs = alloc.per_pair, alloc.pairs
+    need = alloc.per_pair
     kept = 2 * M - need  # rows of the compressed pair channel left after the shared ones
-    first, second = (np.array(side) for side in zip(*pairs))
+    messages, (users, slots), _ = message_order(K)
+    pairs, first, second = messages[0::2], users[0::2], users[1::2]
     compressed = P[:, None] @ H  # B x K x rows x M
     shared = _shared_rows(row_subsets, K)
     k, r = np.nonzero(shared)
@@ -429,34 +439,19 @@ def build_precoders(
         raise DegenerateSplitError(
             f"pair ({i},{j}): null vector vanished on both halves; reseed"
         )
-    shape = (B, len(pairs), M, need)
-    halves = np.concatenate([top.reshape(shape), bottom.reshape(shape)], axis=1)
-    scales = scales.reshape(B, len(pairs), need)
-    halves /= np.concatenate([scales, scales], axis=1)[:, :, None]
-    sv = np.linalg.svd(halves, compute_uv=False)
+    shape, scales = (B, len(pairs), M, need), scales.reshape(B, len(pairs), 1, need)
+    precoders = np.empty((B, K, K - 1, M, need), complex)
+    precoders[:, first, slots[0::2]] = top.reshape(shape) / scales  # V_ij of each pair i < j
+    precoders[:, second, slots[1::2]] = bottom.reshape(shape) / scales  # its V_ji
+    sv = np.linalg.svd(precoders, compute_uv=False)
     lost = _rank_lost(sv, floor=1.0)
     if lost.any():
-        directions = pairs + [(j, i) for i, j in pairs]
+        i, j = sorted(messages)[int(np.argmax(lost)) % len(messages)]  # user by partner
         raise DegenerateSplitError(
-            f"precoder {directions[int(np.argmax(lost)) % len(directions)]} lost column "
-            f"rank; reseed or re-pick basis vectors"
+            f"precoder ({i}, {j}) lost column rank; reseed or re-pick basis vectors"
         )
-    halves.setflags(write=False)
-    return halves, sv[:, : len(pairs), 0], compressed
-
-
-@functools.lru_cache(maxsize=64)
-def message_order(K: int) -> tuple:
-    """Every ordered pair (i, j) of K users in message order, (i, j) then (j, i) for each
-    pair i < j, and where each message sits in a user-by-partner stack: at its sender,
-    (i, j - (j > i)), as in ``AlignmentScheme.precoders``, and at its receiver,
-    (j, i - (i > j)), as in ``BcScheme.filters``.  The index arrays are read-only."""
-    messages = tuple(m for i, j in itertools.combinations(range(K), 2) for m in ((i, j), (j, i)))
-    src, dst = np.array(messages).T
-    sent, received = (src, dst - (dst > src)), (dst, src - (src > dst))
-    for a in sent + received:
-        a.setflags(write=False)
-    return messages, sent, received
+    precoders.setflags(write=False)
+    return precoders, sv[:, first, slots[0::2], 0], compressed
 
 
 @dataclass(frozen=True)
@@ -482,7 +477,7 @@ class AlignmentScheme:
     def pair_blocks(self) -> list[tuple[tuple[int, int], int, int]]:
         """(pair, start, stop) column blocks in the aligned basis."""
         x = self.alloc.per_pair
-        return [(pair, k * x, (k + 1) * x) for k, pair in enumerate(self.alloc.pairs)]
+        return [(p, k * x, (k + 1) * x) for k, p in enumerate(message_order(self.cfg.K)[0][0::2])]
 
 
 def assemble_schemes(
@@ -493,7 +488,7 @@ def assemble_schemes(
     Every stage runs once over a leading member axis: one batched LU and QR
     per null-space stage, one product P H_g shared by the precoder stage and
     certification, and one SVD each for the channel norms, the compression
-    spectra, the precoder halves and the basis condition.  Every member's
+    spectra, the precoder stack and the basis condition.  Every member's
     scheme is returned, or the first failing check raises and names the
     first member that fails it.
 
@@ -516,12 +511,12 @@ def assemble_schemes(
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
     P, compressions, top = build_compression_matrix(H, norms, alloc, beta)
-    halves, v_norms, compressed = build_precoders(H, norms, P, compressions[0].row_subsets, alloc)
-    first, second = (np.array(side) for side in zip(*alloc.pairs))
-    count, span = len(first), np.arange(alloc.rows)
+    V, v_norms, compressed = build_precoders(H, norms, P, compressions[0].row_subsets, alloc)
+    _, (users, slots), _ = message_order(alloc.cfg.K)
+    first, second, span = users[0::2], users[1::2], np.arange(alloc.rows)
     # P H_i V_ij and P H_j V_ji of every pair i < j; each gather is used before the next
-    blocks = _gather(compressed, first[:, None], span) @ halves[:, :count]
-    other = _gather(compressed, second[:, None], span) @ halves[:, count:]
+    blocks = _gather(compressed, first[:, None], span) @ V[:, first, slots[0::2]]
+    other = _gather(compressed, second[:, None], span) @ V[:, second, slots[1::2]]
     residuals = np.abs(blocks - other).max(axis=(2, 3))  # blocks: B x pairs x rows x x
     residuals /= top[:, None] * norms[:, first] * v_norms
     residual = np.max(residuals, axis=1)  # np.max keeps a NaN, builtin max drops it
@@ -539,12 +534,7 @@ def assemble_schemes(
         raise DecodabilityError(
             f"aligned basis condition number {bad:.3e} exceeds {BASIS_COND_MAX:.1e}"
         )
-    K, (users, slots) = alloc.cfg.K, message_order(alloc.cfg.K)[1]
-    precoders = np.empty((len(members), K, K - 1, *halves.shape[2:]), complex)
-    precoders[:, users[0::2], slots[0::2]] = halves[:, :count]  # pair p's V_ij: row p
-    precoders[:, users[1::2], slots[1::2]] = halves[:, count:]  # its V_ji: row count + p
-    for a in (precoders, basis):
-        a.setflags(write=False)
+    basis.setflags(write=False)
     return [
         AlignmentScheme(
             cfg=ch.cfg,
@@ -557,7 +547,7 @@ def assemble_schemes(
             basis_condition=condition,
         )
         for ch, compression, member_precoders, member_basis, member_residual, condition in zip(
-            members, compressions, precoders, basis, residual, conditions
+            members, compressions, V, basis, residual, conditions
         )
     ]
 
@@ -608,8 +598,9 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     """
     if ch.cfg != scheme.cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
-    P, M, pairs = scheme.compression.matrix, scheme.cfg.M, scheme.alloc.pairs
-    first, second = (list(side) for side in zip(*pairs))
+    P, M = scheme.compression.matrix, scheme.cfg.M
+    messages, sent, _ = message_order(scheme.cfg.K)
+    pairs, first, second = messages[0::2], sent[0][0::2], sent[0][1::2]
     compressed = P @ ch.uplink  # K x rows x M
     a = np.concatenate([compressed[first], -compressed[second]], axis=2)
     scale = VERIFY_TOL * np.maximum(ch.uplink_norms[first], ch.uplink_norms[second])
@@ -617,7 +608,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
         np.linalg.norm(a, axis=2) <= scale[:, None] * np.linalg.norm(P, axis=1), axis=1
     )
     required = P.shape[0] - 2 * M + scheme.alloc.per_pair
-    v = scheme.precoders[message_order(scheme.cfg.K)[1]]  # V_ij then V_ji for each pair
+    v = scheme.precoders[sent]  # V_ij then V_ji for each pair
     residuals = np.abs(a @ v.reshape(len(pairs), 2 * M, -1)).max(axis=(1, 2), initial=0.0)
     # the spectral norms need finite matrices; a NaN tolerance fails unscaled
     norms = np.full(len(ch.uplink), np.nan)
@@ -632,7 +623,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
 
 def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     """JSON-ready scheme export (matrices as row-major [re, im] pairs)."""
-    keys = [f"{i},{j}" for i, j in itertools.permutations(range(scheme.cfg.K), 2)]  # sorted
+    keys = [f"{i},{j}" for i, j in sorted(message_order(scheme.cfg.K)[0])]  # user by partner
     precoders = itertools.chain.from_iterable(complex_matrix_to_pairs(scheme.precoders))
     return {
         "cfg": {"K": scheme.cfg.K, "M": scheme.cfg.M, "N": scheme.cfg.N},
@@ -681,7 +672,7 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
     if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
         raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
-    keys = [f"{i},{j}" for i, j in itertools.permutations(range(cfg.K), 2)]  # user by partner
+    keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
     counts = set(allocation.values())
     x = counts.pop() if len(counts) == 1 else None
     if set(allocation) != set(keys) or type(x) is not int or x < 1:

@@ -244,7 +244,8 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
     argument needs.
     """
     K, M, N = ch.cfg.K, ch.cfg.M, ch.cfg.N
-    t, m_eff, n_eff = plan.t, plan.effective_M, plan.effective_N
+    fields = ("t", "effective_M", "effective_N")
+    t, m_eff, n_eff = (check_integer(getattr(plan, name), f"plan {name}") for name in fields)
     if not (t >= 1 and 1 <= m_eff <= t * M and 1 <= n_eff <= t * N):
         raise DimensionError(
             f"extension plan t={t}, effective (M, N) = ({m_eff}, {n_eff}) needs "

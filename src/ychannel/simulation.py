@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import numbers
+from collections.abc import Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -294,7 +295,7 @@ def bc_phase(
 ) -> np.ndarray:
     """Broadcast the network-coded vector; row i is user i's raw reception."""
     K, N = ch.cfg.K, ch.cfg.N
-    if (bc.relay_precoder.shape[0], len(bc.filters)) != (N, K):
+    if (bc.relay_precoder.shape[0], len(bc.filters), bc.filters.shape[-1]) != (N, K, ch.cfg.M):
         raise DimensionError(f"channel cfg {ch.cfg} does not match the downlink scheme")
     if np.shape(s_plus.entries) != bc.relay_precoder.shape[1:]:
         raise DimensionError(
@@ -501,8 +502,11 @@ def end_to_end(
 
 
 def _check_sequence(values, what: str) -> int:
-    """The number of points in ``values``, refused if it has no length (a bare number)."""
+    """The number of points in ``values``, refused without a length (a bare number) or an
+    order (a set or a mapping)."""
     try:
+        if isinstance(values, (Set, Mapping)):
+            raise TypeError
         return len(values)
     except TypeError:
         raise ConfigurationError(f"{what} must be a sequence, got {values!r}") from None

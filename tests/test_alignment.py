@@ -22,6 +22,7 @@ from ychannel import (
     AlignmentInfeasibleError,
     AlignmentVerificationError,
     ConfigurationError,
+    DegenerateSplitError,
     DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
@@ -60,21 +61,24 @@ def partner_index(user, partner):
     return partner - (partner > user)
 
 
-def by_direction(halves, pairs):
-    """Precoder halves keyed by direction: V_ij of the k-th pair in row k, V_ji in row k + pairs."""
-    precoders = {}
-    for k, (i, j) in enumerate(pairs):
-        precoders[(i, j)], precoders[(j, i)] = halves[k], halves[k + len(pairs)]
-    return precoders
+def pairs_of(K):
+    """The unordered user pairs i < j in lexicographic order."""
+    return list(itertools.combinations(range(K), 2))
+
+
+def by_direction(V):
+    """A (K, K-1, M, x) user-by-partner stack keyed by direction: V_ij is ``V[i, j - (j > i)]``."""
+    K = len(V)
+    return {(i, j): V[i, partner_index(i, j)] for i, j in itertools.permutations(range(K), 2)}
 
 
 def one_member_precoders(ch, compression, alloc):
     """The precoder stage on a one-member stack: precoders by direction, ||V_ij||_2 per pair."""
     H, P = np.stack(ch.uplink)[None], compression.matrix[None]
-    halves, norms, _ = alignment.build_precoders(
+    V, norms, _ = alignment.build_precoders(
         H, ch.uplink_norms[None], P, compression.row_subsets, alloc
     )
-    return by_direction(halves[0], alloc.pairs), norms[0]
+    return by_direction(V[0]), norms[0]
 
 
 def brute_force_max_x(K, M, N, beta):
@@ -246,7 +250,7 @@ class TestPrecoders:
     def test_null_dimension_matches_rank_bound(self):
         ch, alloc, scheme = build_all(5, 5, 11, 2, 3)
         P = scheme.compression.matrix
-        for i, j in alloc.pairs:
+        for i, j in pairs_of(5):
             a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
             assert a.shape == (10, 10)
             sv = np.linalg.svd(a, compute_uv=False)
@@ -260,7 +264,7 @@ class TestPrecoders:
         for K, M, N, beta, seed in [(4, 3, 7, 2, 5), (5, 4, 13, 3, 6)]:
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             P = scheme.compression.matrix
-            for i, j in alloc.pairs:
+            for i, j in pairs_of(K):
                 a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
                 sv = np.linalg.svd(a, compute_uv=False)
                 svd_null = a.shape[1] - int(np.sum(sv > 1e-10 * sv[0]))
@@ -299,7 +303,7 @@ class TestAssembledScheme:
                 sv = np.linalg.svd(scheme.aligned_basis, compute_uv=False)
                 assert sv[-1] > 1e-6 * sv[0]
                 P = scheme.compression.matrix
-                for i, j in alloc.pairs:
+                for i, j in pairs_of(K):
                     v_ij = scheme.precoders[i, partner_index(i, j)]
                     left = P @ ch.uplink[i] @ v_ij
                     right = P @ ch.uplink[j] @ scheme.precoders[j, partner_index(j, i)]
@@ -315,15 +319,14 @@ class TestAssembledScheme:
         # either side of the alignment identity may carry the NaN
         ch, alloc, _ = build_all(4, 3, 7, 2, 1)
         real = alignment.build_precoders
-        # the precoder stage's halves hold V_ij of pair k in row k, V_ji in row k + pairs
-        row = alloc.pairs.index(min(direction, direction[::-1]))
-        row += len(alloc.pairs) * (direction[0] > direction[1])
+        # the precoder stage's stack holds V_ij at user i's partner slot of j
+        i, j = direction
 
         def poisoned(*args):
-            halves, norms, compressed = real(*args)
-            halves = halves.copy()
-            halves[0, row, 0, 0] = np.nan
-            return halves, norms, compressed
+            V, norms, compressed = real(*args)
+            V = V.copy()
+            V[0, i, partner_index(i, j), 0, 0] = np.nan
+            return V, norms, compressed
 
         monkeypatch.setattr(alignment, "build_precoders", poisoned)
         with pytest.raises(AlignmentVerificationError):
@@ -490,7 +493,7 @@ def reference_verifier(scheme, ch):
     P = scheme.compression.matrix
     row_norms = np.linalg.norm(P, axis=1)
     out = {}
-    for i, j in scheme.alloc.pairs:
+    for i, j in pairs_of(scheme.cfg.K):
         target = np.hstack([ch.uplink[i], -ch.uplink[j]])
         scale = np.linalg.norm(target, 2)
         found = np.count_nonzero(
@@ -521,7 +524,7 @@ class TestBatchedVerifier:
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             reference = reference_verifier(scheme, ch)
             report = verify_alignment_conditions(scheme, ch)
-            assert list(report.per_pair) == alloc.pairs
+            assert list(report.per_pair) == pairs_of(K)
             for pair, check in report.per_pair.items():
                 found, residual, tolerance = reference[pair]
                 assert check.null_rows_found == found
@@ -579,18 +582,19 @@ def per_pair_construction(ch, alloc, beta):
         [np.linalg.norm(rows @ stack, axis=1) for rows, stack in zip(picked, stacks)]
     )
     row_subsets = [subset for subset in subsets for _ in range(q)]
-    reduced = []
-    for i, j in alloc.pairs:
+    reduced, pairs = [], pairs_of(K)
+    for i, j in pairs:
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
         shared = np.array([i in s and j in s for s in row_subsets])
         reduced.append(a[~shared])
     null = reference_null_space(reduced)
     top, bottom = null[:, :M], null[:, M:]
     scales = np.maximum(np.linalg.norm(top, axis=1), np.linalg.norm(bottom, axis=1))
-    halves = np.concatenate([top, bottom]) / np.concatenate([scales, scales])[:, None]
-    precoders = by_direction(halves, alloc.pairs)
+    precoders = {}
+    for (i, j), v_ij, v_ji, larger in zip(pairs, top, bottom, scales):
+        precoders[(i, j)], precoders[(j, i)] = v_ij / larger, v_ji / larger
     blocks, residuals = [], []
-    for i, j in alloc.pairs:
+    for i, j in pairs:
         left = P @ ch.uplink[i] @ precoders[(i, j)]
         right = P @ ch.uplink[j] @ precoders[(j, i)]
         scale = np.linalg.norm(P, 2) * ch.uplink_norms[i] * np.linalg.norm(precoders[(i, j)], 2)
@@ -632,6 +636,24 @@ class TestBatchedConstruction:
         with pytest.raises(AlignmentInfeasibleError) as err:
             one_member_precoders(ch, corrupted, alloc)
         assert str(err.value).startswith(f"pair {named}:")
+
+    @pytest.mark.parametrize("half,named", [(slice(0, 15), "(1, 3)"), (slice(15, 30), "(3, 1)")])
+    def test_rank_loss_names_the_direction(self, monkeypatch, half, named):
+        # zero the V_13 rows (top M) or the V_31 rows (bottom M) of one of pair (1,3)'s two
+        # null-space columns at (6,15,32); the other half keeps the column's scale, so only
+        # the rank check fails
+        ch, alloc, scheme = build_all(6, 15, 32, 2, 0)
+        real, row = alignment._null_space, pairs_of(6).index((1, 3))
+
+        def zeroed(square, rows):
+            null = real(square, rows)
+            null[row, half, 0] = 0.0
+            return null
+
+        monkeypatch.setattr(alignment, "_null_space", zeroed)
+        with pytest.raises(DegenerateSplitError) as err:
+            one_member_precoders(ch, scheme.compression, alloc)
+        assert str(err.value).startswith(f"precoder {named} lost column rank")
 
     def test_empty_batch_is_a_configuration_error(self):
         alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
@@ -686,14 +708,27 @@ class TestNullSpaceKernel:
             assert_same_bits(null, reference_null_space(wide))
 
 
+class TestPairOrder:
+    INSTANCES = [(4, 3, 7, 2), (5, 5, 11, 2), (6, 5, 21, 4), (7, 6, 31, 5)]  # K = 4..7
+
+    @pytest.mark.parametrize("K,M,N,beta", INSTANCES)
+    def test_blocks_verifier_and_messages_share_one_order(self, K, M, N, beta):
+        ch, alloc, scheme = build_all(K, M, N, beta, 0)
+        x = alloc.per_pair
+        assert scheme.pair_blocks == [(p, k * x, (k + 1) * x) for k, p in enumerate(pairs_of(K))]
+        blocks = [pair for pair, _, _ in scheme.pair_blocks]
+        report = verify_alignment_conditions(scheme, ch)
+        assert blocks == list(report.per_pair) == list(alignment.message_order(K)[0][0::2])
+
+
 class TestPrecoderSpectrum:
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 15, 32, 2), (5, 4, 13, 3)])
     def test_returned_norms_are_the_spectral_norms(self, K, M, N, beta):
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             precoders, norms = one_member_precoders(ch, scheme.compression, alloc)
-            assert norms.shape == (len(alloc.pairs),)
-            for k, (i, j) in enumerate(alloc.pairs):
+            assert norms.shape == (comb(K, 2),)
+            for k, (i, j) in enumerate(pairs_of(K)):
                 assert_same_bits(precoders[i, j], scheme.precoders[i, partner_index(i, j)])
                 assert norms[k] == np.linalg.norm(precoders[i, j], 2)
 
@@ -710,10 +745,10 @@ class TestPrecoderSpectrum:
         monkeypatch.setattr(np.linalg._linalg, "svd", counted)
         monkeypatch.setattr(np.linalg, "svd", counted)
         assemble_scheme(ch, alloc, 2)
-        pairs, x = len(alloc.pairs), alloc.per_pair
+        K, pairs, x = cfg.K, comb(cfg.K, 2), alloc.per_pair
         # one scheme is a batch of one: every stack has a leading member axis of 1
         assert not any(shape[-3:] == (pairs, cfg.M, x) for shape in calls), calls
-        assert calls.count((1, 2 * pairs, cfg.M, x)) == 1, calls
+        assert calls.count((1, K, K - 1, cfg.M, x)) == 1, calls
 
 
 class TestPrecoderStack:
@@ -781,7 +816,7 @@ class TestCompressionSpectrum:
             residuals = [
                 np.abs(P @ ch.uplink[i] @ V[i, j - 1] - P @ ch.uplink[j] @ V[j, i]).max()
                 / (np.linalg.norm(P, 2) * ch.uplink_norms[i] * np.linalg.norm(V[i, j - 1], 2))
-                for i, j in alloc.pairs
+                for i, j in pairs_of(K)
             ]
             assert scheme.alignment_residual == float(np.max(residuals))
 

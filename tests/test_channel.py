@@ -196,6 +196,18 @@ class TestApplyExtensionPlan:
         with pytest.raises(DimensionError, match="extension plan"):
             apply_extension_plan(sample_channels(cfg, 4), plan)
 
+    @pytest.mark.parametrize(
+        "plan",
+        [ExtensionPlan(2.0, 6, 14, "relay"), ExtensionPlan(1, 2.5, 7, "none"),
+         ExtensionPlan(True, 3, 7, "none"), ExtensionPlan(1, 3, "7", "none")],
+        ids=["t_float", "M_float", "t_bool", "N_string"],
+    )
+    def test_non_integer_plan_fields_are_configuration_errors(self, plan):
+        # 2.0 raised a bare TypeError from np.eye, 2.5 one from slicing, and True ran as t = 1
+        ch = sample_channels(SystemConfig(4, 3, 7), 4)
+        with pytest.raises(ConfigurationError, match="plan .* must be an integer"):
+            apply_extension_plan(ch, plan)
+
     @pytest.mark.parametrize("side", ["none", "sideways", ""])
     def test_extension_needs_a_side(self, side):
         # any side but "relay" used to get source-side mixers

@@ -358,7 +358,10 @@ class TestBroadcastPhase:
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
         scheme, ch, bc = prep.scheme, prep.ch, prep.bc
         decoded = relay_decode(scheme, mac_phase(scheme, ch, prep.frame[0], 0.0))
-        for other in (SystemConfig(5, 4, 13), SystemConfig(5, 3, 7), SystemConfig(4, 3, 8)):
+        # another M returned a (4, 2) reception instead of raising
+        others = (SystemConfig(5, 4, 13), SystemConfig(5, 3, 7), SystemConfig(4, 3, 8),
+                  SystemConfig(4, 2, 7))
+        for other in others:
             with pytest.raises(DimensionError, match="does not match the downlink scheme"):
                 bc_phase(bc, sample_channels(other, 1), decoded)
         for rows in ((5,), (7,), (6, 1)):
@@ -627,22 +630,26 @@ class TestRates:
         assert estimate_dof_slope(cfg, 2, np.array([0]), np.array(grid[:2])) == slope
 
     def test_scalar_grids_and_seeds_are_configuration_errors(self, monkeypatch):
-        # each raised a bare TypeError from len() or iteration
+        # each raised a bare TypeError from len() or iteration; a set or a dict raised
+        # one from numpy ("not 'set'"), estimate_dof_slope only after preparing a seed,
+        # and simulate_grid returned its results in hash order
         cfg = SystemConfig(4, 3, 7)
         calls = []
         monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
-        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
-            sum_rate_curve(cfg, 2, [1], 30.0)
-        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
-            estimate_dof_slope(cfg, 2, [1], 30.0)
-        with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
-            fit_slope(30.0, [1.0])
-        with pytest.raises(ConfigurationError, match="seeds must be a sequence"):
-            sum_rate_curve(cfg, 2, 5, [30.0, 40.0])
+        for grid in (30.0, {60.0, 70.0}, {60.0: 1, 70.0: 2}):
+            with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+                sum_rate_curve(cfg, 2, [1], grid)
+            with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+                estimate_dof_slope(cfg, 2, [1], grid)
+            with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
+                fit_slope(grid, [1.0, 2.0])
+        for seeds in (5, {1, 2}, {1: 0}, frozenset({3})):
+            with pytest.raises(ConfigurationError, match="seeds must be a sequence"):
+                sum_rate_curve(cfg, 2, seeds, [30.0, 40.0])
         assert calls == []
         monkeypatch.undo()
         prep = prepare(cfg, 2, 0)
-        for grid in (30.0, None, np.float64(30.0), np.array(30.0)):
+        for grid in (30.0, None, np.float64(30.0), np.array(30.0), {60.0, 70.0}, {60.0: 1}):
             with pytest.raises(ConfigurationError, match="SNR grid must be a sequence"):
                 simulate_grid(prep, grid)
 

@@ -13,10 +13,12 @@ better in its direction), and whether the change's median is worse than the
 parent's by more than the metric's bound.  That verdict reads "unresolved"
 when the parent's own spread, its interquartile range over its median,
 exceeds the bound: such pairs cannot tell a shift of the bound's size from
-noise.  Times are the benchmark's reference-scaled values.
+noise.  It reads "no" all the same when every change run is better than
+every parent run.  Times are the benchmark's reference-scaled values.  The
+default of 10 pairs is the least that a claim of a gain should rest on.
 
     python tools/bench_pairs.py --parent ../ychannel-parent --change . \\
-        --workload corner_battery --workload montecarlo_cli --pairs 5 --seconds 20
+        --workload corner_battery --workload montecarlo_cli --seconds 20
 
 Exit status: 0 when every run printed ``"correct": true``, 1 otherwise.
 """
@@ -37,7 +39,7 @@ def parse_args(argv):
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: every workload")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -83,7 +85,8 @@ def summarize(workload: str, runs: list[tuple[dict, dict]], spec: list[dict]) ->
         (base, low, high), new = sides[0], sides[1][0]
         shift = (new - base) / base if base else 0.0
         worse = -shift if higher else shift
-        if base and (high - low) / abs(base) > metric["bound"]:
+        beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+        if base and (high - low) / abs(base) > metric["bound"] and not beats_all:
             verdict = "unresolved"
         else:
             verdict = "no" if worse <= metric["bound"] else "YES"
