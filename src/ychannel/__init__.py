@@ -46,8 +46,6 @@ from .channel import (
     ChannelSet,
     ExtensionPlan,
     apply_extension_plan,
-    channel_from_dict,
-    channel_to_dict,
     plan_extension,
     sample_channels,
 )

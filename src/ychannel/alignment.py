@@ -64,12 +64,6 @@ from .errors import (
     InfeasibleConfigurationError,
     NeedsExtensionError,
 )
-from .serialization import (
-    complex_matrix_from_pairs,
-    complex_matrix_to_pairs,
-    stored_entries,
-    stored_section,
-)
 
 __all__ = [
     "StreamAllocation",
@@ -173,7 +167,9 @@ def required_row_counts(
     (the left null space is big enough) and ``p >= rows - 2M + d_ij``
     (enough rows to shrink the pair channel's rank).
     """
-    K, beta = cfg.K, check_integer(beta, "beta")
+    if alloc.cfg != cfg:
+        raise DimensionError(f"cfg {cfg} does not match allocation cfg {alloc.cfg}")
+    K, beta = cfg.K, check_beta(cfg.K, beta)
     rows = alloc.rows
     subsets = comb(K, beta)
     q, rem = divmod(rows, subsets)
@@ -621,6 +617,12 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     })
 
 
+def complex_matrix_to_pairs(m: np.ndarray) -> list:
+    """Nested lists of a complex array with each entry as a [re, im] pair, row major."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
+
+
 def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     """JSON-ready scheme export (matrices as row-major [re, im] pairs)."""
     keys = [f"{i},{j}" for i, j in sorted(message_order(scheme.cfg.K)[0])]  # user by partner
@@ -644,11 +646,41 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
 
 
 def _stored_matrix(rows: list, shape: tuple[int, int], what: str) -> np.ndarray:
-    m = complex_matrix_from_pairs(rows)
+    """Decode a stored matrix: non-empty, equally long rows of [re, im] number pairs.
+
+    Any other layout, NaN or infinite entries (``json`` reads ``NaN`` and
+    ``Infinity``) and a shape other than ``shape`` raise ``ConfigurationError``.
+    """
+    try:
+        pairs = np.array(rows, dtype=np.float64)
+        layout = pairs.ndim == 3 and pairs.shape[2] == 2 and 0 not in pairs.shape
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry float() refuses
+        layout = False
+    if layout:  # float64 conversion alone would also take "1.5" and true
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+        layout = set(map(type, entries)) <= {int, float}
+    if not layout:
+        raise ConfigurationError(
+            "stored matrix must be non-empty, equally long rows of [re, im] number pairs"
+        )
+    if not np.isfinite(pairs).all():
+        raise ConfigurationError("stored matrix has a NaN or infinite entry")
+    m = pairs.view(np.complex128)[..., 0]
     if m.shape != shape:
         raise ConfigurationError(f"scheme {what} has shape {m.shape}, expected {shape}")
     m.setflags(write=False)
     return m
+
+
+def _stored_section(value: object, kind: type, what: str):
+    """``value`` if it is a ``kind``: dict for a JSON object, list for an array.
+
+    A section of another JSON type raises ``ConfigurationError`` naming ``what``.
+    """
+    if not isinstance(value, kind):
+        name = {dict: "object", list: "array"}[kind]
+        raise ConfigurationError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
 
 
 def _finite_non_negative(v: object) -> bool:
@@ -658,18 +690,20 @@ def _finite_non_negative(v: object) -> bool:
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
     """Load an exported scheme; shapes and provenance must follow from cfg, beta and x."""
-    with stored_entries("scheme"):
-        data = stored_section(data, dict, "scheme")
-        dims = stored_section(data["cfg"], dict, "scheme cfg")
+    try:
+        data = _stored_section(data, dict, "scheme")
+        dims = _stored_section(data["cfg"], dict, "scheme cfg")
         cfg = SystemConfig(dims["K"], dims["M"], dims["N"])
-        allocation = stored_section(data["allocation"], dict, "scheme allocation")
-        stored_precoders = stored_section(data["precoders"], dict, "scheme precoders")
-        stored = stored_section(data["compression"], dict, "scheme compression")
+        allocation = _stored_section(data["allocation"], dict, "scheme allocation")
+        stored_precoders = _stored_section(data["precoders"], dict, "scheme precoders")
+        stored = _stored_section(data["compression"], dict, "scheme compression")
         beta, basis_pairs, matrix_pairs = data["beta"], data["aligned_basis"], stored["matrix"]
-        row_subsets = stored_section(stored["row_subsets"], list, "scheme row_subsets")
-        residuals = stored_section(stored["row_residuals"], list, "scheme row_residuals")
-        stored_metrics = stored_section(data["metrics"], dict, "scheme metrics")
+        row_subsets = _stored_section(stored["row_subsets"], list, "scheme row_subsets")
+        residuals = _stored_section(stored["row_residuals"], list, "scheme row_residuals")
+        stored_metrics = _stored_section(data["metrics"], dict, "scheme metrics")
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
+    except KeyError as exc:
+        raise ConfigurationError(f"scheme has no {exc} entry") from exc
     if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
         raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
     keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner

@@ -196,6 +196,7 @@ def corner_points(K: int) -> list[CornerPoint]:
     The first entry is the pairwise-exchange corner; the rest have
     ``beta`` running over ``2..K-2`` (none for K = 3).
     """
+    K = check_integer(K, "K")
     if K < 3:
         raise ConfigurationError(f"need at least 3 users, got K={K}")
     points = [

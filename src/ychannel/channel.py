@@ -23,12 +23,6 @@ from .errors import (
     DimensionError,
     InfeasibleConfigurationError,
 )
-from .serialization import (
-    complex_matrix_from_pairs,
-    complex_matrix_to_pairs,
-    stored_entries,
-    stored_section,
-)
 
 __all__ = [
     "ChannelSet",
@@ -36,8 +30,6 @@ __all__ = [
     "sample_channels",
     "plan_extension",
     "apply_extension_plan",
-    "channel_to_dict",
-    "channel_from_dict",
     "check_seed",
     "substream",
 ]
@@ -165,7 +157,7 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
 
     Deterministic given (cfg, seed).  Every entry is finite, and every
     matrix has full rank with probability 1; a rank-deficient channel set
-    (say, a loaded fixture) is rejected by the scheme construction.
+    is rejected by the scheme construction.
     """
     seed = check_seed(seed)
     K, M, N = cfg.K, cfg.M, cfg.N
@@ -269,36 +261,3 @@ def apply_extension_plan(ch: ChannelSet, plan: ExtensionPlan) -> ChannelSet:
             downlink = mixers @ downlink
     uplink, downlink = _freeze(uplink[:, :n_eff, :m_eff]), _freeze(downlink[:, :m_eff, :n_eff])
     return ChannelSet(SystemConfig(K, m_eff, n_eff), ch.seed, uplink, downlink)
-
-
-def channel_to_dict(ch: ChannelSet) -> dict:
-    """JSON-ready fixture representation (row-major [re, im] entries)."""
-    return {
-        "cfg": {"K": ch.cfg.K, "M": ch.cfg.M, "N": ch.cfg.N},
-        "seed": ch.seed,
-        "uplink": [complex_matrix_to_pairs(h) for h in ch.uplink],
-        "downlink": [complex_matrix_to_pairs(g) for g in ch.downlink],
-    }
-
-
-def channel_from_dict(data: dict) -> ChannelSet:
-    with stored_entries("channel fixture"):
-        data = stored_section(data, dict, "channel fixture")
-        dims = stored_section(data["cfg"], dict, "channel fixture cfg")
-        cfg = SystemConfig(dims["K"], dims["M"], dims["N"])
-        seed = data["seed"]
-        uplink = stored_section(data["uplink"], list, "channel fixture uplink")
-        downlink = stored_section(data["downlink"], list, "channel fixture downlink")
-    seed = check_seed(seed)
-    uplink = [complex_matrix_from_pairs(m) for m in uplink]
-    downlink = [complex_matrix_from_pairs(m) for m in downlink]
-    counts = (len(uplink), len(downlink))
-    if counts != (cfg.K, cfg.K):
-        raise DimensionError(f"need {cfg.K} matrices per direction, got {counts}")
-    for h in uplink:
-        if h.shape != (cfg.N, cfg.M):
-            raise DimensionError(f"uplink matrix shape {h.shape} != {(cfg.N, cfg.M)}")
-    for g in downlink:
-        if g.shape != (cfg.M, cfg.N):
-            raise DimensionError(f"downlink matrix shape {g.shape} != {(cfg.M, cfg.N)}")
-    return ChannelSet(cfg, seed, _freeze(np.array(uplink)), _freeze(np.array(downlink)))

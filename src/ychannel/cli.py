@@ -41,8 +41,8 @@ from .bounds import (
     upper_bound,
 )
 from .channel import check_seed
-from .config import SystemConfig
-from .errors import BroadcastInfeasibleError, YChannelError
+from .config import SystemConfig, check_integer
+from .errors import BroadcastInfeasibleError, ConfigurationError, YChannelError
 from .simulation import (
     RECOVERY_TOL,
     SNR_DB_MAX,
@@ -213,7 +213,9 @@ def sweep_grid(
     if grid is not None:
         points.update(grid)
     else:
-        steps = resolution or 100
+        steps = 100 if resolution is None else check_integer(resolution, "resolution")
+        if steps < 1:
+            raise ConfigurationError(f"resolution must be a positive integer, got {steps}")
         points.update(Fraction(j * K, steps) for j in range(1, steps + 1))
     return sorted(points)
 

@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 from ychannel import (
     AlignmentInfeasibleError,
     AlignmentVerificationError,
+    ChannelSet,
     ConfigurationError,
     DegenerateSplitError,
     DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
+    StreamAllocation,
     SystemConfig,
     YChannelError,
     allocate_streams,
     assemble_scheme,
-    channel_from_dict,
-    channel_to_dict,
     corner_points,
     load_scheme,
     prepare,
@@ -212,8 +212,22 @@ class TestRowCounts:
         alloc = allocate_streams(cfg, 2)
         tight = SystemConfig(5, 5, 10)  # q = 1 > N - beta*M = 0
         with pytest.raises(InfeasibleConfigurationError) as err:
-            required_row_counts(tight, alloc, 2)
+            required_row_counts(tight, StreamAllocation(tight, alloc.per_pair), 2)
         assert err.value.inequality == "q <= N - beta*M"
+
+    @pytest.mark.parametrize("beta", [0, 1, 3, 9])
+    def test_beta_without_a_corner_is_a_configuration_error(self, beta):
+        # 0 and 9 raised math.comb's ValueError and a ZeroDivisionError, and
+        # 1 and 3 asked for a 2-symbol extension
+        cfg = SystemConfig(4, 3, 7)
+        with pytest.raises(ConfigurationError, match="beta must be in \\[2, 2\\] for K=4"):
+            required_row_counts(cfg, allocate_streams(cfg, 2), beta)
+
+    def test_allocation_of_another_cfg_is_refused(self):
+        # (4,3,9) with the (4,3,7) allocation returned RowCounts(q=1, p=1)
+        alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
+        with pytest.raises(DimensionError, match="does not match allocation cfg"):
+            required_row_counts(SystemConfig(4, 3, 9), alloc, 2)
 
 
 class TestCompressionMatrix:
@@ -343,9 +357,10 @@ class TestAssembledScheme:
         # two users share one uplink; at (6,5,21,4) the null-space solve
         # itself is singular, which must not surface as numpy's LinAlgError
         cfg = SystemConfig(K, M, N)
-        data = channel_to_dict(sample_channels(cfg, 1))
-        data["uplink"][1] = data["uplink"][0]
-        ch = channel_from_dict(json.loads(json.dumps(data)))
+        sampled = sample_channels(cfg, 1)
+        uplink = sampled.uplink.copy()
+        uplink[1] = uplink[0]
+        ch = ChannelSet(cfg, sampled.seed, uplink, sampled.downlink)
         with pytest.raises(YChannelError):
             assemble_scheme(ch, allocate_streams(cfg, beta), beta)
 

@@ -150,6 +150,12 @@ class TestCornerPoints:
         assert set(points) == {1, 2}
         assert (points[2].abscissa, points[2].dof_per_M) == (F(7, 3), F(4))
 
+    @pytest.mark.parametrize("K", [4.5, 4.0, "4"])
+    def test_non_integer_k_is_a_configuration_error(self, K):
+        # each raised a bare TypeError
+        with pytest.raises(ConfigurationError, match="K must be an integer"):
+            corner_points(K)
+
     def test_k3_has_only_leftmost(self):
         points = corner_points(3)
         assert len(points) == 1

@@ -21,8 +21,6 @@ from ychannel import (
     allocate_streams,
     apply_extension_plan,
     assemble_scheme,
-    channel_from_dict,
-    channel_to_dict,
     corner_points,
     make_frame,
     plan_extension,
@@ -39,7 +37,7 @@ from ychannel.channel import (
     _gaussian_rows,
     substream,
 )
-from ychannel.serialization import complex_matrix_to_pairs
+from ychannel.alignment import complex_matrix_to_pairs, scheme_to_dict
 
 
 def corner(K, beta):
@@ -367,8 +365,6 @@ class TestChannelStacks:
         extended = apply_extension_plan(sampled, plan)
         ups, downs = two_step_reference(reference, plan)
         self.assert_stacks(extended, ups, downs)
-        loaded = channel_from_dict(json.loads(json.dumps(channel_to_dict(extended))))
-        self.assert_stacks(loaded, ups, downs)
 
 
 class TestPlanExtension:
@@ -447,82 +443,13 @@ class TestPlanExtension:
 
 
 class TestFixtureFormat:
-    def test_round_trip(self):
-        ch = sample_channels(SystemConfig(4, 2, 5), 31)
-        data = json.loads(json.dumps(channel_to_dict(ch)))
-        back = channel_from_dict(data)
-        assert back.cfg == ch.cfg
-        assert back.seed == ch.seed
-        for x, y in zip((*back.uplink, *back.downlink), (*ch.uplink, *ch.downlink)):
-            assert np.array_equal(x, y)
-
-    def test_rejects_non_finite_entries(self):
-        # NaN used to load and end in numpy's LinAlgError inside synthesis
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        data["uplink"][2][4][1] = [float("nan"), 0.0]
-        with pytest.raises(ConfigurationError, match="NaN or infinite"):
-            channel_from_dict(json.loads(json.dumps(data)))
-
-    @pytest.mark.parametrize("direction", ["uplink", "downlink"])
-    def test_rejects_missing_matrix(self, direction):
-        # three uplink matrices for K = 4 used to load and end in an IndexError
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        del data[direction][-1]
-        with pytest.raises(DimensionError, match="4 matrices per direction"):
-            channel_from_dict(data)
-
-    @pytest.mark.parametrize("mutate", ["ragged_row", "one_number_entry", "row_not_a_list"])
-    def test_rejects_malformed_matrix_layout(self, mutate):
-        # each raised numpy's or Python's bare ValueError or TypeError
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        if mutate == "ragged_row":
-            del data["uplink"][0][0][-1]
-        elif mutate == "one_number_entry":
-            data["downlink"][1][2][3] = [1.0]
-        else:
-            data["uplink"][3][6] = "row"
-        with pytest.raises(ConfigurationError, match="rows of \\[re, im\\] number pairs"):
-            channel_from_dict(json.loads(json.dumps(data)))
-
-    @pytest.mark.parametrize(
-        "mutate", ["downlink_missing", "K_string", "M_string", "uplink_number"]
-    )
-    def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
-        # these raised a bare KeyError or TypeError
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        if mutate == "downlink_missing":
-            del data["downlink"]
-        elif mutate == "K_string":
-            data["cfg"]["K"] = "4"
-        elif mutate == "M_string":
-            data["cfg"]["M"] = "3"
-        else:
-            data["uplink"] = 3
-        with pytest.raises(ConfigurationError, match="downlink|must be an int|must be a JSON"):
-            channel_from_dict(json.loads(json.dumps(data)))
-
-    @pytest.mark.parametrize("seed", [-5, 2**64])
-    def test_rejects_out_of_range_seed(self, seed):
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        data["seed"] = seed
-        with pytest.raises(ConfigurationError, match="seed"):
-            channel_from_dict(data)
-
-    @pytest.mark.parametrize("seed", [1.5, "3", True])
-    def test_rejects_non_integer_seed(self, seed):
-        # int() turned these into seeds 1, 3 and 1
-        data = channel_to_dict(sample_channels(SystemConfig(4, 3, 7), 1))
-        data["seed"] = seed
-        with pytest.raises(ConfigurationError, match="seed must be an integer"):
-            channel_from_dict(json.loads(json.dumps(data)))
-
     def test_entries_are_re_im_pairs(self):
-        ch = sample_channels(SystemConfig(3, 1, 2), 0)
-        data = channel_to_dict(ch)
-        entry = data["uplink"][0][0][0]
+        cfg = SystemConfig(4, 3, 7)
+        scheme = assemble_scheme(sample_channels(cfg, 0), allocate_streams(cfg, 2), 2)
+        entry = scheme_to_dict(scheme)["compression"]["matrix"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
-        assert entry[0] == ch.uplink[0][0, 0].real
-        assert entry[1] == ch.uplink[0][0, 0].imag
+        assert entry[0] == scheme.compression.matrix[0, 0].real
+        assert entry[1] == scheme.compression.matrix[0, 0].imag
 
     def test_pairs_match_per_entry_floats(self):
         # the one-call encoding gives the per-entry [float(re), float(im)] lists
@@ -539,9 +466,11 @@ class TestFixtureFormat:
         # reproduce the stored matrices exactly.
         path = pathlib.Path(__file__).parent / "data" / "channel_k3_m1_n2_seed5.json"
         with open(path, encoding="utf-8") as fh:
-            golden = channel_from_dict(json.load(fh))
-        fresh = sample_channels(golden.cfg, golden.seed)
-        for x, y in zip(
-            (*fresh.uplink, *fresh.downlink), (*golden.uplink, *golden.downlink)
-        ):
-            assert np.array_equal(x, y)
+            golden = json.load(fh)
+        dims = golden["cfg"]
+        fresh = sample_channels(SystemConfig(dims["K"], dims["M"], dims["N"]), golden["seed"])
+        for direction in ("uplink", "downlink"):
+            stored = np.array(golden[direction], float).view(complex)[..., 0]
+            sampled = getattr(fresh, direction)
+            assert stored.shape == sampled.shape
+            assert stored.tobytes() == sampled.tobytes()

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from ychannel import (
     BroadcastInfeasibleError,
+    ConfigurationError,
     SystemConfig,
     assemble_scheme,
     end_to_end,
@@ -184,6 +185,12 @@ class TestSweep:
     def test_spec_invariants(self):
         grid = cli.sweep_grid(5, resolution=10)
         assert grid == sorted(set(grid))
+
+    @pytest.mark.parametrize("resolution", [-3, 0, 2.5])
+    def test_resolution_must_be_a_positive_integer(self, resolution):
+        # -3 gave only the analytic points, 0 gave 100 and 2.5 a bare TypeError
+        with pytest.raises(ConfigurationError, match="resolution must be"):
+            cli.sweep_grid(5, resolution=resolution)
 
     def test_empty_explicit_grid_fails(self):
         proc = run_cli("sweep", "--k", "5", "--grid", "")
