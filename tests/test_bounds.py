@@ -150,9 +150,9 @@ class TestCornerPoints:
         assert set(points) == {1, 2}
         assert (points[2].abscissa, points[2].dof_per_M) == (F(7, 3), F(4))
 
-    @pytest.mark.parametrize("K", [4.5, 4.0, "4"])
+    @pytest.mark.parametrize("K", [4.5, 4.0, "4", True])
     def test_non_integer_k_is_a_configuration_error(self, K):
-        # each raised a bare TypeError
+        # the first three raised a bare TypeError, and True was read as K = 1
         with pytest.raises(ConfigurationError, match="K must be an integer"):
             corner_points(K)
 

@@ -37,7 +37,12 @@ from ychannel.channel import (
     _gaussian_rows,
     substream,
 )
-from ychannel.alignment import complex_matrix_to_pairs, scheme_to_dict
+from ychannel.alignment import (
+    _stored_matrix,
+    complex_matrix_to_pairs,
+    scheme_from_dict,
+    scheme_to_dict,
+)
 
 
 def corner(K, beta):
@@ -443,6 +448,23 @@ class TestPlanExtension:
 
 
 class TestFixtureFormat:
+    def test_round_trip(self):
+        # every channel matrix survives the [re, im] codec and JSON text bit for bit
+        ch = sample_channels(SystemConfig(4, 2, 5), 31)
+        for matrix in (*ch.uplink, *ch.downlink):
+            text = json.dumps(complex_matrix_to_pairs(matrix))
+            back = _stored_matrix(json.loads(text), matrix.shape, "channel")
+            assert back.tobytes() == matrix.tobytes()
+
+    def test_rejects_non_finite_entries(self):
+        # json reads NaN; a NaN compression entry must not reach the verifier
+        cfg = SystemConfig(4, 3, 7)
+        scheme = assemble_scheme(sample_channels(cfg, 1), allocate_streams(cfg, 2), 2)
+        data = scheme_to_dict(scheme)
+        data["compression"]["matrix"][2][4] = [float("nan"), 0.0]
+        with pytest.raises(ConfigurationError, match="NaN or infinite"):
+            scheme_from_dict(json.loads(json.dumps(data)))
+
     def test_entries_are_re_im_pairs(self):
         cfg = SystemConfig(4, 3, 7)
         scheme = assemble_scheme(sample_channels(cfg, 0), allocate_streams(cfg, 2), 2)

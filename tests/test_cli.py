@@ -186,11 +186,17 @@ class TestSweep:
         grid = cli.sweep_grid(5, resolution=10)
         assert grid == sorted(set(grid))
 
-    @pytest.mark.parametrize("resolution", [-3, 0, 2.5])
+    @pytest.mark.parametrize("resolution", [-3, 0, 2.5, True])
     def test_resolution_must_be_a_positive_integer(self, resolution):
-        # -3 gave only the analytic points, 0 gave 100 and 2.5 a bare TypeError
+        # -3 gave only the analytic points, 0 gave 100, 2.5 a bare TypeError
+        # and True one step
         with pytest.raises(ConfigurationError, match="resolution must be"):
             cli.sweep_grid(5, resolution=resolution)
+
+    def test_no_resolution_keeps_the_default_of_100(self):
+        grid = cli.sweep_grid(5)
+        assert grid == cli.sweep_grid(5, resolution=100)
+        assert {Fraction(j, 20) for j in range(1, 101)} <= set(grid)
 
     def test_empty_explicit_grid_fails(self):
         proc = run_cli("sweep", "--k", "5", "--grid", "")
