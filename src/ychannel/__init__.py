@@ -20,12 +20,10 @@ from .alignment import (
     AlignmentScheme,
     CompressionMatrix,
     PairCheck,
-    RowCounts,
     StreamAllocation,
     allocate_streams,
     assemble_scheme,
     load_scheme,
-    required_row_counts,
     save_scheme,
     scheme_from_dict,
     scheme_to_dict,

@@ -9,26 +9,25 @@ dimension.
 
 Construction order, for a branch index ``beta``:
 
-1. ``allocate_streams`` fixes the symmetric per-pair stream count.
-2. ``required_row_counts`` distributes compression rows over the
-   ``C(K, beta)`` antenna subsets and checks the feasibility inequalities.
-3. ``build_compression_matrix`` takes q left-null rows of each subset's
+1. ``allocate_streams`` fixes the symmetric per-pair stream count x and the
+   q compression rows of each of the ``C(K, beta)`` antenna subsets.
+2. ``build_compression_matrix`` takes q left-null rows of each subset's
    stacked channel.
-4. ``build_precoders`` pulls each pair's joint precoder from the null space
+3. ``build_precoders`` pulls each pair's joint precoder from the null space
    of the compressed pair channel.
-5. ``assemble_schemes``, which runs steps 3 and 4, stacks the aligned
+4. ``assemble_schemes``, which runs steps 2 and 3, stacks the aligned
    basis and certifies residual and conditioning.
 
-Steps 3 and 4 share one null-space routine and one lost-rank rule.  The
+Steps 2 and 3 share one null-space routine and one lost-rank rule.  The
 routine completes each wide matrix to a square one with a fixed random
 block, writes all of a step's blocks into one buffer, and takes one batched
-LU solve with partial pivoting and one batched QR; it needs no SVD.  Step 4
+LU solve with partial pivoting and one batched QR; it needs no SVD.  Step 3
 first drops the rows that the provenance says annihilate both channels of
 the pair, and checks that they do.  Its rank check's singular values give
-the precoders' spectral norms, which scale the alignment residual in step 5.
+the precoders' spectral norms, which scale the alignment residual in step 4.
 
-Steps 3 and 4 work on a leading member axis.  ``assemble_schemes`` runs
-steps 3 to 5 once for several channel sets, and returns every member's
+Steps 2 and 3 work on a leading member axis.  ``assemble_schemes`` runs
+steps 2 to 4 once for several channel sets, and returns every member's
 scheme or raises; the simulation builds each seed's uplink scheme and its
 downlink dual that way.  ``assemble_scheme`` is a batch of one.
 
@@ -50,7 +49,7 @@ from sys import float_info
 
 import numpy as np
 
-from .bounds import check_beta, corner_abscissa, corner_points
+from .bounds import check_beta, corner_abscissa
 from .channel import ChannelSet
 from .config import SystemConfig, check_integer
 from .errors import (
@@ -63,17 +62,16 @@ from .errors import (
     DimensionError,
     InfeasibleConfigurationError,
     NeedsExtensionError,
+    YChannelError,
 )
 
 __all__ = [
     "StreamAllocation",
-    "RowCounts",
     "CompressionMatrix",
     "AlignmentScheme",
     "PairCheck",
     "AlignmentReport",
     "allocate_streams",
-    "required_row_counts",
     "assemble_scheme",
     "assemble_schemes",
     "verify_alignment_conditions",
@@ -99,10 +97,12 @@ VERIFY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class StreamAllocation:
-    """The symmetric stream count ``per_pair`` of every ordered user pair."""
+    """The stream count ``per_pair`` of every ordered user pair and the
+    ``per_subset`` compression rows of every antenna subset."""
 
     cfg: SystemConfig
     per_pair: int
+    per_subset: int
 
     @property
     def d_total(self) -> int:
@@ -115,12 +115,16 @@ class StreamAllocation:
 
 
 def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
-    """Symmetric per-pair stream count achieving the corner for ``beta``.
+    """Symmetric per-pair stream count and rows per subset achieving the corner for ``beta``.
 
-    The closed form is ``x = 4M / (2 + K(K-1) - beta(beta-1))``.  A
-    fractional x means the configuration needs a symbol extension by the
-    denominator of x; a ratio below the corner abscissa cannot host the
-    allocation at all.
+    The closed form is ``x = 4M / (2 + K(K-1) - beta(beta-1))``, and the
+    rows = K(K-1)x/2 go out ``q = rows / C(K, beta)`` to each subset.  A
+    fractional x or q means the configuration needs a symbol extension; a
+    ratio below the corner abscissa alpha cannot host the allocation at all.
+    Both feasibility conditions of the construction then hold identically:
+    q = (alpha - beta)M <= N - beta*M fits each subset's left null space, and
+    the q*C(K-2, beta-2) = x*beta(beta-1)/2 rows shared by a pair are
+    exactly rows - 2M + x, which leaves x precoder dimensions.
     """
     K = cfg.K
     if K < 4:  # no beta in [2, K - 2]
@@ -141,37 +145,7 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
             f"{x.denominator}-symbol extension",
             factor=x.denominator,
         )
-    return StreamAllocation(cfg=cfg, per_pair=int(x))
-
-
-@dataclass(frozen=True)
-class RowCounts:
-    """Compression-row bookkeeping for one branch index.
-
-    ``q`` rows go to each of the C(K, beta) antenna subsets; ``p`` counts
-    the rows annihilating both channels of any one pair.
-    """
-
-    q: int
-    p: int
-
-
-def required_row_counts(
-    cfg: SystemConfig, alloc: StreamAllocation, beta: int
-) -> RowCounts:
-    """Distribute compression rows over subsets and check feasibility.
-
-    Every size-``beta`` subset receives ``q = rows / C(K, beta)`` rows,
-    which must be a nonnegative integer; each pair is then covered by
-    ``q * C(K-2, beta-2)`` rows.  Feasibility needs ``q <= N - beta*M``
-    (the left null space is big enough) and ``p >= rows - 2M + d_ij``
-    (enough rows to shrink the pair channel's rank).
-    """
-    if alloc.cfg != cfg:
-        raise DimensionError(f"cfg {cfg} does not match allocation cfg {alloc.cfg}")
-    K, beta = cfg.K, check_beta(cfg.K, beta)
-    rows = alloc.rows
-    subsets = comb(K, beta)
+    rows, subsets = K * (K - 1) * int(x) // 2, comb(K, beta)
     q, rem = divmod(rows, subsets)
     if rem:
         need = subsets // gcd(rows, subsets)
@@ -180,20 +154,7 @@ def required_row_counts(
             f"needs a {need}-symbol extension",
             factor=need,
         )
-    if q > cfg.N - beta * cfg.M:
-        raise InfeasibleConfigurationError(
-            f"q={q} rows per subset exceed the null space size N - beta*M = "
-            f"{cfg.N - beta * cfg.M}",
-            inequality="q <= N - beta*M",
-        )
-    p = q * comb(K - 2, beta - 2)
-    need = rows - 2 * cfg.M + alloc.per_pair
-    if p < need:
-        raise InfeasibleConfigurationError(
-            f"each pair is covered by {p} rows but needs {need} (rows - 2M + d_ij)",
-            inequality="p >= rows - 2M + d_ij",
-        )
-    return RowCounts(q=q, p=p)
+    return StreamAllocation(cfg=cfg, per_pair=int(x), per_subset=q)
 
 
 @dataclass(frozen=True)
@@ -327,7 +288,7 @@ def build_compression_matrix(
     check.  A failing check names the first failing member's subset.
     """
     B, K, N, M = H.shape
-    q = required_row_counts(alloc.cfg, alloc, beta).q
+    q = alloc.per_subset
     users, row_subsets = _subset_rows(K, beta, q)
     S, width = len(users), beta * M  # H_S is N x width
     # block (b, s) holds H_S^T of member b's s-th subset S, one M-row band per user of S
@@ -411,11 +372,8 @@ def build_precoders(
     # row r[n] of the compressed pair channel [P H_i, -P H_j] of pair k[n]
     rows = np.concatenate([compressed[:, first[k], r], -compressed[:, second[k], r]], axis=2)
     annihilated = np.linalg.norm(rows, axis=2) <= scale[:, k] * row_norms[:, r]
-    failing = np.tile(P.shape[1] - shared.sum(axis=1) != kept, (B, 1))
-    member, n = np.nonzero(~annihilated)
-    failing[member, k[n]] = True
-    if failing.any():
-        i, j = pairs[int(np.argmax(failing)) % len(pairs)]
+    if not annihilated.all():  # k ascends, so this is the first failing member's first pair
+        i, j = pairs[k[int(np.argmax(~annihilated)) % len(k)]]
         raise AlignmentInfeasibleError(
             f"pair ({i},{j}): the rows from subsets holding both users must "
             f"annihilate its channels and leave {kept} rows for "
@@ -498,6 +456,8 @@ def assemble_schemes(
     if not members:
         raise ConfigurationError("assemble_schemes needs at least one channel set")
     beta = check_integer(beta, "beta")
+    if alloc != allocate_streams(alloc.cfg, beta):
+        raise DimensionError(f"{alloc} is not the beta={beta} allocation of its cfg")
     for ch in members:
         if ch.cfg != alloc.cfg:
             raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
@@ -689,7 +649,7 @@ def _finite_non_negative(v: object) -> bool:
 
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
-    """Load an exported scheme; shapes and provenance must follow from cfg, beta and x."""
+    """Load an exported scheme; allocation, shapes and provenance must follow from cfg and beta."""
     try:
         data = _stored_section(data, dict, "scheme")
         dims = _stored_section(data["cfg"], dict, "scheme cfg")
@@ -704,28 +664,23 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
     except KeyError as exc:
         raise ConfigurationError(f"scheme has no {exc} entry") from exc
-    if type(beta) is not int or beta not in {c.beta for c in corner_points(cfg.K)}:
-        raise ConfigurationError(f"scheme beta must be a corner index for K={cfg.K}: {beta!r}")
+    try:
+        beta = check_integer(beta, "beta")  # an int, for the scheme's JSON
+        alloc = allocate_streams(cfg, beta)
+    except YChannelError as exc:
+        raise ConfigurationError(f"scheme cfg and beta={beta!r} have no allocation: {exc}") from exc
+    x, rows = alloc.per_pair, alloc.rows
     keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
-    counts = set(allocation.values())
-    x = counts.pop() if len(counts) == 1 else None
-    if set(allocation) != set(keys) or type(x) is not int or x < 1:
+    if allocation != dict.fromkeys(keys, x) or {type(v) for v in allocation.values()} != {int}:
+        raise ConfigurationError(f"scheme allocation must give every ordered pair {x} streams")
+    if set(stored_precoders) != set(keys):
+        raise ConfigurationError("scheme needs a precoder for every ordered pair")
+    provenance = _subset_rows(cfg.K, beta, alloc.per_subset)[1]
+    if row_subsets != [list(s) for s in provenance] or {type(u) for s in row_subsets for u in s} != {int}:
         raise ConfigurationError(
-            "scheme allocation must give one positive integer stream count for "
-            "every ordered pair"
+            f"scheme row_subsets must give {alloc.per_subset} rows to each {beta}-user "
+            f"subset of range({cfg.K}) in lexicographic order"
         )
-    alloc = StreamAllocation(cfg=cfg, per_pair=x)
-    rows = alloc.rows
-    if len(row_subsets) != rows or set(stored_precoders) != set(keys):
-        raise ConfigurationError(
-            f"scheme needs {rows} row subsets and a precoder for every ordered pair"
-        )
-    for s in row_subsets:
-        users = isinstance(s, list) and all(type(u) is int and 0 <= u < cfg.K for u in s)
-        if not users or len(s) != beta or s != sorted(set(s)):
-            raise ConfigurationError(
-                f"scheme row subset {s!r} is not {beta} increasing users of range({cfg.K})"
-            )
     if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
         raise ConfigurationError(
             f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"
@@ -734,7 +689,7 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
     residuals.setflags(write=False)
     compression = CompressionMatrix(
         matrix=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
-        row_subsets=tuple(map(tuple, row_subsets)),
+        row_subsets=provenance,
         row_residuals=residuals,
     )
     precoders = [_stored_matrix(stored_precoders[k], (cfg.M, x), f"precoder {k}") for k in keys]

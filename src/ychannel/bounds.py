@@ -107,7 +107,7 @@ def _pairs2(K: int) -> int:
 
 def betas(K: int) -> range:
     """Valid plateau/slope indices for K users (empty when K = 3)."""
-    return range(2, K - 1)
+    return range(2, check_integer(K, "K") - 1)
 
 
 def check_beta(K: int, beta: int) -> int:
@@ -120,11 +120,13 @@ def check_beta(K: int, beta: int) -> int:
 
 def first_breakpoint(K: int) -> Fraction:
     """Ratio below which the relay-limited bound 2N is active."""
+    K = check_integer(K, "K")
     return Fraction(2 * K * K - 2 * K, K * K - K + 2)
 
 
 def last_breakpoint(K: int) -> Fraction:
     """Ratio above which the source-limited bound KM is active."""
+    K = check_integer(K, "K")
     return Fraction(K * K - 3 * K + 3, K - 1)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .alignment import (
     allocate_streams,
-    required_row_counts,
     save_scheme,
     verify_alignment_conditions,
 )
@@ -211,6 +210,11 @@ def sweep_grid(
     """Sorted ratios: ``grid``, else ``resolution`` points over (0, K], and the analytic ones."""
     points = _analytic_grid_points(K)
     if grid is not None:
+        if not grid:
+            raise ConfigurationError("the ratio grid is empty")
+        bad = next((r for r in grid if not r > 0), None)
+        if bad is not None:
+            raise ConfigurationError(f"grid ratios must be positive, got {bad}")
         points.update(grid)
     else:
         steps = 100 if resolution is None else check_integer(resolution, "resolution")
@@ -260,12 +264,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
-    alloc = allocate_streams(cfg, args.beta)  # below the corner: names the N it needs
-    counts = required_row_counts(cfg, alloc, args.beta)  # no extension: names the factor
+    alloc = allocate_streams(cfg, args.beta)  # names the N or the extension factor it needs
     prep = prepare(cfg, args.beta, args.seed)
     scheme = prep.scheme  # above the corner this is the scheme deactivated down to it
     print(f"streams per pair: {alloc.per_pair} (total {alloc.d_total})")
-    print(f"compression rows: {alloc.rows} ({counts.q} per subset)")
+    print(f"compression rows: {alloc.rows} ({alloc.per_subset} per subset)")
     print(f"alignment residual: {scheme.alignment_residual:.3e}")
     print(f"basis condition: {scheme.basis_condition:.3e}")
     report = verify_alignment_conditions(scheme, prep.ch)

@@ -23,6 +23,8 @@ from ychannel import (
     AlignmentVerificationError,
     ChannelSet,
     ConfigurationError,
+    DecodabilityError,
+    DegenerateChannelError,
     DegenerateSplitError,
     DimensionError,
     InfeasibleConfigurationError,
@@ -34,8 +36,8 @@ from ychannel import (
     assemble_scheme,
     corner_points,
     load_scheme,
+    plan_extension,
     prepare,
-    required_row_counts,
     sample_channels,
     save_scheme,
     scheme_from_dict,
@@ -44,6 +46,7 @@ from ychannel import (
 )
 from ychannel import alignment, simulation
 from ychannel.alignment import CompressionMatrix
+from ychannel.bounds import corner_abscissa
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
 
@@ -159,7 +162,6 @@ class TestAllocate:
         alloc, ch = allocate_streams(cfg, 2), sample_channels(cfg, 0)
         for build in (
             lambda: allocate_streams(cfg, beta),
-            lambda: required_row_counts(cfg, alloc, beta),
             lambda: assemble_scheme(ch, alloc, beta),
         ):
             with pytest.raises(ConfigurationError, match="beta must be an integer"):
@@ -171,9 +173,7 @@ class TestAllocate:
         ch = sample_channels(cfg, 0)
         scheme = assemble_scheme(ch, allocate_streams(cfg, np.int64(2)), np.int64(2))
         assert type(scheme.beta) is int
-        assert required_row_counts(cfg, scheme.alloc, np.int64(2)) == required_row_counts(
-            cfg, scheme.alloc, 2
-        )
+        assert scheme.alloc == allocate_streams(cfg, 2)
         save_scheme(scheme, str(tmp_path / "scheme.json"))
         assert load_scheme(str(tmp_path / "scheme.json")).beta == 2
 
@@ -184,50 +184,86 @@ class TestAllocate:
         assert str(err.value) == f"K=3 has no constructible corner with beta >= 2, got {beta}"
 
 
-class TestRowCounts:
+class TestRowBudget:
+    """``allocate_streams`` owns the whole row budget, and both feasibility
+    conditions of the construction hold identically once it allocates."""
+
+    @staticmethod
+    def check_identities(alloc, beta):
+        K, M, N = alloc.cfg.K, alloc.cfg.M, alloc.cfg.N
+        q, x, rows = alloc.per_subset, alloc.per_pair, alloc.rows
+        alpha = corner_abscissa(K, beta)
+        assert q * comb(K, beta) == rows
+        assert q == (alpha - beta) * M <= N - beta * M  # fits each subset's null space
+        assert q * comb(K - 2, beta - 2) == rows - 2 * M + x  # leaves x precoder dimensions
+
+    @pytest.mark.parametrize("K", [4, 5, 6, 7])
+    def test_identities_hold_and_every_plan_target_allocates(self, K):
+        allocated = planned = 0
+        for corner, M in itertools.product(corner_points(K)[1:], range(1, 7)):
+            beta = corner.beta
+            n_min = -(-corner.abscissa.numerator * M // corner.abscissa.denominator)
+            for N in range(n_min, n_min + 3):
+                try:
+                    alloc = allocate_streams(SystemConfig(K, M, N), beta)
+                except NeedsExtensionError:
+                    continue
+                self.check_identities(alloc, beta)
+                allocated += 1
+            for N in range(1, K * M + 3):
+                try:
+                    plan = plan_extension(SystemConfig(K, M, N), corner)
+                except InfeasibleConfigurationError:  # t above MAX_EXTENSION: no target
+                    continue
+                planned += 1
+                target = SystemConfig(K, plan.effective_M, plan.effective_N)
+                assert target.ratio == corner.abscissa
+                self.check_identities(allocate_streams(target, beta), beta)
+        assert allocated > 0 and planned > 0
+
     @pytest.mark.parametrize(
-        "K,M,N,beta,q,p",
-        [(4, 3, 7, 2, 1, 1), (5, 4, 13, 3, 1, 3), (5, 5, 11, 2, 1, 1)],
+        "K,M,N,beta,q",
+        [(4, 3, 7, 2, 1), (5, 4, 13, 3, 1), (5, 5, 11, 2, 1), (6, 26, 81, 3, 3)],
     )
-    def test_corner_counts(self, K, M, N, beta, q, p):
-        cfg = SystemConfig(K, M, N)
-        alloc = allocate_streams(cfg, beta)
-        counts = required_row_counts(cfg, alloc, beta)
-        assert counts.q == q
-        assert counts.p == p
-        # counting identities
-        assert counts.q * comb(K, beta) == alloc.rows
-        assert p == q * comb(K - 2, beta - 2)
+    def test_corner_rows_per_subset(self, K, M, N, beta, q):
+        alloc = allocate_streams(SystemConfig(K, M, N), beta)
+        assert alloc.per_subset == q
+        scheme = assemble_scheme(sample_channels(alloc.cfg, 0), alloc, beta)
+        assert len(scheme.compression.row_subsets) == q * comb(K, beta)
 
     def test_non_integral_q_reports_extension(self):
         # x = 2 is integral but 30 rows do not divide over C(6,3) = 20 subsets
-        cfg = SystemConfig(6, 13, 41)
-        alloc = allocate_streams(cfg, 3)
-        with pytest.raises(NeedsExtensionError) as err:
-            required_row_counts(cfg, alloc, 3)
+        with pytest.raises(NeedsExtensionError, match="30 compression rows") as err:
+            allocate_streams(SystemConfig(6, 13, 41), 3)
         assert err.value.factor == 2
-
-    def test_null_space_budget_violation_named(self):
-        cfg = SystemConfig(5, 5, 11)
-        alloc = allocate_streams(cfg, 2)
-        tight = SystemConfig(5, 5, 10)  # q = 1 > N - beta*M = 0
-        with pytest.raises(InfeasibleConfigurationError) as err:
-            required_row_counts(tight, StreamAllocation(tight, alloc.per_pair), 2)
-        assert err.value.inequality == "q <= N - beta*M"
 
     @pytest.mark.parametrize("beta", [0, 1, 3, 9])
     def test_beta_without_a_corner_is_a_configuration_error(self, beta):
         # 0 and 9 raised math.comb's ValueError and a ZeroDivisionError, and
         # 1 and 3 asked for a 2-symbol extension
         cfg = SystemConfig(4, 3, 7)
+        ch, alloc = sample_channels(cfg, 0), allocate_streams(cfg, 2)
         with pytest.raises(ConfigurationError, match="beta must be in \\[2, 2\\] for K=4"):
-            required_row_counts(cfg, allocate_streams(cfg, 2), beta)
+            assemble_scheme(ch, alloc, beta)
 
     def test_allocation_of_another_cfg_is_refused(self):
-        # (4,3,9) with the (4,3,7) allocation returned RowCounts(q=1, p=1)
         alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
         with pytest.raises(DimensionError, match="does not match allocation cfg"):
-            required_row_counts(SystemConfig(4, 3, 9), alloc, 2)
+            assemble_scheme(sample_channels(SystemConfig(4, 3, 9), 0), alloc, 2)
+
+    @pytest.mark.parametrize("per_pair,per_subset", [(2, 1), (1, 2), (2, 2)])
+    def test_handmade_allocation_off_the_budget_is_refused(self, per_pair, per_subset):
+        cfg = SystemConfig(4, 3, 7)
+        alloc = StreamAllocation(cfg, per_pair, per_subset)
+        with pytest.raises(DimensionError, match="is not the beta=2 allocation of its cfg"):
+            assemble_scheme(sample_channels(cfg, 0), alloc, 2)
+
+    def test_handmade_allocation_below_the_corner_is_refused(self):
+        # q = 1 rows per subset but the null space of each 10 x 10 H_S is empty
+        tight = SystemConfig(5, 5, 10)
+        with pytest.raises(InfeasibleConfigurationError) as err:
+            assemble_scheme(sample_channels(tight, 0), StreamAllocation(tight, 1, 1), 2)
+        assert err.value.inequality == "N/M >= corner abscissa"
 
 
 class TestCompressionMatrix:
@@ -695,6 +731,43 @@ class TestBatchedConstruction:
         assert all(after[name] is buffer for name, buffer in held.items())
 
 
+class TestCertificationGates:
+    """Each construction gate fires on a stage whose output breaks its condition."""
+
+    @staticmethod
+    def corrupt_null_space(monkeypatch, stage, corrupt):
+        """Apply ``corrupt`` to the null spaces of one stage: 0 compression, 1 precoders."""
+        calls, real = [], alignment._null_space
+
+        def corrupted(square, rows):
+            null = real(square, rows)
+            calls.append(rows)
+            return corrupt(null) if len(calls) == stage + 1 else null
+
+        monkeypatch.setattr(alignment, "_null_space", corrupted)
+
+    def test_compression_rows_off_the_null_space_are_refused(self, monkeypatch):
+        self.corrupt_null_space(monkeypatch, 0, lambda null: null + 1e-3)
+        with pytest.raises(DegenerateChannelError, match="subset \\(0, 1\\): null row residual"):
+            build_all(4, 3, 7, 2, 1)
+
+    def test_null_vector_vanishing_on_both_halves_is_refused(self, monkeypatch):
+        def vanish(null):
+            null = null.copy()
+            null[1, :, 0] = 0.0  # pair (0, 2)
+            return null
+
+        self.corrupt_null_space(monkeypatch, 1, vanish)
+        with pytest.raises(DegenerateSplitError, match="pair \\(0,2\\): null vector vanished"):
+            build_all(4, 3, 7, 2, 1)
+
+    def test_ill_conditioned_basis_is_refused(self, monkeypatch):
+        _, _, scheme = build_all(4, 3, 7, 2, 1)
+        monkeypatch.setattr(alignment, "BASIS_COND_MAX", scheme.basis_condition / 2)
+        with pytest.raises(DecodabilityError, match="aligned basis condition number"):
+            build_all(4, 3, 7, 2, 1)
+
+
 class TestNullSpaceKernel:
     INSTANCES = [*TestBatchedVerifier.INSTANCES, (5, 1, 3, 2)]  # the last runs at t = 5
 
@@ -901,16 +974,36 @@ class TestSchemeSerialization:
         assert len(data["allocation"]) == 12
         assert set(data["allocation"].values()) == {1}
 
-    @pytest.mark.parametrize("mutate", ["non_uniform", "missing_pair", "fractional"])
+    @pytest.mark.parametrize(
+        "K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4), (5, 1, 3, 2), (4, 4, 9, 2), (4, 3, 8, 2)]
+    )
+    def test_every_exported_scheme_loads(self, K, M, N, beta):
+        # the last three are planned: t = 5 on the relay side, t = 7 on the source side
+        # and relay antennas deactivated at t = 1
+        scheme = prepare(SystemConfig(K, M, N), beta, 0).scheme
+        data = json.loads(json.dumps(scheme_to_dict(scheme)))
+        back = scheme_from_dict(data)
+        assert back.alloc == scheme.alloc == allocate_streams(scheme.cfg, beta)
+        assert back.compression.row_subsets == scheme.compression.row_subsets
+        assert scheme_to_dict(back) == data
+
+    @pytest.mark.parametrize(
+        "mutate", ["non_uniform", "missing_pair", "fractional", "uniform_off_cfg", "bool_count"]
+    )
     def test_rejects_malformed_allocation(self, mutate):
+        # the last two loaded: x = 2 came back as 12 rows, and true as x = 1
         _, _, scheme = build_all(4, 3, 7, 2, 1)
         data = scheme_to_dict(scheme)
         if mutate == "non_uniform":
             data["allocation"]["2,3"] = 2
         elif mutate == "missing_pair":
             del data["allocation"]["3,2"]
-        else:
+        elif mutate == "fractional":
             data["allocation"] = {key: 1.5 for key in data["allocation"]}
+        elif mutate == "uniform_off_cfg":
+            data["allocation"] = {key: 2 for key in data["allocation"]}
+        else:
+            data["allocation"]["0,1"] = True
         with pytest.raises(ConfigurationError, match="allocation"):
             scheme_from_dict(data)
 
@@ -988,10 +1081,11 @@ class TestSchemeSerialization:
         "mutate",
         ["residual_missing", "residual_nan", "subset_off_range", "subset_unsorted",
          "residual_past_float", "beta_string", "beta_not_a_corner", "metric_nan",
-         "metric_negative"],
+         "metric_negative", "subsets_reordered", "subset_float_user", "cfg_below_corner"],
     )
     def test_rejects_provenance_off_cfg_and_beta(self, mutate):
-        # each of these loaded silently, "7" as beta = 7
+        # each of these but the last loaded silently, "7" as beta = 7; a cfg under
+        # the corner failed on a matrix shape and now fails on its allocation
         _, _, scheme = build_all(4, 3, 7, 2, 1)
         data = scheme_to_dict(scheme)
         compression, metrics = data["compression"], data["metrics"]
@@ -1009,6 +1103,13 @@ class TestSchemeSerialization:
             data["beta"] = "7"
         elif mutate == "beta_not_a_corner":
             data["beta"] = 7
+        elif mutate == "subsets_reordered":
+            rows = compression["row_subsets"]
+            rows[0], rows[1] = rows[1], rows[0]
+        elif mutate == "subset_float_user":
+            compression["row_subsets"][0][0] = 0.0
+        elif mutate == "cfg_below_corner":
+            data["cfg"]["N"] = 6
         elif mutate == "metric_nan":
             metrics["basis_condition"] = float("nan")
         else:

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "PreparedPipeline",
     "Regime",
     "RegimeLabel",
-    "RowCounts",
     "SimResult",
     "StageError",
     "StreamAllocation",
@@ -60,7 +59,6 @@ PUBLIC_NAMES = [
     "prepare",
     "regime_of",
     "relay_decode",
-    "required_row_counts",
     "sample_channels",
     "save_scheme",
     "scheme_from_dict",

@@ -217,6 +217,17 @@ class TestCornerPoints:
                         pass
         assert asked and all(beta in range(2, K - 1) for K, beta in asked)
 
+    @pytest.mark.parametrize(
+        "helper,args",
+        [("betas", (4.0,)), ("corner_abscissa", (4.0, 2)), ("corner_height", (4.0, 2)),
+         ("first_breakpoint", ("4",)), ("last_breakpoint", (4.5,)),
+         ("plateau_interval", (True, 2)), ("slope_interval", (np.float64(5), 2))],
+    )
+    def test_helpers_refuse_a_non_integer_k(self, helper, args):
+        # these raised a bare TypeError, or read True as K = 1 and named no corner
+        with pytest.raises(ConfigurationError, match="K must be an integer"):
+            getattr(bounds, helper)(*args)
+
     @pytest.mark.parametrize("beta", [2.0, "2", True, None])
     def test_rejects_non_integer_beta(self, beta):
         # 2.0 raised a bare TypeError from comb or Fraction, or gave a float abscissa

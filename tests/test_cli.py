@@ -193,6 +193,19 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="resolution must be"):
             cli.sweep_grid(5, resolution=resolution)
 
+    @pytest.mark.parametrize(
+        "K,grid,message",
+        [(4.0, None, "K must be an integer, got 4.0"),
+         (5, [], "the ratio grid is empty"),
+         (5, [Fraction(3), Fraction(-1)], "grid ratios must be positive, got -1"),
+         (5, [Fraction(0)], "grid ratios must be positive, got 0")],
+    )
+    def test_bad_k_or_explicit_grid_is_refused(self, K, grid, message):
+        # 4.0 raised a bare TypeError, [] gave only the analytic points, and -1
+        # and 0 were reported as relay antenna counts by sweep_rows
+        with pytest.raises(ConfigurationError, match=message):
+            cli.sweep_rows(5, cli.sweep_grid(K, grid=grid))
+
     def test_no_resolution_keeps_the_default_of_100(self):
         grid = cli.sweep_grid(5)
         assert grid == cli.sweep_grid(5, resolution=100)

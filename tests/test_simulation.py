@@ -97,6 +97,12 @@ class TestMacPhase:
         y = mac_phase(scheme, ch, zero_frame(scheme), 0.0)
         assert np.all(y == 0)
 
+    def test_channel_set_of_another_cfg_is_refused(self):
+        _, scheme = corner_setup(4, 3, 7, 2, 1)
+        other = sample_channels(SystemConfig(4, 3, 8), 1)
+        with pytest.raises(DimensionError, match="does not match scheme cfg"):
+            mac_phase(scheme, other, zero_frame(scheme), 0.0)
+
     def test_single_stream_base_case(self):
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = zero_frame(scheme)
@@ -1044,6 +1050,18 @@ class TestBatchedPrepare:
         result = simulate(prep)
         assert result.bc_failure == prep.bc_failure
         assert result.relay_recovery_error <= RECOVERY_TOL
+
+    def test_uplink_rank_loss_without_extension_stays_degenerate(self, monkeypatch):
+        # at t = 1 a rank loss is a probability-zero draw, not a structural one
+        def degenerate(*args):
+            raise DegenerateChannelError("compression matrix lost row rank")
+
+        monkeypatch.setattr(simulation, "assemble_schemes", degenerate)
+        monkeypatch.setattr(simulation, "assemble_scheme", degenerate)
+        with pytest.raises(StageError) as err:
+            prepare(SystemConfig(4, 3, 7), 2, 0)
+        assert err.value.stage == "synthesis"
+        assert type(err.value.cause) is DegenerateChannelError
 
     def test_uplink_rank_loss_under_extension_is_infeasible(self):
         # the source-side t=7 plan of (4,1,2) loses compression rank on every draw

@@ -59,6 +59,11 @@ BATTERY = [
     (["synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2", "--seed", "3"], ".json"),
     # the largest batched null-space solve, (20, 81, 81), and its export
     (["synthesize", "--k", "6", "--m", "26", "--n", "81", "--beta", "3", "--seed", "0"], ".json"),
+    # refusals before any channel is drawn: rows that do not divide over the subsets,
+    # a ratio below the corner and a fractional stream count
+    (["synthesize", "--k", "6", "--m", "13", "--n", "41", "--beta", "3"], None),
+    (["synthesize", "--k", "5", "--m", "4", "--n", "11", "--beta", "3"], None),
+    (["synthesize", "--k", "5", "--m", "3", "--n", "7", "--beta", "2"], None),
     (["sweep", "--k", "5", "--grid-auto", "100"], ".csv"),
     (["sweep", "--k", "6"], None),
     (["sweep", "--k", "5", "--grid", "1/2,11/5,7"], ".csv"),
