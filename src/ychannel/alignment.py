@@ -263,10 +263,10 @@ def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_rows(row_subsets: tuple[tuple[int, ...], ...], K: int) -> np.ndarray:
+def _shared_rows(K: int, beta: int, q: int) -> np.ndarray:
     """Read-only (pairs, rows) mask: the row's subset holds both users of the pair."""
     users = message_order(K)[1][0]
-    member = np.array([[g in s for g in range(K)] for s in row_subsets])
+    member = np.array([[g in s for g in range(K)] for s in _subset_rows(K, beta, q)[1]])
     shared = (member[:, users[0::2]] & member[:, users[1::2]]).T
     shared.setflags(write=False)
     return shared
@@ -339,14 +339,14 @@ def build_precoders(
     H: np.ndarray,
     norms: np.ndarray,
     P: np.ndarray,
-    row_subsets: tuple[tuple[int, ...], ...],
     alloc: StreamAllocation,
+    beta: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair precoders from the compressed pair channel's null space, for B members.
 
-    The B members share the row provenance; P is the (B, rows, N) stack of
-    compression matrices.  The rows whose provenance subset holds both i
-    and j annihilate H_i and H_j.  They are checked against
+    P is the (B, rows, N) stack of compression matrices, with the row
+    provenance of ``_subset_rows``.  The rows whose provenance subset holds
+    both i and j annihilate H_i and H_j.  They are checked against
     ``[P H_i, -P H_j]`` and dropped; at the corner the 2M - x rows left have
     a null space of dimension exactly x.  Each stacked null vector splits
     into the two directions' precoder columns; both halves are scaled
@@ -365,7 +365,7 @@ def build_precoders(
     messages, (users, slots), _ = message_order(K)
     pairs, first, second = messages[0::2], users[0::2], users[1::2]
     compressed = P[:, None] @ H  # B x K x rows x M
-    shared = _shared_rows(row_subsets, K)
+    shared = _shared_rows(K, beta, alloc.per_subset)
     k, r = np.nonzero(shared)
     scale = VERIFY_TOL * np.maximum(norms[:, first], norms[:, second])
     row_norms = np.linalg.norm(P, axis=2)
@@ -434,17 +434,15 @@ class AlignmentScheme:
         return [(p, k * x, (k + 1) * x) for k, p in enumerate(message_order(self.cfg.K)[0][0::2])]
 
 
-def assemble_schemes(
-    members: tuple[ChannelSet, ...], alloc: StreamAllocation, beta: int
-) -> list[AlignmentScheme]:
-    """Build and certify one scheme per channel set in one batched pass.
+def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[AlignmentScheme]:
+    """Build and certify one scheme per channel set, all of one cfg, in one batched pass.
 
-    Every stage runs once over a leading member axis: one batched LU and QR
-    per null-space stage, one product P H_g shared by the precoder stage and
-    certification, and one SVD each for the channel norms, the compression
-    spectra, the precoder stack and the basis condition.  Every member's
-    scheme is returned, or the first failing check raises and names the
-    first member that fails it.
+    The members share ``allocate_streams(cfg, beta)``.  Every stage runs once
+    over a leading member axis: one batched LU and QR per null-space stage,
+    one product P H_g shared by the precoder stage and certification, and one
+    SVD each for the channel norms, the compression spectra, the precoder
+    stack and the basis condition.  Every member's scheme is returned, or the
+    first failing check raises and names the first member that fails it.
 
     A batch of two or more writes its null-space blocks and its row
     gathers into per-thread buffers that the next batch reuses (``_buffer``).
@@ -456,18 +454,17 @@ def assemble_schemes(
     if not members:
         raise ConfigurationError("assemble_schemes needs at least one channel set")
     beta = check_integer(beta, "beta")
-    if alloc != allocate_streams(alloc.cfg, beta):
-        raise DimensionError(f"{alloc} is not the beta={beta} allocation of its cfg")
+    alloc = allocate_streams(members[0].cfg, beta)
     for ch in members:
         if ch.cfg != alloc.cfg:
-            raise DimensionError(f"channel cfg {ch.cfg} does not match allocation cfg {alloc.cfg}")
+            raise DimensionError(f"channel cfg {ch.cfg} does not match {alloc.cfg}")
     H = np.array([ch.uplink for ch in members])  # B x K x N x M
     norms = np.linalg.norm(H, 2, axis=(2, 3))
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
     P, compressions, top = build_compression_matrix(H, norms, alloc, beta)
-    V, v_norms, compressed = build_precoders(H, norms, P, compressions[0].row_subsets, alloc)
+    V, v_norms, compressed = build_precoders(H, norms, P, alloc, beta)
     _, (users, slots), _ = message_order(alloc.cfg.K)
     first, second, span = users[0::2], users[1::2], np.arange(alloc.rows)
     # P H_i V_ij and P H_j V_ji of every pair i < j; each gather is used before the next
@@ -509,8 +506,10 @@ def assemble_schemes(
 
 
 def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
-    """Build and certify the full scheme for one channel realization."""
-    return assemble_schemes((ch,), alloc, beta)[0]
+    """Build and certify one scheme; ``alloc`` must be ``allocate_streams(ch.cfg, beta)``."""
+    if alloc != allocate_streams(ch.cfg, beta):
+        raise DimensionError(f"{alloc} is not the beta={beta} allocation of {ch.cfg}")
+    return assemble_schemes((ch,), beta)[0]
 
 
 @dataclass(frozen=True)
@@ -590,10 +589,8 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
     return {
         "cfg": {"K": scheme.cfg.K, "M": scheme.cfg.M, "N": scheme.cfg.N},
         "beta": scheme.beta,
-        "allocation": dict.fromkeys(keys, scheme.alloc.per_pair),
         "compression": {
             "matrix": complex_matrix_to_pairs(scheme.compression.matrix),
-            "row_subsets": [list(s) for s in scheme.compression.row_subsets],
             "row_residuals": [float(r) for r in scheme.compression.row_residuals],
         },
         "precoders": dict(zip(keys, precoders)),  # user by partner, as the stack
@@ -649,16 +646,14 @@ def _finite_non_negative(v: object) -> bool:
 
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
-    """Load an exported scheme; allocation, shapes and provenance must follow from cfg and beta."""
+    """Load an exported scheme; allocation, shapes and row provenance follow from cfg and beta."""
     try:
         data = _stored_section(data, dict, "scheme")
         dims = _stored_section(data["cfg"], dict, "scheme cfg")
         cfg = SystemConfig(dims["K"], dims["M"], dims["N"])
-        allocation = _stored_section(data["allocation"], dict, "scheme allocation")
         stored_precoders = _stored_section(data["precoders"], dict, "scheme precoders")
         stored = _stored_section(data["compression"], dict, "scheme compression")
         beta, basis_pairs, matrix_pairs = data["beta"], data["aligned_basis"], stored["matrix"]
-        row_subsets = _stored_section(stored["row_subsets"], list, "scheme row_subsets")
         residuals = _stored_section(stored["row_residuals"], list, "scheme row_residuals")
         stored_metrics = _stored_section(data["metrics"], dict, "scheme metrics")
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
@@ -671,16 +666,8 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         raise ConfigurationError(f"scheme cfg and beta={beta!r} have no allocation: {exc}") from exc
     x, rows = alloc.per_pair, alloc.rows
     keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
-    if allocation != dict.fromkeys(keys, x) or {type(v) for v in allocation.values()} != {int}:
-        raise ConfigurationError(f"scheme allocation must give every ordered pair {x} streams")
     if set(stored_precoders) != set(keys):
         raise ConfigurationError("scheme needs a precoder for every ordered pair")
-    provenance = _subset_rows(cfg.K, beta, alloc.per_subset)[1]
-    if row_subsets != [list(s) for s in provenance] or {type(u) for s in row_subsets for u in s} != {int}:
-        raise ConfigurationError(
-            f"scheme row_subsets must give {alloc.per_subset} rows to each {beta}-user "
-            f"subset of range({cfg.K}) in lexicographic order"
-        )
     if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
         raise ConfigurationError(
             f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"
@@ -689,7 +676,7 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
     residuals.setflags(write=False)
     compression = CompressionMatrix(
         matrix=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
-        row_subsets=provenance,
+        row_subsets=_subset_rows(cfg.K, beta, alloc.per_subset)[1],
         row_residuals=residuals,
     )
     precoders = [_stored_matrix(stored_precoders[k], (cfg.M, x), f"precoder {k}") for k in keys]
@@ -715,5 +702,9 @@ def save_scheme(scheme: AlignmentScheme, path: str) -> None:
 
 
 def load_scheme(path: str) -> AlignmentScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scheme_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # a decode error, or nesting past the stack
+        raise ConfigurationError(f"scheme file {path} is not readable UTF-8 JSON: {exc}") from exc
+    return scheme_from_dict(data)

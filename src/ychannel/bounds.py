@@ -118,32 +118,34 @@ def check_beta(K: int, beta: int) -> int:
     return beta
 
 
+def _plateau_start(K: int, b: int) -> Fraction:
+    """Start of plateau b and end of slope b - 1, b in 2..K-1; b = 2 and b = K - 1 give
+    the first and the last breakpoint."""
+    kk = _pairs2(K)
+    return Fraction(b * (kk + (b - 1) * (b - 2)), kk + b * (b - 1))
+
+
 def first_breakpoint(K: int) -> Fraction:
     """Ratio below which the relay-limited bound 2N is active."""
-    K = check_integer(K, "K")
-    return Fraction(2 * K * K - 2 * K, K * K - K + 2)
+    return _plateau_start(check_integer(K, "K"), 2)
 
 
 def last_breakpoint(K: int) -> Fraction:
     """Ratio above which the source-limited bound KM is active."""
     K = check_integer(K, "K")
-    return Fraction(K * K - 3 * K + 3, K - 1)
+    return _plateau_start(K, K - 1)
 
 
 def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of plateau branch ``beta``."""
     beta = check_beta(K, beta)
-    kk = _pairs2(K)
-    lo = Fraction(beta * (kk + (beta - 1) * (beta - 2)), kk + beta * (beta - 1))
-    return lo, Fraction(beta)
+    return _plateau_start(K, beta), Fraction(beta)
 
 
 def slope_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
     """Half-open ratio interval (lo, hi] of slope branch ``beta``."""
     beta = check_beta(K, beta)
-    kk = _pairs2(K)
-    hi = Fraction((beta + 1) * (kk + beta * (beta - 1)), kk + (beta + 1) * beta)
-    return Fraction(beta), hi
+    return Fraction(beta), _plateau_start(K, beta + 1)
 
 
 def regime_of(cfg: SystemConfig) -> RegimeLabel:
@@ -185,11 +187,15 @@ def corner_abscissa(K: int, beta: int) -> Fraction:
     return beta + Fraction(2 * kk, (2 + kk - beta * (beta - 1)) * comb(K, beta))
 
 
-def corner_height(K: int, beta: int) -> Fraction:
-    """DoF per source antenna at the corner with index ``beta`` in ``betas(K)``."""
-    beta = check_beta(K, beta)
+def _corner_height(K: int, beta: int) -> Fraction:
+    """4kk / (2 + kk - beta(beta-1)), unchecked: beta = 1 is the leftmost corner."""
     kk = _pairs2(K)
     return Fraction(4 * kk, 2 + kk - beta * (beta - 1))
+
+
+def corner_height(K: int, beta: int) -> Fraction:
+    """DoF per source antenna at the corner with index ``beta`` in ``betas(K)``."""
+    return _corner_height(K, check_beta(K, beta))
 
 
 def corner_points(K: int) -> list[CornerPoint]:
@@ -201,13 +207,7 @@ def corner_points(K: int) -> list[CornerPoint]:
     K = check_integer(K, "K")
     if K < 3:
         raise ConfigurationError(f"need at least 3 users, got K={K}")
-    points = [
-        CornerPoint(
-            abscissa=first_breakpoint(K),
-            dof_per_M=Fraction(4 * K * K - 4 * K, K * K - K + 2),
-            beta=1,
-        )
-    ]
+    points = [CornerPoint(first_breakpoint(K), _corner_height(K, 1), beta=1)]
     for beta in betas(K):
         points.append(CornerPoint(corner_abscissa(K, beta), corner_height(K, beta), beta))
     return points

@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import json
+import numbers
 import re
 import sys
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .bounds import (
     last_breakpoint,
     plateau_interval,
     regime_of,
-    slope_interval,
     upper_bound,
 )
 from .channel import check_seed
@@ -193,13 +193,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _analytic_grid_points(K: int) -> set[Fraction]:
-    # branch breakpoints and corner ratios; injected into every sweep so
-    # the piecewise kinks are never missed by sampling
+    # branch breakpoints and corner ratios, injected into every sweep so the piecewise
+    # kinks are never missed by sampling; slope beta ends where plateau beta + 1 starts,
+    # or at the last breakpoint
     points = {first_breakpoint(K), last_breakpoint(K)}
     for beta in betas(K):
-        lo, hi = plateau_interval(K, beta)
-        points.update((lo, hi))
-        points.add(slope_interval(K, beta)[1])
+        points.update(plateau_interval(K, beta))
     points.update(c.abscissa for c in corner_points(K))
     return points
 
@@ -212,9 +211,9 @@ def sweep_grid(
     if grid is not None:
         if not grid:
             raise ConfigurationError("the ratio grid is empty")
-        bad = next((r for r in grid if not r > 0), None)
-        if bad is not None:
-            raise ConfigurationError(f"grid ratios must be positive, got {bad}")
+        for r in grid:
+            if isinstance(r, bool) or not isinstance(r, numbers.Rational) or not r > 0:
+                raise ConfigurationError(f"grid ratios must be positive exact rationals, got {r}")
         points.update(grid)
     else:
         steps = 100 if resolution is None else check_integer(resolution, "resolution")
@@ -319,7 +318,12 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse hands "--opt=--" on as [] without calling the option's type; no option takes []
+    empty = next((name for name, value in vars(args).items() if value == []), None)
+    if empty is not None:
+        parser.error(f"argument --{empty.replace('_', '-')}: expected one argument")
     command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* runs
     try:
         return command(args)

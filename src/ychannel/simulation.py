@@ -35,7 +35,6 @@ import numpy as np
 
 from .alignment import (
     AlignmentScheme,
-    allocate_streams,
     assemble_scheme,
     assemble_schemes,
     message_order,
@@ -164,8 +163,9 @@ def _stream_noise_var(scheme: AlignmentScheme, snr_db: float) -> float:
 
 def _awgn(rng: np.random.Generator | None, shape: tuple[int, ...], noise_var: float) -> np.ndarray:
     """Complex AWGN per row of ``shape``: the row's real normals, then its imaginary ones."""
-    if not 0.0 <= noise_var < np.inf:  # NaN fails too
-        raise ConfigurationError(f"noise variance must be finite and >= 0, got {noise_var}")
+    real = isinstance(noise_var, numbers.Real) and not isinstance(noise_var, bool)
+    if not (real and 0.0 <= noise_var < np.inf):  # NaN fails too
+        raise ConfigurationError(f"noise variance must be a finite real >= 0, got {noise_var!r}")
     if noise_var == 0.0:
         return np.zeros(shape, dtype=complex)
     if rng is None:
@@ -424,12 +424,11 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
             raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
         plan = plan_extension(cfg, target)
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
-        alloc = allocate_streams(ch.cfg, beta)
         try:
             try:
-                scheme, dual = assemble_schemes((ch, _dual_channels(ch)), alloc, beta)
+                scheme, dual = assemble_schemes((ch, _dual_channels(ch)), beta)
             except YChannelError:
-                scheme, dual = assemble_scheme(ch, alloc, beta), None
+                scheme, dual = assemble_schemes((ch,), beta)[0], None
         except DegenerateChannelError as exc:
             if plan.t == 1:
                 raise
@@ -555,13 +554,17 @@ def _check_fit_grid(snr_grid_db: list[float]) -> None:
 def fit_slope(snr_grid_db: list[float], sum_rates: np.ndarray) -> float:
     """Least-squares slope of sum rate versus log2 of the linear SNR: one finite rate per point."""
     _check_fit_grid(snr_grid_db)
-    rates = np.asarray(sum_rates, dtype=float)
-    if rates.shape != (len(snr_grid_db),) or not np.isfinite(rates).all():
+    try:
+        rates = np.asarray(sum_rates)  # a string, complex, bool or object array is not real
+        real = rates.dtype.kind in "iuf" and rates.shape == (len(snr_grid_db),)
+    except ValueError:  # ragged
+        real = False
+    if not (real and np.isfinite(rates).all()):
         raise ConfigurationError(
-            f"slope fit needs one finite sum rate per SNR point, got {rates.tolist()}"
+            f"slope fit needs one finite sum rate per SNR point, real numbers, got {sum_rates!r}"
         )
     x = np.asarray(snr_grid_db, dtype=float) * (np.log2(10.0) / 10.0)
-    return float(np.polyfit(x, rates, 1)[0])
+    return float(np.polyfit(x, rates.astype(float), 1)[0])
 
 
 def estimate_dof_slope(

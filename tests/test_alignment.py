@@ -10,6 +10,7 @@ import dataclasses
 import io
 import itertools
 import json
+import pathlib
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
@@ -49,6 +50,7 @@ from ychannel.alignment import CompressionMatrix
 from ychannel.bounds import corner_abscissa
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def build_all(K, M, N, beta, seed):
@@ -75,12 +77,10 @@ def by_direction(V):
     return {(i, j): V[i, partner_index(i, j)] for i, j in itertools.permutations(range(K), 2)}
 
 
-def one_member_precoders(ch, compression, alloc):
+def one_member_precoders(ch, P, alloc, beta):
     """The precoder stage on a one-member stack: precoders by direction, ||V_ij||_2 per pair."""
-    H, P = np.stack(ch.uplink)[None], compression.matrix[None]
-    V, norms, _ = alignment.build_precoders(
-        H, ch.uplink_norms[None], P, compression.row_subsets, alloc
-    )
+    H = np.stack(ch.uplink)[None]
+    V, norms, _ = alignment.build_precoders(H, ch.uplink_norms[None], P[None], alloc, beta)
     return by_direction(V[0]), norms[0]
 
 
@@ -248,14 +248,15 @@ class TestRowBudget:
 
     def test_allocation_of_another_cfg_is_refused(self):
         alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
-        with pytest.raises(DimensionError, match="does not match allocation cfg"):
+        want = "is not the beta=2 allocation of SystemConfig\\(K=4, M=3, N=9\\)"
+        with pytest.raises(DimensionError, match=want):
             assemble_scheme(sample_channels(SystemConfig(4, 3, 9), 0), alloc, 2)
 
     @pytest.mark.parametrize("per_pair,per_subset", [(2, 1), (1, 2), (2, 2)])
     def test_handmade_allocation_off_the_budget_is_refused(self, per_pair, per_subset):
         cfg = SystemConfig(4, 3, 7)
         alloc = StreamAllocation(cfg, per_pair, per_subset)
-        with pytest.raises(DimensionError, match="is not the beta=2 allocation of its cfg"):
+        with pytest.raises(DimensionError, match="is not the beta=2 allocation of SystemConfig"):
             assemble_scheme(sample_channels(cfg, 0), alloc, 2)
 
     def test_handmade_allocation_below_the_corner_is_refused(self):
@@ -327,13 +328,8 @@ class TestPrecoders:
         rng = np.random.default_rng(0)
         fake = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
         fake /= np.linalg.norm(fake, axis=1, keepdims=True)
-        corrupted = CompressionMatrix(
-            matrix=fake,
-            row_subsets=scheme.compression.row_subsets,
-            row_residuals=scheme.compression.row_residuals,
-        )
         with pytest.raises(AlignmentInfeasibleError):
-            one_member_precoders(ch, corrupted, alloc)
+            one_member_precoders(ch, fake, alloc, 2)
 
 
 class TestAssembledScheme:
@@ -383,10 +379,11 @@ class TestAssembledScheme:
             assemble_scheme(ch, alloc, 2)
 
     def test_channel_config_mismatch_raises(self):
-        # (4,3,8) channels with the (4,3,7) allocation built a scheme with N=8 and x for N=7
-        alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
-        with pytest.raises(DimensionError, match="does not match allocation cfg"):
-            assemble_scheme(sample_channels(SystemConfig(4, 3, 8), 0), alloc, 2)
+        # a batch takes its allocation from the first member's cfg; a (4,3,8) member
+        # would get the (4,3,7) allocation
+        members = tuple(sample_channels(SystemConfig(4, 3, N), 0) for N in (7, 8))
+        with pytest.raises(DimensionError, match="channel cfg .*N=8.* does not match .*N=7"):
+            alignment.assemble_schemes(members, 2)
 
     @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4)])
     def test_rank_deficient_fixture_raises_domain_error(self, K, M, N, beta):
@@ -671,21 +668,23 @@ class TestBatchedConstruction:
             assert scheme.alignment_residual == residual
 
     @pytest.mark.parametrize("corruption", ["row_not_annihilating", "provenance_relabelled"])
-    def test_precoders_name_the_first_failing_pair(self, corruption):
+    def test_precoders_name_the_first_failing_pair(self, corruption, monkeypatch):
         # pair (0,1) passes; the error names the first pair in order that fails
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
         P = scheme.compression.matrix.copy()
-        subsets = list(scheme.compression.row_subsets)
+        subsets, pairs = list(scheme.compression.row_subsets), pairs_of(4)
         if corruption == "row_not_annihilating":
             k = subsets.index((1, 2))
             P[k] = np.random.default_rng(0).standard_normal(7) / np.sqrt(7)
             named = "(1,2)"
         else:
-            subsets[subsets.index((2, 3))] = (1, 3)  # (1,3) now counts one row too many
+            # the (2,3) row relabelled (1,3): (1,3) now counts one row too many
+            k, shared = subsets.index((2, 3)), alignment._shared_rows(4, 2, 1).copy()
+            shared[pairs.index((2, 3)), k], shared[pairs.index((1, 3)), k] = False, True
+            monkeypatch.setattr(alignment, "_shared_rows", lambda *key: shared)
             named = "(1,3)"
-        corrupted = CompressionMatrix(P, tuple(subsets), scheme.compression.row_residuals)
         with pytest.raises(AlignmentInfeasibleError) as err:
-            one_member_precoders(ch, corrupted, alloc)
+            one_member_precoders(ch, P, alloc, 2)
         assert str(err.value).startswith(f"pair {named}:")
 
     @pytest.mark.parametrize("half,named", [(slice(0, 15), "(1, 3)"), (slice(15, 30), "(3, 1)")])
@@ -703,13 +702,12 @@ class TestBatchedConstruction:
 
         monkeypatch.setattr(alignment, "_null_space", zeroed)
         with pytest.raises(DegenerateSplitError) as err:
-            one_member_precoders(ch, scheme.compression, alloc)
+            one_member_precoders(ch, scheme.compression.matrix, alloc, 2)
         assert str(err.value).startswith(f"precoder {named} lost column rank")
 
     def test_empty_batch_is_a_configuration_error(self):
-        alloc = allocate_streams(SystemConfig(4, 3, 7), 2)
         with pytest.raises(ConfigurationError, match="at least one channel set"):
-            alignment.assemble_schemes((), alloc, 2)
+            alignment.assemble_schemes((), 2)
 
     def test_only_batches_hold_work_buffers(self):
         # the buffers are per thread, so a new thread starts without any
@@ -814,7 +812,7 @@ class TestPrecoderSpectrum:
     def test_returned_norms_are_the_spectral_norms(self, K, M, N, beta):
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
-            precoders, norms = one_member_precoders(ch, scheme.compression, alloc)
+            precoders, norms = one_member_precoders(ch, scheme.compression.matrix, alloc, beta)
             assert norms.shape == (comb(K, 2),)
             for k, (i, j) in enumerate(pairs_of(K)):
                 assert_same_bits(precoders[i, j], scheme.precoders[i, partner_index(i, j)])
@@ -848,7 +846,7 @@ class TestPrecoderStack:
         uplink after a JSON round trip."""
         ch, alloc, _ = build_all(K, M, N, beta, seed)
         members = (ch, simulation._dual_channels(ch))
-        uplink, dual = alignment.assemble_schemes(members, alloc, beta)
+        uplink, dual = alignment.assemble_schemes(members, beta)
         loaded = scheme_from_dict(json.loads(json.dumps(scheme_to_dict(uplink))))
         return members, (uplink, dual, loaded)
 
@@ -971,8 +969,17 @@ class TestSchemeSerialization:
         assert np.allclose(back.aligned_basis, scheme.aligned_basis)
         assert np.allclose(back.precoders, scheme.precoders)
         assert scheme_to_dict(back) == data
-        assert len(data["allocation"]) == 12
-        assert set(data["allocation"].values()) == {1}
+        assert back.compression.row_subsets == scheme.compression.row_subsets
+
+    def test_export_layout_is_pinned(self):
+        # a change of the file format must edit these lists on purpose
+        data = scheme_to_dict(build_all(4, 3, 7, 2, 1)[2])
+        assert list(data) == [
+            "cfg", "beta", "compression", "precoders", "aligned_basis", "metrics"
+        ]
+        assert list(data["cfg"]) == ["K", "M", "N"]
+        assert list(data["compression"]) == ["matrix", "row_residuals"]
+        assert list(data["metrics"]) == ["alignment_residual", "basis_condition"]
 
     @pytest.mark.parametrize(
         "K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4), (5, 1, 3, 2), (4, 4, 9, 2), (4, 3, 8, 2)]
@@ -988,29 +995,48 @@ class TestSchemeSerialization:
         assert scheme_to_dict(back) == data
 
     @pytest.mark.parametrize(
-        "mutate", ["non_uniform", "missing_pair", "fractional", "uniform_off_cfg", "bool_count"]
+        "K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4), (5, 1, 3, 2), (4, 4, 9, 2), (4, 3, 8, 2)]
     )
-    def test_rejects_malformed_allocation(self, mutate):
-        # the last two loaded: x = 2 came back as 12 rows, and true as x = 1
-        _, _, scheme = build_all(4, 3, 7, 2, 1)
+    def test_file_with_allocation_and_row_subsets_loads(self, K, M, N, beta):
+        # files written before the allocation and the row provenance were derived on
+        # load carry both; they are not read, and the scheme comes back bit for bit
+        scheme = prepare(SystemConfig(K, M, N), beta, 0).scheme
         data = scheme_to_dict(scheme)
-        if mutate == "non_uniform":
-            data["allocation"]["2,3"] = 2
-        elif mutate == "missing_pair":
-            del data["allocation"]["3,2"]
-        elif mutate == "fractional":
-            data["allocation"] = {key: 1.5 for key in data["allocation"]}
-        elif mutate == "uniform_off_cfg":
-            data["allocation"] = {key: 2 for key in data["allocation"]}
-        else:
-            data["allocation"]["0,1"] = True
-        with pytest.raises(ConfigurationError, match="allocation"):
-            scheme_from_dict(data)
+        keys = [f"{i},{j}" for i, j in itertools.permutations(range(K), 2)]
+        legacy = {**data, "allocation": dict.fromkeys(keys, scheme.alloc.per_pair)}
+        legacy["compression"] = {
+            "matrix": data["compression"]["matrix"],
+            "row_subsets": [list(subset) for subset in scheme.compression.row_subsets],
+            "row_residuals": data["compression"]["row_residuals"],
+        }
+        back = scheme_from_dict(json.loads(json.dumps(legacy)))
+        assert back.alloc == scheme.alloc
+        assert back.compression.row_subsets == scheme.compression.row_subsets
+        for got, want in [
+            (back.compression.matrix, scheme.compression.matrix),
+            (back.compression.row_residuals, scheme.compression.row_residuals),
+            (back.precoders, scheme.precoders),
+            (back.aligned_basis, scheme.aligned_basis),
+        ]:
+            assert_same_bits(got, want)
+        assert scheme_to_dict(back) == data
+
+    def test_file_of_the_earlier_layout_loads(self):
+        # written by the exporter that stored the allocation and the row provenance
+        path = DATA / "scheme_k4_m3_n7_beta2_seed1_with_allocation.json"
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        scheme = load_scheme(str(path))
+        assert scheme.alloc == allocate_streams(SystemConfig(4, 3, 7), 2)
+        assert [list(s) for s in scheme.compression.row_subsets] == (
+            stored["compression"]["row_subsets"]
+        )
+        del stored["allocation"], stored["compression"]["row_subsets"]
+        assert json.dumps(scheme_to_dict(scheme)) == json.dumps(stored)
 
     @pytest.mark.parametrize(
         "mutate",
         ["precoder_extra_column", "precoder_missing", "compression_row_missing",
-         "row_subset_missing", "basis_row_missing"],
+         "basis_row_missing"],
     )
     def test_rejects_shapes_off_the_allocation(self, mutate):
         # each of these used to load; the verifier or relay_decode then raised
@@ -1023,12 +1049,22 @@ class TestSchemeSerialization:
             del data["precoders"]["0,1"]
         elif mutate == "compression_row_missing":
             del data["compression"]["matrix"][-1]
-        elif mutate == "row_subset_missing":
-            del data["compression"]["row_subsets"][-1]
         else:
             del data["aligned_basis"][-1]
         with pytest.raises(ConfigurationError, match="scheme"):
             scheme_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b'{"cfg": ', b"[1,2", b'{"cfg": "\xff"}', b"[" * 100_000],
+        ids=["empty", "truncated_object", "truncated_array", "not_utf8", "nested_past_the_stack"],
+    )
+    def test_unreadable_file_is_a_configuration_error(self, content, tmp_path):
+        # these raised json.JSONDecodeError, UnicodeDecodeError or RecursionError
+        path = tmp_path / "scheme.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match="is not readable UTF-8 JSON"):
+            load_scheme(str(path))
 
     def test_rejects_non_finite_entries(self):
         _, _, scheme = build_all(4, 3, 7, 2, 1)
@@ -1054,8 +1090,7 @@ class TestSchemeSerialization:
     @pytest.mark.parametrize(
         "mutate",
         ["metrics_missing", "K_string", "M_string", "not_an_object", "cfg_number",
-         "allocation_array", "precoders_number", "metrics_array", "row_subsets_number",
-         "row_residuals_number"],
+         "precoders_number", "metrics_array", "row_residuals_number"],
     )
     def test_missing_section_or_string_count_is_a_configuration_error(self, mutate):
         # these raised a bare KeyError, TypeError or AttributeError
@@ -1069,8 +1104,8 @@ class TestSchemeSerialization:
             data["cfg"]["M"] = "3"
         elif mutate == "not_an_object":
             data = []
-        elif mutate in ("row_subsets_number", "row_residuals_number"):
-            data["compression"][mutate.removesuffix("_number")] = 5
+        elif mutate == "row_residuals_number":
+            data["compression"]["row_residuals"] = 5
         else:
             section, kind = mutate.split("_")
             data[section] = 5 if kind == "number" else []
@@ -1079,9 +1114,8 @@ class TestSchemeSerialization:
 
     @pytest.mark.parametrize(
         "mutate",
-        ["residual_missing", "residual_nan", "subset_off_range", "subset_unsorted",
-         "residual_past_float", "beta_string", "beta_not_a_corner", "metric_nan",
-         "metric_negative", "subsets_reordered", "subset_float_user", "cfg_below_corner"],
+        ["residual_missing", "residual_nan", "residual_past_float", "beta_string",
+         "beta_not_a_corner", "metric_nan", "metric_negative", "cfg_below_corner"],
     )
     def test_rejects_provenance_off_cfg_and_beta(self, mutate):
         # each of these but the last loaded silently, "7" as beta = 7; a cfg under
@@ -1095,19 +1129,10 @@ class TestSchemeSerialization:
             compression["row_residuals"][2] = float("nan")
         elif mutate == "residual_past_float":
             compression["row_residuals"][2] = 10**400
-        elif mutate == "subset_off_range":
-            compression["row_subsets"][0] = [9, 9, 9]
-        elif mutate == "subset_unsorted":
-            compression["row_subsets"][0] = compression["row_subsets"][0][::-1]
         elif mutate == "beta_string":
             data["beta"] = "7"
         elif mutate == "beta_not_a_corner":
             data["beta"] = 7
-        elif mutate == "subsets_reordered":
-            rows = compression["row_subsets"]
-            rows[0], rows[1] = rows[1], rows[0]
-        elif mutate == "subset_float_user":
-            compression["row_subsets"][0][0] = 0.0
         elif mutate == "cfg_below_corner":
             data["cfg"]["N"] = 6
         elif mutate == "metric_nan":

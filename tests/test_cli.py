@@ -56,6 +56,24 @@ def run_cli(*args):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--k=--", "--m", "1", "--n", "2"],
+     ["sweep", "--k", "5", "--grid-auto=--"],
+     ["sweep", "--k", "5", "--out=--"],
+     ["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed=--"],
+     ["montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seeds", "1",
+      "--snr-grid=--"]],
+    ids=["k", "grid_auto", "out", "seed", "snr_grid"],
+)
+def test_dash_dash_value_is_usage_error(argv):
+    # argparse passed each of these on as [] without calling the option's type: an exit 1
+    # with a library error, or for --out a CSV on stdout
+    proc = run_cli(*argv)
+    assert proc.returncode == 2 and "expected one argument" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestBound:
     def test_text_output(self):
         proc = run_cli_process("bound", "--k", "3", "--m", "2", "--n", "5")
@@ -197,12 +215,15 @@ class TestSweep:
         "K,grid,message",
         [(4.0, None, "K must be an integer, got 4.0"),
          (5, [], "the ratio grid is empty"),
-         (5, [Fraction(3), Fraction(-1)], "grid ratios must be positive, got -1"),
-         (5, [Fraction(0)], "grid ratios must be positive, got 0")],
+         (5, [Fraction(3), Fraction(-1)], "grid ratios must be positive exact rationals, got -1"),
+         (5, [Fraction(0)], "grid ratios must be positive exact rationals, got 0"),
+         (5, [Fraction(3), 2.5], "grid ratios must be positive exact rationals, got 2.5"),
+         (5, [True], "grid ratios must be positive exact rationals, got True")],
     )
     def test_bad_k_or_explicit_grid_is_refused(self, K, grid, message):
-        # 4.0 raised a bare TypeError, [] gave only the analytic points, and -1
-        # and 0 were reported as relay antenna counts by sweep_rows
+        # 4.0 raised a bare TypeError, [] gave only the analytic points, -1
+        # and 0 were reported as relay antenna counts by sweep_rows, 2.5 failed
+        # there with an AttributeError and True was taken as the ratio 1
         with pytest.raises(ConfigurationError, match=message):
             cli.sweep_rows(5, cli.sweep_grid(K, grid=grid))
 
@@ -237,6 +258,7 @@ class TestSweep:
     @given(st.text(alphabet="0123456789/,.-e", max_size=12))
     @example("1e9999999999")
     @example("1e-9999999999")
+    @example("--")  # argparse passed "--grid=--" on as [], which exited 1
     def test_any_grid_text_parses_or_is_usage_error(self, grid_worker, text):
         code, _ = grid_worker.sweep(text, seconds=5)
         assert code in (0, 2), f"--grid {text!r}: exit {code} (None: still parsing after 5 s)"

@@ -138,9 +138,12 @@ class TestMacPhase:
         with pytest.raises(ConfigurationError):
             mac_phase(scheme, ch, make_frame(scheme, 0), 0.1, rng=None)
 
-    @pytest.mark.parametrize("noise_var", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "noise_var", [-1.0, float("nan"), float("inf"), None, "0.1", 1j, True]
+    )
     def test_rejects_bad_noise_variance(self, noise_var):
-        # checked where the noise is drawn, before any NaN reception exists
+        # checked where the noise is drawn, before any NaN reception exists; None,
+        # "0.1" and 1j raised a bare TypeError, and True was taken as 1.0
         ch, scheme = corner_setup(4, 3, 7, 2, 1)
         frame = make_frame(scheme, 0)
         rng = np.random.default_rng(0)
@@ -611,11 +614,18 @@ class TestRates:
             simulate(prep, snr_db=snr_db)
 
     @pytest.mark.parametrize(
-        "rates", [[1.0, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [[1.0, 2.0, 3.0]]]
+        "rates",
+        [[1.0, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [[1.0, 2.0, 3.0]],
+         ["1.0", "2.0", "3.0"], ["1.0", "x", "3.0"], [1.0, [2.0, 3.0], 4.0], [[1.0], [2.0, 3.0]],
+         [1.0, 2.0, 3.0j], np.array([1.0, 2.0, 3.0]) + 0j],
+        ids=[f"rates{k}" for k in range(4)]
+        + ["strings", "bad_string", "ragged", "ragged_rows", "complex", "complex_array"],
     )
     def test_fit_slope_needs_one_finite_rate_per_point(self, rates):
+        # strings were converted or raised a bare ValueError, ragged rates raised
+        # numpy's ValueError, and complex ones a TypeError or a ComplexWarning
         with pytest.raises(ConfigurationError, match="one finite sum rate per SNR point"):
-            fit_slope([1, 2, 3], np.array(rates))
+            fit_slope([1, 2, 3], rates)
 
     @pytest.mark.parametrize(
         "grid", [["1", "2"], [1.0, np.inf], [1.0, np.nan]], ids=["strings", "inf", "nan"]
@@ -1026,6 +1036,20 @@ class TestBatchedPrepare:
         assert prep.bc is not None
         assert members == {"build_compression_matrix": [2], "build_precoders": [2]}
 
+    def test_one_allocation_per_prepare(self, monkeypatch):
+        # the batch derives the allocation once, for the uplink and its dual
+        calls, real = [], alignment.allocate_streams
+
+        def counted(cfg, beta):
+            calls.append((cfg, beta))
+            return real(cfg, beta)
+
+        for module in (alignment, simulation):
+            monkeypatch.setattr(module, "allocate_streams", counted, raising=False)
+        prep = prepare(SystemConfig(6, 15, 32), 2, 0)
+        assert prep.bc is not None
+        assert calls == [(prep.ch.cfg, 2)]
+
     def test_failed_dual_leaves_the_uplink_as_built_alone(self, monkeypatch):
         # two users share a downlink, so only the dual construction fails
         real = simulation._dual_channels
@@ -1041,7 +1065,7 @@ class TestBatchedPrepare:
         assert_same_scheme(prep.scheme, scheme)
         # the batch raises its first failure; prepare rebuilds the uplink alone
         with pytest.raises(DegenerateChannelError):
-            alignment.assemble_schemes((ch, degenerate(ch)), scheme.alloc, 2)
+            alignment.assemble_schemes((ch, degenerate(ch)), 2)
         with pytest.raises(BroadcastInfeasibleError) as err:
             build_bc_scheme(scheme, ch)
         assert prep.bc is None
