@@ -25,6 +25,8 @@ LU solve with partial pivoting and one batched QR; it needs no SVD.  Step 3
 first drops the rows that the provenance says annihilate both channels of
 the pair, and checks that they do.  Its rank check's singular values give
 the precoders' spectral norms, which scale the alignment residual in step 4.
+Channel norms come from Gram eigenvalues; rank checks and condition numbers
+keep SVDs, as a Gram matrix squares their small singular values away.
 
 Steps 2 and 3 work on a leading member axis.  ``assemble_schemes`` runs
 steps 2 to 4 once for several channel sets, and returns every member's
@@ -50,7 +52,7 @@ from sys import float_info
 import numpy as np
 
 from .bounds import check_beta, corner_abscissa
-from .channel import ChannelSet
+from .channel import ChannelSet, _spectral_norms
 from .config import SystemConfig, check_integer
 from .errors import (
     AlignmentInfeasibleError,
@@ -439,10 +441,11 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
 
     The members share ``allocate_streams(cfg, beta)``.  Every stage runs once
     over a leading member axis: one batched LU and QR per null-space stage,
-    one product P H_g shared by the precoder stage and certification, and one
-    SVD each for the channel norms, the compression spectra, the precoder
-    stack and the basis condition.  Every member's scheme is returned, or the
-    first failing check raises and names the first member that fails it.
+    one product P H_g shared by the precoder stage and certification, Gram
+    eigenvalues for the channel norms (a NaN or infinite entry raises), and
+    one SVD each for the compression spectra, the precoder stack and the
+    basis condition.  Every member's scheme is returned, or the first failing
+    check raises and names the first member that fails it.
 
     A batch of two or more writes its null-space blocks and its row
     gathers into per-thread buffers that the next batch reuses (``_buffer``).
@@ -459,7 +462,12 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
         if ch.cfg != alloc.cfg:
             raise DimensionError(f"channel cfg {ch.cfg} does not match {alloc.cfg}")
     H = np.array([ch.uplink for ch in members])  # B x K x N x M
-    norms = np.linalg.norm(H, 2, axis=(2, 3))
+    norms = _spectral_norms(H)
+    if np.isnan(norms).any():
+        b, g = np.argwhere(np.isnan(norms))[0]
+        raise DegenerateChannelError(
+            f"uplink {g} of member {b} has a NaN or infinite entry, or one too large to square"
+        )
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
@@ -548,7 +556,8 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     compressed pair channel ``a = [P H_i, -P H_j]``.  The scales are
     max(||H_i||_2, ||H_j||_2) and max(||P H_i||_2, ||P H_j||_2), lower bounds
     on the pair norms within a factor sqrt(2), so no gate is looser than
-    with the pair norms.  Nothing comes from the construction's provenance,
+    with the pair norms; both are Gram eigenvalues, and a non-finite channel
+    fails its pairs.  Nothing comes from the construction's provenance,
     so a corrupted row or perturbed precoder is caught.
     """
     if ch.cfg != scheme.cfg:
@@ -565,10 +574,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     required = P.shape[0] - 2 * M + scheme.alloc.per_pair
     v = scheme.precoders[sent]  # V_ij then V_ji for each pair
     residuals = np.abs(a @ v.reshape(len(pairs), 2 * M, -1)).max(axis=(1, 2), initial=0.0)
-    # the spectral norms need finite matrices; a NaN tolerance fails unscaled
-    norms = np.full(len(ch.uplink), np.nan)
-    if np.isfinite(compressed).all():
-        norms = np.linalg.norm(compressed, 2, axis=(1, 2))
+    norms = _spectral_norms(compressed)  # NaN for a non-finite P H_g fails its pairs
     tolerances = VERIFY_TOL * np.maximum(1.0, np.maximum(norms[first], norms[second]))
     return AlignmentReport(per_pair={
         pair: PairCheck(int(n), required, bool(n >= required), float(r), float(t), bool(r <= t))

@@ -129,6 +129,21 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """||A||_2 of every matrix A of a (..., rows, cols) stack: the SVD's value to a few ulps.
+
+    The root of the top eigenvalue of the smaller Gram matrix, A^H A or A A^H,
+    clamped at 0 for the -0 or tiny negative one of an all-zero or underflowing
+    A.  NaN where the Gram matrix is not finite (a NaN or infinite entry, or
+    entries past about 1e154); nothing raises.
+    """
+    adjoint = stack.conj().swapaxes(-1, -2)
+    gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+    bad = ~np.isfinite(gram).all(axis=(-2, -1))
+    gram[bad] = 0.0  # eigvalsh raises on a non-finite matrix
+    return np.where(bad, np.nan, np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)))
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """One realization of all uplink and downlink channel matrices.
@@ -146,8 +161,8 @@ class ChannelSet:
 
     @cached_property
     def uplink_norms(self) -> np.ndarray:
-        """Spectral norm ||H_g||_2 of every uplink matrix, from one batched SVD."""
-        norms = np.linalg.norm(self.uplink, 2, axis=(1, 2))
+        """Spectral norm ||H_g||_2 of every uplink matrix by Gram eigenvalue, NaN if not finite."""
+        norms = _spectral_norms(self.uplink)
         norms.setflags(write=False)
         return norms
 

@@ -397,6 +397,21 @@ class TestAssembledScheme:
         with pytest.raises(YChannelError):
             assemble_scheme(ch, allocate_streams(cfg, beta), beta)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("K,M,N,beta", [(4, 3, 7, 2), (6, 5, 21, 4)])
+    def test_non_finite_channel_raises_domain_error(self, K, M, N, beta, bad):
+        # the channel norms come first; numpy's LinAlgError must not surface from them
+        cfg = SystemConfig(K, M, N)
+        sampled = sample_channels(cfg, 1)
+        uplink = sampled.uplink.copy()
+        uplink[2, 0, 1] = bad
+        ch = ChannelSet(cfg, sampled.seed, uplink, sampled.downlink)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateChannelError, match="uplink 2 of member 0 has a NaN"):
+                assemble_scheme(ch, allocate_streams(cfg, beta), beta)
+            with pytest.raises(DegenerateChannelError, match="uplink 2 of member 1 has a NaN"):
+                alignment.assemble_schemes((sampled, ch), beta)
+
     def test_exact_arithmetic_residual_is_zero(self):
         # Rational-channel mirror of the whole construction in sympy: the
         # alignment residual is exactly zero, so floating error is the
@@ -519,6 +534,18 @@ class TestVerifier:
         assert not report.per_pair[scheme.compression.row_subsets[0]].condition1
         assert not any(check.condition2 for check in report.per_pair.values())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_fails_its_pairs_without_raising(self, bad):
+        ch, alloc, scheme = build_all(5, 4, 13, 3, 1)
+        uplink = ch.uplink.copy()
+        uplink[3, 5, 2] = bad
+        other = ChannelSet(ch.cfg, ch.seed, uplink, ch.downlink)
+        with np.errstate(invalid="ignore"):
+            report = verify_alignment_conditions(scheme, other)
+        failed = [pair for pair, check in report.per_pair.items() if not check.passed]
+        assert failed == [pair for pair in pairs_of(5) if 3 in pair]
+        assert not any(report.per_pair[pair].condition2 for pair in failed)
+
     @pytest.mark.parametrize("K,M,N", [(5, 3, 7), (4, 3, 8)])
     def test_channel_config_mismatch_raises(self, K, M, N):
         # at (5,3,7) users 0-3 would share substreams and pass; at N=8 numpy raised
@@ -591,8 +618,9 @@ class TestBatchedVerifier:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         assert verify_alignment_conditions(scheme, ch).passed
-        assert len(calls) <= 1, calls
+        assert calls == []  # the compressed-channel norms come from Gram eigenvalues
 
 
 def assert_same_bits(got, want):
@@ -835,6 +863,24 @@ class TestPrecoderSpectrum:
         # one scheme is a batch of one: every stack has a leading member axis of 1
         assert not any(shape[-3:] == (pairs, cfg.M, x) for shape in calls), calls
         assert calls.count((1, K, K - 1, cfg.M, x)) == 1, calls
+
+    def test_prepare_takes_three_svds(self, monkeypatch):
+        # the compression spectra, the precoder stack and the basis condition, each
+        # batched over the uplink and its dual; the channel norms take none
+        cfg = SystemConfig(6, 15, 32)
+        alloc = allocate_streams(cfg, 2)
+        calls = []
+        svd = np.linalg._linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        prepare(cfg, 2, 0)
+        K, rows, x = cfg.K, alloc.rows, alloc.per_pair
+        assert calls == [(2, rows, cfg.N), (2, K, K - 1, cfg.M, x), (2, rows, rows)], calls
 
 
 class TestPrecoderStack:

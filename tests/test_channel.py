@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ychannel import (
+    ChannelSet,
     ConfigurationError,
     DimensionError,
     ExtensionPlan,
@@ -35,6 +36,7 @@ from ychannel.channel import (
     LABEL_UPLINK,
     _box_muller,
     _gaussian_rows,
+    _spectral_norms,
     substream,
 )
 from ychannel.alignment import (
@@ -331,6 +333,64 @@ class TestBatchedDraws:
             want = reference_gaussian(rng, (alloc.per_pair,))
             assert frame.stack[i, j - (j > i)].tobytes() == want.tobytes()
             assert frame.streams[(i, j)].tobytes() == want.tobytes()
+
+
+class TestSpectralNorms:
+    """``_spectral_norms`` against the SVD's ||A||_2, one matrix at a time."""
+
+    @staticmethod
+    def assert_matches_svd(stack):
+        got = _spectral_norms(stack)
+        want = np.linalg.norm(stack.reshape(-1, *stack.shape[-2:]), 2, axis=(1, 2))
+        assert got.shape == stack.shape[:-2] and got.dtype == np.float64
+        np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("shape", [(12, 32, 15), (2, 6, 15, 32), (3, 2, 81, 26), (5, 1, 1)])
+    def test_random_tall_wide_and_scalar_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.assert_matches_svd(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("rows, cols, rank", [(7, 3, 1), (3, 7, 2), (15, 32, 14), (9, 9, 4)])
+    def test_rank_deficient_matrices(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        left = rng.standard_normal((4, rows, rank)) + 1j * rng.standard_normal((4, rows, rank))
+        right = rng.standard_normal((4, rank, cols)) + 1j * rng.standard_normal((4, rank, cols))
+        self.assert_matches_svd(left @ right)
+
+    @pytest.mark.parametrize("shape", [(3, 7, 3), (2, 3, 7), (4, 1, 1)])
+    def test_all_zero_matrices_give_plus_zero(self, shape):
+        norms = _spectral_norms(np.zeros(shape, complex))
+        assert norms.tobytes() == np.zeros(shape[0]).tobytes()  # +0.0, neither -0.0 nor NaN
+
+    def test_underflowing_gram_is_clamped_not_nan(self):
+        norms = _spectral_norms(np.full((2, 5, 3), 1e-170 + 1e-170j))
+        assert np.isfinite(norms).all() and (norms >= 0).all()
+
+    # 1e200 is finite, but its square overflows the Gram matrix
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), 1e200])
+    def test_non_finite_gram_gives_nan_and_leaves_the_rest(self, bad):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((2, 3, 8, 5)) + 1j * rng.standard_normal((2, 3, 8, 5))
+        want = np.linalg.norm(stack, 2, axis=(2, 3))
+        stack[1, 2, 4, 0] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _spectral_norms(stack)
+        assert np.isnan(got[1, 2])
+        mask = np.ones(got.shape, bool)
+        mask[1, 2] = False
+        np.testing.assert_allclose(got[mask], want[mask], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_uplink_norms_of_a_non_finite_channel(self, bad):
+        sampled = sample_channels(SystemConfig(4, 3, 7), 1)
+        uplink = sampled.uplink.copy()
+        uplink[2, 1, 1] = bad
+        ch = ChannelSet(sampled.cfg, sampled.seed, uplink, sampled.downlink)
+        with np.errstate(invalid="ignore"):
+            norms = ch.uplink_norms
+        assert not norms.flags.writeable
+        assert np.isnan(norms[2])
+        np.testing.assert_allclose(norms[[0, 1, 3]], sampled.uplink_norms[[0, 1, 3]], rtol=0)
 
 
 class TestChannelStacks:
