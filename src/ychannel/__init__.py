@@ -18,7 +18,6 @@ The ``ychannel`` console script fronts all of it.
 from .alignment import (
     AlignmentReport,
     AlignmentScheme,
-    CompressionMatrix,
     PairCheck,
     StreamAllocation,
     allocate_streams,

@@ -12,7 +12,8 @@ Construction order, for a branch index ``beta``:
 1. ``allocate_streams`` fixes the symmetric per-pair stream count x and the
    q compression rows of each of the ``C(K, beta)`` antenna subsets.
 2. ``build_compression_matrix`` takes q left-null rows of each subset's
-   stacked channel.
+   stacked channel.  The subsets go in lexicographic order, so (K, beta, q)
+   fix the subset each row annihilates, its provenance; no scheme stores it.
 3. ``build_precoders`` pulls each pair's joint precoder from the null space
    of the compressed pair channel.
 4. ``assemble_schemes``, which runs steps 2 and 3, stacks the aligned
@@ -69,7 +70,6 @@ from .errors import (
 
 __all__ = [
     "StreamAllocation",
-    "CompressionMatrix",
     "AlignmentScheme",
     "PairCheck",
     "AlignmentReport",
@@ -159,19 +159,6 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     return StreamAllocation(cfg=cfg, per_pair=int(x), per_subset=q)
 
 
-@dataclass(frozen=True)
-class CompressionMatrix:
-    """The relay's compression matrix with per-row provenance.
-
-    ``row_subsets[k]`` is the antenna subset whose stacked channel the
-    k-th row annihilates; ``row_residuals[k]`` the measured residual.
-    """
-
-    matrix: np.ndarray
-    row_subsets: tuple[tuple[int, ...], ...]
-    row_residuals: np.ndarray
-
-
 @functools.lru_cache(maxsize=64)
 def _complement(rows: int, n: int) -> np.ndarray:
     """Fixed real Gaussian (n - rows) x n block, seeded by its shape."""
@@ -256,19 +243,18 @@ def message_order(K: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _subset_rows(K: int, beta: int, q: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The C(K, beta) subsets as a read-only (subsets, beta) user array, and each row's subset."""
-    subsets = list(itertools.combinations(range(K), beta))
-    users = np.array(subsets)
+def _subsets(K: int, beta: int) -> np.ndarray:
+    """The C(K, beta) subsets in lexicographic order, a read-only (subsets, beta) user array."""
+    users = np.array(list(itertools.combinations(range(K), beta)))
     users.setflags(write=False)
-    return users, tuple(subset for subset in subsets for _ in range(q))
+    return users
 
 
 @functools.lru_cache(maxsize=64)
 def _shared_rows(K: int, beta: int, q: int) -> np.ndarray:
     """Read-only (pairs, rows) mask: the row's subset holds both users of the pair."""
     users = message_order(K)[1][0]
-    member = np.array([[g in s for g in range(K)] for s in _subset_rows(K, beta, q)[1]])
+    member = (_subsets(K, beta)[:, :, None] == np.arange(K)).any(axis=1).repeat(q, axis=0)
     shared = (member[:, users[0::2]] & member[:, users[1::2]]).T
     shared.setflags(write=False)
     return shared
@@ -276,7 +262,7 @@ def _shared_rows(K: int, beta: int, q: int) -> np.ndarray:
 
 def build_compression_matrix(
     H: np.ndarray, norms: np.ndarray, alloc: StreamAllocation, beta: int
-) -> tuple[np.ndarray, list[CompressionMatrix], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract q left-null rows per antenna subset, lexicographic order, for B members.
 
     H is the (B, K, N, M) uplink stack and norms its (B, K) spectral norms.
@@ -285,13 +271,13 @@ def build_compression_matrix(
     bound on ||H_S||_2.  The H_S^T are written straight into the null-space
     blocks, and the residuals read H_S back from them.
 
-    Returns the stacked (B, rows, N) matrices, one ``CompressionMatrix`` per
-    member and each member's ||P||_2, the top singular value of the rank
+    Returns the read-only (B, rows, N) matrices and (B, rows) row
+    residuals, and each member's ||P||_2, the top singular value of the rank
     check.  A failing check names the first failing member's subset.
     """
     B, K, N, M = H.shape
     q = alloc.per_subset
-    users, row_subsets = _subset_rows(K, beta, q)
+    users = _subsets(K, beta)
     S, width = len(users), beta * M  # H_S is N x width
     # block (b, s) holds H_S^T of member b's s-th subset S, one M-row band per user of S
     square = _square_blocks(B, S, width, N)
@@ -308,7 +294,7 @@ def build_compression_matrix(
     if failed.any():
         b, k = np.unravel_index(np.argmax(failed), failed.shape)
         raise DegenerateChannelError(
-            f"subset {row_subsets[k * q]}: null row residual {residuals[b, k].max():.3e} "
+            f"subset {tuple(users[k].tolist())}: null row residual {residuals[b, k].max():.3e} "
             f"above tolerance; reseed"
         )
     matrices, residuals = picked.reshape(B, S * q, N), residuals.reshape(B, S * q)
@@ -319,8 +305,7 @@ def build_compression_matrix(
         )
     for a in (matrices, residuals):
         a.setflags(write=False)  # before the per-member views are taken
-    compressions = [CompressionMatrix(m, row_subsets, r) for m, r in zip(matrices, residuals)]
-    return matrices, compressions, spectra[:, 0]
+    return matrices, residuals, spectra[:, 0]
 
 
 def _gather(compressed: np.ndarray, users: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -346,8 +331,8 @@ def build_precoders(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair precoders from the compressed pair channel's null space, for B members.
 
-    P is the (B, rows, N) stack of compression matrices, with the row
-    provenance of ``_subset_rows``.  The rows whose provenance subset holds
+    P is the (B, rows, N) stack of compression matrices, q rows per subset
+    of ``_subsets`` in its order.  The rows whose provenance subset holds
     both i and j annihilate H_i and H_j.  They are checked against
     ``[P H_i, -P H_j]`` and dropped; at the corner the 2M - x rows left have
     a null space of dimension exactly x.  Each stacked null vector splits
@@ -414,6 +399,9 @@ def build_precoders(
 class AlignmentScheme:
     """A fully assembled relaying scheme.
 
+    ``compression`` is the relay's read-only (rows, N) compression matrix,
+    q rows per antenna subset in lexicographic order, and ``row_residuals``
+    the read-only residual of each row against its subset's stacked channel.
     ``precoders[i, k]`` is V_ij for user i's k-th partner j (k = j - (j > i)),
     one read-only (K, K-1, M, x) stack like ``BcScheme.filters``.
     ``aligned_basis`` maps the stacked pairwise symbol sums to the compressed
@@ -423,7 +411,8 @@ class AlignmentScheme:
     cfg: SystemConfig
     beta: int
     alloc: StreamAllocation
-    compression: CompressionMatrix
+    compression: np.ndarray
+    row_residuals: np.ndarray
     precoders: np.ndarray
     aligned_basis: np.ndarray
     alignment_residual: float
@@ -471,7 +460,7 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
     norms.setflags(write=False)
     for ch, row in zip(members, norms):
         vars(ch).setdefault("uplink_norms", row)  # the cached property
-    P, compressions, top = build_compression_matrix(H, norms, alloc, beta)
+    P, row_residuals, top = build_compression_matrix(H, norms, alloc, beta)
     V, v_norms, compressed = build_precoders(H, norms, P, alloc, beta)
     _, (users, slots), _ = message_order(alloc.cfg.K)
     first, second, span = users[0::2], users[1::2], np.arange(alloc.rows)
@@ -498,26 +487,19 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
     basis.setflags(write=False)
     return [
         AlignmentScheme(
-            cfg=ch.cfg,
-            beta=beta,
-            alloc=alloc,
-            compression=compression,
-            precoders=member_precoders,
-            aligned_basis=member_basis,
-            alignment_residual=float(member_residual),
-            basis_condition=condition,
+            cfg=alloc.cfg, beta=beta, alloc=alloc, compression=p, row_residuals=r,
+            precoders=v, aligned_basis=b, alignment_residual=float(e), basis_condition=c,
         )
-        for ch, compression, member_precoders, member_basis, member_residual, condition in zip(
-            members, compressions, V, basis, residual, conditions
-        )
+        for p, r, v, b, e, c in zip(P, row_residuals, V, basis, residual, conditions)
     ]
 
 
 def assemble_scheme(ch: ChannelSet, alloc: StreamAllocation, beta: int) -> AlignmentScheme:
     """Build and certify one scheme; ``alloc`` must be ``allocate_streams(ch.cfg, beta)``."""
-    if alloc != allocate_streams(ch.cfg, beta):
+    scheme = assemble_schemes((ch,), beta)[0]
+    if scheme.alloc != alloc:
         raise DimensionError(f"{alloc} is not the beta={beta} allocation of {ch.cfg}")
-    return assemble_schemes((ch,), beta)[0]
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -562,7 +544,7 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     """
     if ch.cfg != scheme.cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
-    P, M = scheme.compression.matrix, scheme.cfg.M
+    P, M = scheme.compression, scheme.cfg.M
     messages, sent, _ = message_order(scheme.cfg.K)
     pairs, first, second = messages[0::2], sent[0][0::2], sent[0][1::2]
     compressed = P @ ch.uplink  # K x rows x M
@@ -596,8 +578,8 @@ def scheme_to_dict(scheme: AlignmentScheme) -> dict:
         "cfg": {"K": scheme.cfg.K, "M": scheme.cfg.M, "N": scheme.cfg.N},
         "beta": scheme.beta,
         "compression": {
-            "matrix": complex_matrix_to_pairs(scheme.compression.matrix),
-            "row_residuals": [float(r) for r in scheme.compression.row_residuals],
+            "matrix": complex_matrix_to_pairs(scheme.compression),
+            "row_residuals": [float(r) for r in scheme.row_residuals],
         },
         "precoders": dict(zip(keys, precoders)),  # user by partner, as the stack
         "aligned_basis": complex_matrix_to_pairs(scheme.aligned_basis),
@@ -652,7 +634,7 @@ def _finite_non_negative(v: object) -> bool:
 
 
 def scheme_from_dict(data: dict) -> AlignmentScheme:
-    """Load an exported scheme; allocation, shapes and row provenance follow from cfg and beta."""
+    """Load an exported scheme; allocation and shapes follow from cfg and beta."""
     try:
         data = _stored_section(data, dict, "scheme")
         dims = _stored_section(data["cfg"], dict, "scheme cfg")
@@ -680,11 +662,6 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         )
     residuals = np.asarray(residuals, dtype=float)
     residuals.setflags(write=False)
-    compression = CompressionMatrix(
-        matrix=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
-        row_subsets=_subset_rows(cfg.K, beta, alloc.per_subset)[1],
-        row_residuals=residuals,
-    )
     precoders = [_stored_matrix(stored_precoders[k], (cfg.M, x), f"precoder {k}") for k in keys]
     precoders = np.reshape(precoders, (cfg.K, cfg.K - 1, cfg.M, x))
     precoders.setflags(write=False)
@@ -693,7 +670,8 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         cfg=cfg,
         beta=beta,
         alloc=alloc,
-        compression=compression,
+        compression=_stored_matrix(matrix_pairs, (rows, cfg.N), "compression"),
+        row_residuals=residuals,
         precoders=precoders,
         aligned_basis=basis,
         alignment_residual=float(metrics[0]),

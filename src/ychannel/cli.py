@@ -7,8 +7,9 @@ Subcommands:
 * ``synthesize``: build, verify and simulate one alignment scheme.
 * ``montecarlo``: noisy sum-rate sweep and fitted DoF slope.
 
-Exit codes: 0 success, 1 domain infeasibility or verification failure,
-2 usage error.  All output is deterministic given the flags.
+Exit codes: 0 success, 1 domain infeasibility, verification failure or an
+``--out`` path that cannot be opened, 2 usage error.  All output is
+deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -206,9 +207,11 @@ def _analytic_grid_points(K: int) -> set[Fraction]:
 def sweep_grid(
     K: int, grid: list[Fraction] | None = None, resolution: int | None = None
 ) -> list[Fraction]:
-    """Sorted ratios: ``grid``, else ``resolution`` points over (0, K], and the analytic ones."""
+    """Sorted ratios: ``grid`` or ``resolution`` points over (0, K], and the analytic ones."""
     points = _analytic_grid_points(K)
     if grid is not None:
+        if resolution is not None:
+            raise ConfigurationError("give a ratio grid or a resolution, not both")
         if not grid:
             raise ConfigurationError("the ratio grid is empty")
         for r in grid:
@@ -327,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]  # looked up per call, so a rebound cmd_* runs
     try:
         return command(args)
-    except YChannelError as exc:
+    except (YChannelError, OSError) as exc:  # OSError: an --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -200,7 +200,7 @@ def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
     N = scheme.cfg.N
     if np.shape(y) != (N,):
         raise DimensionError(f"relay observation shape {np.shape(y)} does not match N={N}")
-    compressed = scheme.compression.matrix @ y
+    compressed = scheme.compression @ y
     try:
         entries = np.linalg.solve(scheme.aligned_basis, compressed)
     except np.linalg.LinAlgError as exc:
@@ -249,7 +249,7 @@ def _bc_from_dual(scheme: AlignmentScheme, ch: ChannelSet, dual: AlignmentScheme
     # Transposing the dual alignment identity turns its compression matrix
     # into a transmit precoder; composing with the inverse dual basis makes
     # each user filter output the wanted pair block of the input.
-    precoder = np.linalg.solve(dual.aligned_basis, dual.compression.matrix).T
+    precoder = np.linalg.solve(dual.aligned_basis, dual.compression).T
     # sum entries have variance 2: send total power (K-1)x, as each source does
     per_node = (cfg.K - 1) * scheme.alloc.per_pair
     gamma = np.sqrt(per_node / (2.0 * np.linalg.norm(precoder, "fro") ** 2))
@@ -394,7 +394,7 @@ class PreparedPipeline:
         if self.bc is None:
             raise BroadcastInfeasibleError(self.bc_failure)
         scheme = self.scheme
-        solver = np.linalg.solve(scheme.aligned_basis, scheme.compression.matrix)
+        solver = np.linalg.solve(scheme.aligned_basis, scheme.compression)
         mac_gain = np.linalg.norm(solver, axis=1) ** 2 / 2.0
         # both messages of a pair travel as the same block of sums
         mac_gain = np.repeat(mac_gain.reshape(-1, scheme.alloc.per_pair), 2, axis=0)

@@ -36,7 +36,6 @@ from ychannel import (
     upper_bound,
     verify_alignment_conditions,
 )
-from ychannel.alignment import CompressionMatrix
 
 F = Fraction
 
@@ -192,17 +191,10 @@ def test_criterion_4_alignment_verifier():
         rng = np.random.default_rng(2024)
         caught_rows = 0
         for _ in range(50):
-            bad = np.array(scheme.compression.matrix)
+            bad = np.array(scheme.compression)
             row = rng.standard_normal(7) + 1j * rng.standard_normal(7)
             bad[rng.integers(0, 6)] = row / np.linalg.norm(row)
-            corrupted = dataclasses.replace(
-                scheme,
-                compression=CompressionMatrix(
-                    matrix=bad,
-                    row_subsets=scheme.compression.row_subsets,
-                    row_residuals=scheme.compression.row_residuals,
-                ),
-            )
+            corrupted = dataclasses.replace(scheme, compression=bad)
             if not verify_alignment_conditions(corrupted, ch).passed:
                 caught_rows += 1
         caught_precoders = 0

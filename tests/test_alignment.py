@@ -46,7 +46,6 @@ from ychannel import (
     verify_alignment_conditions,
 )
 from ychannel import alignment, simulation
-from ychannel.alignment import CompressionMatrix
 from ychannel.bounds import corner_abscissa
 
 CORNERS = [(4, 3, 7, 2), (5, 5, 11, 2), (5, 4, 13, 3)]
@@ -69,6 +68,22 @@ def partner_index(user, partner):
 def pairs_of(K):
     """The unordered user pairs i < j in lexicographic order."""
     return list(itertools.combinations(range(K), 2))
+
+
+def row_subsets(K, beta, q):
+    """The subset each compression row annihilates: the C(K, beta) subsets in
+    lexicographic order, q rows each."""
+    return [subset for subset in itertools.combinations(range(K), beta) for _ in range(q)]
+
+
+def assert_rows_annihilate(P, ch, subsets):
+    """Each row of P annihilates the stacked uplink of its subset, and of no other."""
+    K, beta = ch.cfg.K, len(subsets[0])
+    for row, subset in zip(P, subsets, strict=True):
+        for other in itertools.combinations(range(K), beta):
+            stack = np.hstack([ch.uplink[g] for g in other])
+            annihilated = np.linalg.norm(row @ stack) / np.linalg.norm(row) <= 1e-9
+            assert annihilated == (other == subset), (subset, other)
 
 
 def by_direction(V):
@@ -228,8 +243,10 @@ class TestRowBudget:
     def test_corner_rows_per_subset(self, K, M, N, beta, q):
         alloc = allocate_streams(SystemConfig(K, M, N), beta)
         assert alloc.per_subset == q
-        scheme = assemble_scheme(sample_channels(alloc.cfg, 0), alloc, beta)
-        assert len(scheme.compression.row_subsets) == q * comb(K, beta)
+        ch = sample_channels(alloc.cfg, 0)
+        scheme = assemble_scheme(ch, alloc, beta)
+        assert len(scheme.compression) == len(scheme.row_residuals) == q * comb(K, beta)
+        assert_rows_annihilate(scheme.compression, ch, row_subsets(K, beta, q))
 
     def test_non_integral_q_reports_extension(self):
         # x = 2 is integral but 30 rows do not divide over C(6,3) = 20 subsets
@@ -252,6 +269,20 @@ class TestRowBudget:
         with pytest.raises(DimensionError, match=want):
             assemble_scheme(sample_channels(SystemConfig(4, 3, 9), 0), alloc, 2)
 
+    def test_one_allocation_per_assemble_scheme(self, monkeypatch):
+        # the check against a foreign allocation reads the built scheme's; it derived its own
+        calls, real = [], alignment.allocate_streams
+
+        def counted(cfg, beta):
+            calls.append((cfg, beta))
+            return real(cfg, beta)
+
+        cfg = SystemConfig(4, 3, 7)
+        alloc = allocate_streams(cfg, 2)
+        monkeypatch.setattr(alignment, "allocate_streams", counted)
+        assert assemble_scheme(sample_channels(cfg, 0), alloc, 2).alloc == alloc
+        assert calls == [(cfg, 2)]
+
     @pytest.mark.parametrize("per_pair,per_subset", [(2, 1), (1, 2), (2, 2)])
     def test_handmade_allocation_off_the_budget_is_refused(self, per_pair, per_subset):
         cfg = SystemConfig(4, 3, 7)
@@ -270,23 +301,24 @@ class TestRowBudget:
 class TestCompressionMatrix:
     def test_shape_and_residuals(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        P = scheme.compression.matrix
+        P = scheme.compression
         assert P.shape == (6, 7)
-        for row, subset in zip(P, scheme.compression.row_subsets):
+        for row, subset in zip(P, row_subsets(4, 2, 1), strict=True):
             stack = np.hstack([ch.uplink[g] for g in subset])
             assert np.linalg.norm(row @ stack) / np.linalg.norm(row) <= 1e-9
 
     def test_full_row_rank(self):
         ch, alloc, scheme = build_all(5, 4, 13, 3, 2)
-        P = scheme.compression.matrix
+        P = scheme.compression
         assert P.shape == (10, 13)
         sv = np.linalg.svd(P, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]
 
     def test_provenance_order_lexicographic(self):
+        # row k annihilates the k-th subset in lexicographic order, and no other subset
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
         expected = list(itertools.combinations(range(4), 2))
-        assert list(scheme.compression.row_subsets) == expected
+        assert_rows_annihilate(scheme.compression, ch, expected)
 
 
 class TestPrecoders:
@@ -300,7 +332,7 @@ class TestPrecoders:
 
     def test_null_dimension_matches_rank_bound(self):
         ch, alloc, scheme = build_all(5, 5, 11, 2, 3)
-        P = scheme.compression.matrix
+        P = scheme.compression
         for i, j in pairs_of(5):
             a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
             assert a.shape == (10, 10)
@@ -314,7 +346,7 @@ class TestPrecoders:
         # elimination routine, instances with M <= 4.
         for K, M, N, beta, seed in [(4, 3, 7, 2, 5), (5, 4, 13, 3, 6)]:
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
-            P = scheme.compression.matrix
+            P = scheme.compression
             for i, j in pairs_of(K):
                 a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
                 sv = np.linalg.svd(a, compute_uv=False)
@@ -348,7 +380,7 @@ class TestAssembledScheme:
                 # decodability: smallest basis singular value stays clear of 0
                 sv = np.linalg.svd(scheme.aligned_basis, compute_uv=False)
                 assert sv[-1] > 1e-6 * sv[0]
-                P = scheme.compression.matrix
+                P = scheme.compression
                 for i, j in pairs_of(K):
                     v_ij = scheme.precoders[i, partner_index(i, j)]
                     left = P @ ch.uplink[i] @ v_ij
@@ -496,21 +528,14 @@ class TestVerifier:
     def test_detects_corrupted_compression_row(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
         rng = np.random.default_rng(5)
-        bad = np.array(scheme.compression.matrix)
+        bad = np.array(scheme.compression)
         row = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         bad[0] = row / np.linalg.norm(row)
-        corrupted = dataclasses.replace(
-            scheme,
-            compression=CompressionMatrix(
-                matrix=bad,
-                row_subsets=scheme.compression.row_subsets,
-                row_residuals=scheme.compression.row_residuals,
-            ),
-        )
+        corrupted = dataclasses.replace(scheme, compression=bad)
         report = verify_alignment_conditions(corrupted, ch)
         assert not report.passed
         broken = [p for p, c in report.per_pair.items() if not c.condition1]
-        assert scheme.compression.row_subsets[0] in [tuple(p) for p in broken]
+        assert row_subsets(4, 2, 1)[0] in [tuple(p) for p in broken]
 
     def test_detects_perturbed_precoder(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
@@ -523,15 +548,13 @@ class TestVerifier:
 
     def test_nan_compression_row_fails_without_raising(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        bad = np.array(scheme.compression.matrix)
+        bad = np.array(scheme.compression)
         bad[0, 2] = np.nan
-        corrupted = dataclasses.replace(
-            scheme, compression=dataclasses.replace(scheme.compression, matrix=bad)
-        )
+        corrupted = dataclasses.replace(scheme, compression=bad)
         report = verify_alignment_conditions(corrupted, ch)
         assert not report.passed
         # the NaN row no longer counts for the pair it annihilated
-        assert not report.per_pair[scheme.compression.row_subsets[0]].condition1
+        assert not report.per_pair[row_subsets(4, 2, 1)[0]].condition1
         assert not any(check.condition2 for check in report.per_pair.values())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -565,7 +588,7 @@ class TestVerifier:
 
 def reference_verifier(scheme, ch):
     """Per-pair (null rows found, precoder residual, tolerance), scaled by the pair norms."""
-    P = scheme.compression.matrix
+    P = scheme.compression
     row_norms = np.linalg.norm(P, axis=1)
     out = {}
     for i, j in pairs_of(scheme.cfg.K):
@@ -657,11 +680,11 @@ def per_pair_construction(ch, alloc, beta):
     row_residuals = np.concatenate(
         [np.linalg.norm(rows @ stack, axis=1) for rows, stack in zip(picked, stacks)]
     )
-    row_subsets = [subset for subset in subsets for _ in range(q)]
+    provenance = [subset for subset in subsets for _ in range(q)]
     reduced, pairs = [], pairs_of(K)
     for i, j in pairs:
         a = np.hstack([P @ ch.uplink[i], -(P @ ch.uplink[j])])
-        shared = np.array([i in s and j in s for s in row_subsets])
+        shared = np.array([i in s and j in s for s in provenance])
         reduced.append(a[~shared])
     null = reference_null_space(reduced)
     top, bottom = null[:, :M], null[:, M:]
@@ -687,8 +710,8 @@ class TestBatchedConstruction:
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
             P, row_residuals, precoders, basis, residual = per_pair_construction(ch, alloc, beta)
-            assert_same_bits(scheme.compression.matrix, P)
-            assert_same_bits(scheme.compression.row_residuals, row_residuals)
+            assert_same_bits(scheme.compression, P)
+            assert_same_bits(scheme.row_residuals, row_residuals)
             assert scheme.precoders.shape == (K, K - 1, ch.cfg.M, alloc.per_pair)
             for (i, j), v in precoders.items():
                 assert_same_bits(scheme.precoders[i, partner_index(i, j)], v)
@@ -699,8 +722,8 @@ class TestBatchedConstruction:
     def test_precoders_name_the_first_failing_pair(self, corruption, monkeypatch):
         # pair (0,1) passes; the error names the first pair in order that fails
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
-        P = scheme.compression.matrix.copy()
-        subsets, pairs = list(scheme.compression.row_subsets), pairs_of(4)
+        P = scheme.compression.copy()
+        subsets, pairs = row_subsets(4, 2, 1), pairs_of(4)
         if corruption == "row_not_annihilating":
             k = subsets.index((1, 2))
             P[k] = np.random.default_rng(0).standard_normal(7) / np.sqrt(7)
@@ -730,7 +753,7 @@ class TestBatchedConstruction:
 
         monkeypatch.setattr(alignment, "_null_space", zeroed)
         with pytest.raises(DegenerateSplitError) as err:
-            one_member_precoders(ch, scheme.compression.matrix, alloc, 2)
+            one_member_precoders(ch, scheme.compression, alloc, 2)
         assert str(err.value).startswith(f"precoder {named} lost column rank")
 
     def test_empty_batch_is_a_configuration_error(self):
@@ -840,7 +863,7 @@ class TestPrecoderSpectrum:
     def test_returned_norms_are_the_spectral_norms(self, K, M, N, beta):
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
-            precoders, norms = one_member_precoders(ch, scheme.compression.matrix, alloc, beta)
+            precoders, norms = one_member_precoders(ch, scheme.compression, alloc, beta)
             assert norms.shape == (comb(K, 2),)
             for k, (i, j) in enumerate(pairs_of(K)):
                 assert_same_bits(precoders[i, j], scheme.precoders[i, partner_index(i, j)])
@@ -943,7 +966,7 @@ class TestCompressionSpectrum:
         # the rank check's top singular value scales the residual as ||P||_2 would
         for seed in (0, 1):
             ch, alloc, scheme = build_all(K, M, N, beta, seed)
-            P, V = scheme.compression.matrix, scheme.precoders
+            P, V = scheme.compression, scheme.precoders
             # for i < j, j is user i's partner j - 1 and i is user j's partner i
             residuals = [
                 np.abs(P @ ch.uplink[i] @ V[i, j - 1] - P @ ch.uplink[j] @ V[j, i]).max()
@@ -999,10 +1022,11 @@ class TestSchemeSerialization:
         _, _, scheme = build_all(4, 3, 7, 2, 1)
         path = tmp_path / "scheme.json"
         save_scheme(scheme, str(path))
-        for compression in (scheme.compression, load_scheme(str(path)).compression):
-            assert not compression.row_residuals.flags.writeable
-            with pytest.raises(ValueError):
-                compression.row_residuals[0] = 1.0
+        for built_or_loaded in (scheme, load_scheme(str(path))):
+            for a in (built_or_loaded.compression, built_or_loaded.row_residuals):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
 
     def test_round_trip(self):
         ch, alloc, scheme = build_all(4, 3, 7, 2, 1)
@@ -1011,11 +1035,11 @@ class TestSchemeSerialization:
         assert back.cfg == scheme.cfg
         assert back.beta == scheme.beta
         assert back.alloc == scheme.alloc
-        assert np.allclose(back.compression.matrix, scheme.compression.matrix)
+        assert np.allclose(back.compression, scheme.compression)
         assert np.allclose(back.aligned_basis, scheme.aligned_basis)
         assert np.allclose(back.precoders, scheme.precoders)
         assert scheme_to_dict(back) == data
-        assert back.compression.row_subsets == scheme.compression.row_subsets
+        assert_rows_annihilate(back.compression, ch, row_subsets(4, 2, 1))
 
     def test_export_layout_is_pinned(self):
         # a change of the file format must edit these lists on purpose
@@ -1033,11 +1057,13 @@ class TestSchemeSerialization:
     def test_every_exported_scheme_loads(self, K, M, N, beta):
         # the last three are planned: t = 5 on the relay side, t = 7 on the source side
         # and relay antennas deactivated at t = 1
-        scheme = prepare(SystemConfig(K, M, N), beta, 0).scheme
+        prep = prepare(SystemConfig(K, M, N), beta, 0)
+        scheme = prep.scheme
         data = json.loads(json.dumps(scheme_to_dict(scheme)))
         back = scheme_from_dict(data)
         assert back.alloc == scheme.alloc == allocate_streams(scheme.cfg, beta)
-        assert back.compression.row_subsets == scheme.compression.row_subsets
+        subsets = row_subsets(scheme.cfg.K, beta, scheme.alloc.per_subset)
+        assert_rows_annihilate(back.compression, prep.ch, subsets)
         assert scheme_to_dict(back) == data
 
     @pytest.mark.parametrize(
@@ -1046,21 +1072,23 @@ class TestSchemeSerialization:
     def test_file_with_allocation_and_row_subsets_loads(self, K, M, N, beta):
         # files written before the allocation and the row provenance were derived on
         # load carry both; they are not read, and the scheme comes back bit for bit
-        scheme = prepare(SystemConfig(K, M, N), beta, 0).scheme
+        prep = prepare(SystemConfig(K, M, N), beta, 0)
+        scheme = prep.scheme
         data = scheme_to_dict(scheme)
         keys = [f"{i},{j}" for i, j in itertools.permutations(range(K), 2)]
         legacy = {**data, "allocation": dict.fromkeys(keys, scheme.alloc.per_pair)}
+        subsets = row_subsets(scheme.cfg.K, beta, scheme.alloc.per_subset)
         legacy["compression"] = {
             "matrix": data["compression"]["matrix"],
-            "row_subsets": [list(subset) for subset in scheme.compression.row_subsets],
+            "row_subsets": [list(subset) for subset in subsets],
             "row_residuals": data["compression"]["row_residuals"],
         }
         back = scheme_from_dict(json.loads(json.dumps(legacy)))
         assert back.alloc == scheme.alloc
-        assert back.compression.row_subsets == scheme.compression.row_subsets
+        assert_rows_annihilate(back.compression, prep.ch, subsets)
         for got, want in [
-            (back.compression.matrix, scheme.compression.matrix),
-            (back.compression.row_residuals, scheme.compression.row_residuals),
+            (back.compression, scheme.compression),
+            (back.row_residuals, scheme.row_residuals),
             (back.precoders, scheme.precoders),
             (back.aligned_basis, scheme.aligned_basis),
         ]:
@@ -1073,7 +1101,7 @@ class TestSchemeSerialization:
         stored = json.loads(path.read_text(encoding="utf-8"))
         scheme = load_scheme(str(path))
         assert scheme.alloc == allocate_streams(SystemConfig(4, 3, 7), 2)
-        assert [list(s) for s in scheme.compression.row_subsets] == (
+        assert [list(s) for s in row_subsets(4, 2, scheme.alloc.per_subset)] == (
             stored["compression"]["row_subsets"]
         )
         del stored["allocation"], stored["compression"]["row_subsets"]

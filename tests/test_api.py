@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "BcScheme",
     "BroadcastInfeasibleError",
     "ChannelSet",
-    "CompressionMatrix",
     "ConfigurationError",
     "CornerPoint",
     "DecodabilityError",

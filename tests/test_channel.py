@@ -530,8 +530,8 @@ class TestFixtureFormat:
         scheme = assemble_scheme(sample_channels(cfg, 0), allocate_streams(cfg, 2), 2)
         entry = scheme_to_dict(scheme)["compression"]["matrix"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
-        assert entry[0] == scheme.compression.matrix[0, 0].real
-        assert entry[1] == scheme.compression.matrix[0, 0].imag
+        assert entry[0] == scheme.compression[0, 0].real
+        assert entry[1] == scheme.compression[0, 0].imag
 
     def test_pairs_match_per_entry_floats(self):
         # the one-call encoding gives the per-entry [float(re), float(im)] lists

@@ -74,6 +74,22 @@ def test_dash_dash_value_is_usage_error(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--k", "5", "--grid-auto", "4"],
+     ["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2"],
+     ["montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seeds", "1",
+      "--snr-grid", "40,50"]],
+    ids=["sweep", "synthesize", "montecarlo"],
+)
+def test_out_path_that_cannot_be_opened_is_an_error(argv, tmp_path):
+    # each exited 1 with a FileNotFoundError traceback
+    proc = run_cli_process(*argv, "--out", str(tmp_path / "missing" / "out.txt"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in proc.stderr
+
+
 class TestBound:
     def test_text_output(self):
         proc = run_cli_process("bound", "--k", "3", "--m", "2", "--n", "5")
@@ -227,6 +243,11 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=message):
             cli.sweep_rows(5, cli.sweep_grid(K, grid=grid))
 
+    def test_grid_and_resolution_together_are_refused(self):
+        # the resolution was dropped silently, leaving only the grid's points
+        with pytest.raises(ConfigurationError, match="a ratio grid or a resolution, not both"):
+            cli.sweep_grid(5, [Fraction(1)], 10)
+
     def test_no_resolution_keeps_the_default_of_100(self):
         grid = cli.sweep_grid(5)
         assert grid == cli.sweep_grid(5, resolution=100)
@@ -274,7 +295,7 @@ class TestSynthesize:
         assert proc.returncode == 0
         assert "alignment conditions verified: pass" in proc.stdout
         scheme = load_scheme(str(out))
-        assert scheme.compression.matrix.shape == (6, 7)
+        assert scheme.compression.shape == (6, 7)
 
     def test_second_corner_success(self):
         proc = run_cli(
@@ -292,7 +313,7 @@ class TestSynthesize:
         )
         assert proc.returncode == 0
         scheme = load_scheme(str(out))
-        assert scheme.compression.matrix.shape == (6, 7)
+        assert scheme.compression.shape == (6, 7)
         assert f"alignment residual: {scheme.alignment_residual:.3e}" in proc.stdout
         prep = prepare(SystemConfig(4, 3, 8), 2, 3)
         assert verify_alignment_conditions(scheme, prep.ch).passed

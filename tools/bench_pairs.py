@@ -20,6 +20,13 @@ default of 10 pairs is the least that a claim of a gain should rest on.
     python tools/bench_pairs.py --parent ../ychannel-parent --change . \\
         --workload corner_battery --workload montecarlo_cli --seconds 20
 
+It refuses to start, with exit status 2, while either checkout has a
+``__pycache__`` under ``src/``: a side that imports from compiled bytecode
+sets up faster, which biases ``setup_s``.  The runs write such caches, so
+delete them in both checkouts before each use:
+
+    find ../ychannel-parent/src ./src -name __pycache__ -prune -exec rm -r {} +
+
 Exit status: 0 when every run printed ``"correct": true``, 1 otherwise.
 """
 
@@ -97,6 +104,12 @@ def summarize(workload: str, runs: list[tuple[dict, dict]], spec: list[dict]) ->
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    for checkout in (args.parent, args.change):
+        cache = next((checkout / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            print(f"bench_pairs: {cache} holds compiled bytecode, which biases setup_s; "
+                  f"delete every __pycache__ under both checkouts' src/", file=sys.stderr)
+            return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     names = [metric["name"] for metric in spec["end_to_end"]]
