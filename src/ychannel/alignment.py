@@ -434,7 +434,9 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
     eigenvalues for the channel norms (a NaN or infinite entry raises), and
     one SVD each for the compression spectra, the precoder stack and the
     basis condition.  Every member's scheme is returned, or the first failing
-    check raises and names the first member that fails it.
+    check raises and names the first member that fails it.  An empty batch
+    raises ``ConfigurationError``, and members of different cfgs
+    ``DimensionError``.
 
     A batch of two or more writes its null-space blocks and its row
     gathers into per-thread buffers that the next batch reuses (``_buffer``).
@@ -538,9 +540,10 @@ def verify_alignment_conditions(scheme: AlignmentScheme, ch: ChannelSet) -> Alig
     compressed pair channel ``a = [P H_i, -P H_j]``.  The scales are
     max(||H_i||_2, ||H_j||_2) and max(||P H_i||_2, ||P H_j||_2), lower bounds
     on the pair norms within a factor sqrt(2), so no gate is looser than
-    with the pair norms; both are Gram eigenvalues, and a non-finite channel
-    fails its pairs.  Nothing comes from the construction's provenance,
-    so a corrupted row or perturbed precoder is caught.
+    with the pair norms; both are Gram eigenvalues.  A non-finite channel
+    entry or compression row fails its pairs instead of raising.  Nothing
+    comes from the construction's provenance, so a corrupted row or
+    perturbed precoder is caught.
     """
     if ch.cfg != scheme.cfg:
         raise DimensionError(f"channel cfg {ch.cfg} does not match scheme cfg {scheme.cfg}")
@@ -653,8 +656,11 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
     except YChannelError as exc:
         raise ConfigurationError(f"scheme cfg and beta={beta!r} have no allocation: {exc}") from exc
     x, rows = alloc.per_pair, alloc.rows
-    keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
-    if set(stored_precoders) != set(keys):
+    # the key list costs O(K^2), so a file with the wrong precoder count builds none
+    keys = []
+    if len(stored_precoders) == cfg.K * (cfg.K - 1):
+        keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
+    if not keys or set(stored_precoders) != set(keys):
         raise ConfigurationError("scheme needs a precoder for every ordered pair")
     if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
         raise ConfigurationError(

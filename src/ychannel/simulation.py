@@ -19,6 +19,22 @@ Noisy runs add AWGN at the relay and the users.  Every node sends total
 power (K-1)x over unit-power streams and an SNR of snr_db puts that total
 over unit noise, so the simulator and the zero-forcing rates behind the
 DoF slope estimate share the per-stream noise (K-1)*x*10^(-snr_db/10).
+
+``prepare`` keeps only what the channel realization fixes: both schemes,
+the seed's symbol frame and ``stream_gains``.  ``simulate_grid`` runs a
+seed's whole SNR grid in one call.  It forms the noiseless relay
+observation and each user's wanted streams once per grid; each point then
+adds its relay noise, makes one ``relay_decode`` solve and one ``bc_phase``,
+filters all K users in one product and takes two error maxima.  Each point
+re-keys the noise substream from the seed alone, so every point sees the
+same normals scaled to its own variance and gives what a one-point grid
+gives.  The draws come in a fixed order: the relay's real parts, then its
+imaginary parts, then each user's.  ``simulate`` is the one-point grid, so
+a loop of ``simulate`` calls redoes the SNR-free work at every point.
+
+``mac_phase``, ``decode_user`` and ``cancel_self_interference`` are single
+stages on the same stacks that ``simulate_grid`` does not call; the
+benchmark's span table names them.
 """
 
 from __future__ import annotations
@@ -359,7 +375,9 @@ class PreparedPipeline:
 
     ``ch`` is the planned channel set and ``scheme`` the certified uplink
     scheme on it; ``bc`` is the certified downlink scheme, or None with the
-    dual construction's failure text in ``bc_failure``.
+    dual construction's failure text in ``bc_failure``.  Every array is
+    read-only: a filter written after ``prepare`` would make the simulated
+    errors disagree with the cached ``stream_gains``.
     """
 
     cfg: SystemConfig

@@ -1128,6 +1128,20 @@ class TestSchemeSerialization:
         with pytest.raises(ConfigurationError, match="scheme"):
             scheme_from_dict(data)
 
+    def test_precoder_count_is_checked_before_the_key_list(self, monkeypatch):
+        # a file of a few hundred bytes must be refused without O(K^2) work
+        def refused(K):
+            raise AssertionError("message_order called for a file with no precoders")
+
+        monkeypatch.setattr(alignment, "message_order", refused)
+        data = {
+            "cfg": {"K": 1000, "M": 249750, "N": 499501}, "beta": 2, "precoders": {},
+            "compression": {"matrix": [], "row_residuals": []}, "aligned_basis": [],
+            "metrics": {"alignment_residual": 0.0, "basis_condition": 1.0},
+        }
+        with pytest.raises(ConfigurationError, match="a precoder for every ordered pair"):
+            scheme_from_dict(data)
+
     @pytest.mark.parametrize(
         "content",
         [b"", b'{"cfg": ', b"[1,2", b'{"cfg": "\xff"}', b"[" * 100_000],
