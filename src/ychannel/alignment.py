@@ -116,6 +116,14 @@ class StreamAllocation:
         return self.d_total // 2
 
 
+def check_corner_beta(K: int, beta: int) -> int:
+    """``beta`` as an int, or a ``ConfigurationError`` unless K has a constructible corner
+    ``beta`` in ``betas(K)``."""
+    if K < 4:  # no beta in [2, K - 2]
+        raise ConfigurationError(f"K={K} has no constructible corner with beta >= 2, got {beta}")
+    return check_beta(K, beta)
+
+
 def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     """Symmetric per-pair stream count and rows per subset achieving the corner for ``beta``.
 
@@ -129,9 +137,7 @@ def allocate_streams(cfg: SystemConfig, beta: int) -> StreamAllocation:
     exactly rows - 2M + x, which leaves x precoder dimensions.
     """
     K = cfg.K
-    if K < 4:  # no beta in [2, K - 2]
-        raise ConfigurationError(f"K={K} has no constructible corner with beta >= 2, got {beta}")
-    beta = check_beta(K, beta)
+    beta = check_corner_beta(K, beta)
     alpha = corner_abscissa(K, beta)
     if cfg.ratio < alpha:
         n_min = -(-alpha.numerator * cfg.M // alpha.denominator)  # ceil(alpha * M)
@@ -650,18 +656,19 @@ def scheme_from_dict(data: dict) -> AlignmentScheme:
         metrics = stored_metrics["alignment_residual"], stored_metrics["basis_condition"]
     except KeyError as exc:
         raise ConfigurationError(f"scheme has no {exc} entry") from exc
+    # the key list costs O(K^2), so a file with the wrong precoder count builds none; one
+    # with the right count holds K(K-1) entries, which bounds the allocation's C(K, beta)
+    keys = []
+    if len(stored_precoders) == cfg.K * (cfg.K - 1):
+        keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
+    if not keys or set(stored_precoders) != set(keys):
+        raise ConfigurationError("scheme needs a precoder for every ordered pair")
     try:
         beta = check_integer(beta, "beta")  # an int, for the scheme's JSON
         alloc = allocate_streams(cfg, beta)
     except YChannelError as exc:
         raise ConfigurationError(f"scheme cfg and beta={beta!r} have no allocation: {exc}") from exc
     x, rows = alloc.per_pair, alloc.rows
-    # the key list costs O(K^2), so a file with the wrong precoder count builds none
-    keys = []
-    if len(stored_precoders) == cfg.K * (cfg.K - 1):
-        keys = [f"{i},{j}" for i, j in sorted(message_order(cfg.K)[0])]  # user by partner
-    if not keys or set(stored_precoders) != set(keys):
-        raise ConfigurationError("scheme needs a precoder for every ordered pair")
     if len(residuals) != rows or not all(map(_finite_non_negative, (*residuals, *metrics))):
         raise ConfigurationError(
             f"scheme needs {rows} row residuals and two metrics, each finite and non-negative"

@@ -4,14 +4,14 @@ Everything here is computed with `fractions.Fraction`, so branch selection,
 tightness checks and corner coordinates are decided by exact rational
 comparison rather than floating point.
 
-The sum DoF upper bound is piecewise in the antenna ratio N/M and has four
-branch kinds:
-
-* relay limited: bound ``2N`` for small N/M,
-* plateau branches (one per index ``beta`` in ``2..K-2``): bound constant
-  in N,
-* slope branches (same indices): bound linear in N,
-* source limited: bound ``KM`` for large N/M.
+The sum DoF upper bound is the tightest of a family of bounds: the two
+cut-set bounds ``2N`` (relay limited) and ``KM`` (source limited), and one
+genie-aided bound per branch index ``beta`` in ``2..K-2``,
+``2K(K-1) max(beta M, N) / (K(K-1) + beta(beta-1))``.  A genie bound is a
+plateau, constant in N, while N <= beta M and a slope, linear in N, above.
+So the bound is piecewise in the antenna ratio N/M, with the branches in
+the order relay limited, plateau 2, slope 2, ..., slope K-2, source
+limited; ``breakpoints`` lists the ratios where it changes branch.
 
 The best known achievable sum DoF is the upper envelope of per-corner
 contributions: a corner ``(alpha, d0)`` (ratio, DoF per M) contributes
@@ -35,10 +35,7 @@ __all__ = [
     "CornerPoint",
     "GapReport",
     "betas",
-    "first_breakpoint",
-    "last_breakpoint",
-    "plateau_interval",
-    "slope_interval",
+    "breakpoints",
     "corner_abscissa",
     "corner_height",
     "corner_points",
@@ -125,59 +122,46 @@ def _plateau_start(K: int, b: int) -> Fraction:
     return Fraction(b * (kk + (b - 1) * (b - 2)), kk + b * (b - 1))
 
 
-def first_breakpoint(K: int) -> Fraction:
-    """Ratio below which the relay-limited bound 2N is active."""
-    return _plateau_start(check_integer(K, "K"), 2)
+def breakpoints(K: int) -> list[Fraction]:
+    """Sorted ratios where the bound changes branch.
 
-
-def last_breakpoint(K: int) -> Fraction:
-    """Ratio above which the source-limited bound KM is active."""
+    Plateau ``beta`` runs from the breakpoint below ``beta`` up to ``beta``,
+    and slope ``beta`` from ``beta`` to the next breakpoint; the first ends
+    the relay-limited branch and the last starts the source-limited one.
+    """
     K = check_integer(K, "K")
-    return _plateau_start(K, K - 1)
+    return sorted([_plateau_start(K, b) for b in range(2, K)] + [Fraction(b) for b in betas(K)])
 
 
-def plateau_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
-    """Half-open ratio interval (lo, hi] of plateau branch ``beta``."""
-    beta = check_beta(K, beta)
-    return _plateau_start(K, beta), Fraction(beta)
+def _genie_bounds(cfg: SystemConfig) -> list[tuple[Fraction, RegimeLabel]]:
+    """Every bound with its branch, lowest branch first: 2N, the genie bounds, KM."""
+    kk, M, N = _pairs2(cfg.K), cfg.M, cfg.N
+    table = [(Fraction(2 * N), RegimeLabel(Regime.RELAY_LIMITED))]
+    for b in betas(cfg.K):
+        kind = Regime.PLATEAU if N <= b * M else Regime.SLOPE
+        table.append((Fraction(2 * kk * max(b * M, N), kk + b * (b - 1)), RegimeLabel(kind, b)))
+    table.append((Fraction(cfg.K * M), RegimeLabel(Regime.SOURCE_LIMITED)))
+    return table
 
 
-def slope_interval(K: int, beta: int) -> tuple[Fraction, Fraction]:
-    """Half-open ratio interval (lo, hi] of slope branch ``beta``."""
-    beta = check_beta(K, beta)
-    return Fraction(beta), _plateau_start(K, beta + 1)
+def _tightest(cfg: SystemConfig) -> tuple[Fraction, RegimeLabel]:
+    # min keeps the first of equal values, so a breakpoint goes to the lower branch
+    return min(_genie_bounds(cfg), key=lambda entry: entry[0])
 
 
 def regime_of(cfg: SystemConfig) -> RegimeLabel:
-    """Locate N/M in the piecewise bound.
+    """The branch whose bound is tightest at N/M.
 
-    Intervals are left-open and right-closed, so a ratio sitting exactly on
-    a breakpoint belongs to the lower branch.
+    Of equal bounds the lowest branch wins, so a ratio sitting exactly on a
+    breakpoint belongs to the lower branch: each branch holds a left-open,
+    right-closed interval of ratios.
     """
-    r = cfg.ratio
-    if r <= first_breakpoint(cfg.K):
-        return RegimeLabel(Regime.RELAY_LIMITED)
-    for beta in betas(cfg.K):
-        if r <= plateau_interval(cfg.K, beta)[1]:
-            return RegimeLabel(Regime.PLATEAU, beta)
-        if r <= slope_interval(cfg.K, beta)[1]:
-            return RegimeLabel(Regime.SLOPE, beta)
-    return RegimeLabel(Regime.SOURCE_LIMITED)
+    return _tightest(cfg)[1]
 
 
 def upper_bound(cfg: SystemConfig) -> Fraction:
-    """Exact sum-DoF upper bound for the configuration."""
-    label = regime_of(cfg)
-    kk = _pairs2(cfg.K)
-    if label.kind is Regime.RELAY_LIMITED:
-        return Fraction(2 * cfg.N)
-    if label.kind is Regime.PLATEAU:
-        b = label.beta
-        return Fraction(2 * b * kk * cfg.M, kk + b * (b - 1))
-    if label.kind is Regime.SLOPE:
-        b = label.beta
-        return Fraction(2 * kk * cfg.N, kk + b * (b - 1))
-    return Fraction(cfg.K * cfg.M)
+    """Exact sum-DoF upper bound: the tightest of 2N, KM and the genie bounds."""
+    return _tightest(cfg)[0]
 
 
 def corner_abscissa(K: int, beta: int) -> Fraction:
@@ -207,7 +191,7 @@ def corner_points(K: int) -> list[CornerPoint]:
     K = check_integer(K, "K")
     if K < 3:
         raise ConfigurationError(f"need at least 3 users, got K={K}")
-    points = [CornerPoint(first_breakpoint(K), _corner_height(K, 1), beta=1)]
+    points = [CornerPoint(_plateau_start(K, 2), _corner_height(K, 1), beta=1)]
     for beta in betas(K):
         points.append(CornerPoint(corner_abscissa(K, beta), corner_height(K, beta), beta))
     return points
@@ -221,23 +205,11 @@ def achievable_dof(cfg: SystemConfig) -> Fraction:
     and the DoF scales as N/alpha.  The leftmost corner's below-ratio
     contribution is exactly 2N, which covers the relay-limited region.
     """
-    best = Fraction(0)
-    for corner in corner_points(cfg.K):
-        if cfg.ratio >= corner.abscissa:
-            value = corner.dof_per_M * cfg.M
-        else:
-            value = corner.dof_per_M * cfg.N / corner.abscissa
-        best = max(best, value)
-    return best
+    return max(c.dof_per_M * min(cfg.M, cfg.N / c.abscissa) for c in corner_points(cfg.K))
 
 
 def gap_report(cfg: SystemConfig) -> GapReport:
     """Compare the upper bound against the achievable envelope."""
-    upper = upper_bound(cfg)
+    upper, regime = _tightest(cfg)
     achievable = achievable_dof(cfg)
-    return GapReport(
-        upper=upper,
-        achievable=achievable,
-        tight=(upper == achievable),
-        regime=regime_of(cfg),
-    )
+    return GapReport(upper=upper, achievable=achievable, tight=(upper == achievable), regime=regime)

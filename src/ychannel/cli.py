@@ -30,16 +30,7 @@ from .alignment import (
     save_scheme,
     verify_alignment_conditions,
 )
-from .bounds import (
-    betas,
-    corner_points,
-    first_breakpoint,
-    gap_report,
-    last_breakpoint,
-    plateau_interval,
-    regime_of,
-    upper_bound,
-)
+from .bounds import breakpoints, corner_points, gap_report, regime_of, upper_bound
 from .channel import check_seed
 from .config import SystemConfig, check_integer
 from .errors import BroadcastInfeasibleError, ConfigurationError, YChannelError
@@ -195,13 +186,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def _analytic_grid_points(K: int) -> set[Fraction]:
     # branch breakpoints and corner ratios, injected into every sweep so the piecewise
-    # kinks are never missed by sampling; slope beta ends where plateau beta + 1 starts,
-    # or at the last breakpoint
-    points = {first_breakpoint(K), last_breakpoint(K)}
-    for beta in betas(K):
-        points.update(plateau_interval(K, beta))
-    points.update(c.abscissa for c in corner_points(K))
-    return points
+    # kinks are never missed by sampling
+    return set(breakpoints(K)) | {c.abscissa for c in corner_points(K)}
 
 
 def sweep_grid(

@@ -53,6 +53,7 @@ from .alignment import (
     AlignmentScheme,
     assemble_scheme,
     assemble_schemes,
+    check_corner_beta,
     message_order,
 )
 from .bounds import corner_points
@@ -66,7 +67,7 @@ from .channel import (
     sample_channels,
     substream,
 )
-from .config import SystemConfig, check_integer
+from .config import SystemConfig
 from .errors import (
     BroadcastInfeasibleError,
     ConfigurationError,
@@ -436,11 +437,8 @@ def prepare(cfg: SystemConfig, beta: int, seed: int) -> PreparedPipeline:
     symbol extension (t > 1) is structural: ``InfeasibleConfigurationError``.
     """
     with _stage("synthesis"):
-        beta = check_integer(beta, "beta")
-        target = next((c for c in corner_points(cfg.K) if c.beta == beta), None)
-        if target is None:
-            raise ConfigurationError(f"beta={beta} has no corner for K={cfg.K}")
-        plan = plan_extension(cfg, target)
+        beta = check_corner_beta(cfg.K, beta)
+        plan = plan_extension(cfg, corner_points(cfg.K)[beta - 1])
         ch = apply_extension_plan(sample_channels(cfg, seed), plan)
         try:
             try:

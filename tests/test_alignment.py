@@ -1142,6 +1142,20 @@ class TestSchemeSerialization:
         with pytest.raises(ConfigurationError, match="a precoder for every ordered pair"):
             scheme_from_dict(data)
 
+    def test_precoder_count_is_checked_before_the_allocation(self, monkeypatch):
+        # allocate_streams' exact C(K, beta) took 1.6 s before this file was refused
+        def refused(cfg, beta):
+            raise AssertionError("allocate_streams called for a file with no precoders")
+
+        monkeypatch.setattr(alignment, "allocate_streams", refused)
+        data = {
+            "cfg": {"K": 400_000, "M": 1, "N": 400_000}, "beta": 200_000, "precoders": {},
+            "compression": {"matrix": [], "row_residuals": []}, "aligned_basis": [],
+            "metrics": {"alignment_residual": 0.0, "basis_condition": 1.0},
+        }
+        with pytest.raises(ConfigurationError, match="a precoder for every ordered pair"):
+            scheme_from_dict(data)
+
     @pytest.mark.parametrize(
         "content",
         [b"", b'{"cfg": ', b"[1,2", b'{"cfg": "\xff"}', b"[" * 100_000],

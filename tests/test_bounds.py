@@ -29,7 +29,7 @@ from ychannel import (
     upper_bound,
 )
 from ychannel import alignment, bounds
-from ychannel.bounds import corner_abscissa, corner_height, plateau_interval, slope_interval
+from ychannel.bounds import breakpoints, corner_abscissa, corner_height
 
 F = Fraction
 
@@ -138,6 +138,41 @@ class TestRegime:
         assert regime_of(SystemConfig(5, 1, 4)).kind is Regime.SOURCE_LIMITED
 
 
+class TestBreakpoints:
+    @staticmethod
+    def branch_chain(K):
+        # the branches in order of ratio, each as regime_of labels it
+        chain = [(Regime.RELAY_LIMITED, None)]
+        for b in range(2, K - 1):
+            chain += [(Regime.PLATEAU, b), (Regime.SLOPE, b)]
+        return chain + [(Regime.SOURCE_LIMITED, None)]
+
+    def test_matches_the_scan_oracle_interval_ends(self):
+        # the finite interval ends of scan_upper's branches, in its formulas
+        for K in range(3, 13):
+            kk = K * (K - 1)
+            ends = {F(2 * kk, kk + 2), F(K * K - 3 * K + 3, K - 1)}
+            for b in range(2, K - 1):
+                den = kk + b * (b - 1)
+                ends |= {F(b * (kk + (b - 1) * (b - 2)), den), F(b)}
+                ends.add(F((b + 1) * (kk + b * (b - 1)), kk + (b + 1) * b))
+            assert breakpoints(K) == sorted(ends)
+            assert len(breakpoints(K)) == len(self.branch_chain(K)) - 1
+
+    def test_each_breakpoint_goes_to_the_lower_branch(self):
+        # r ends branch i of the chain, and the ratios just above r open branch i + 1
+        for K in range(3, 13):
+            kinks, chain = breakpoints(K), self.branch_chain(K)
+            for i, r in enumerate(kinks):
+                above = F(1000 * r.numerator + 1, 1000 * r.denominator)
+                assert i + 1 == len(kinks) or above < kinks[i + 1]
+                for ratio, branch in [(r, chain[i]), (above, chain[i + 1])]:
+                    cfg = SystemConfig(K, ratio.denominator, ratio.numerator)
+                    label = regime_of(cfg)
+                    assert (label.kind, label.beta) == branch, (K, ratio)
+                    assert upper_bound(cfg) == scan_upper(K, cfg.M, cfg.N)
+
+
 class TestCornerPoints:
     def test_k5_values(self):
         points = {c.beta: c for c in corner_points(5)}
@@ -179,9 +214,7 @@ class TestCornerPoints:
         with pytest.raises(ConfigurationError):
             corner_points(2)
 
-    @pytest.mark.parametrize(
-        "formula", [corner_abscissa, corner_height, plateau_interval, slope_interval]
-    )
+    @pytest.mark.parametrize("formula", [corner_abscissa, corner_height])
     def test_rejects_beta_outside_the_branches(self, formula):
         # at K = 4, beta = 5 divided by comb(4, 5) = 0, beta = -1 made comb raise
         # ValueError, and beta = 0 or 4 gave numbers for corners that do not exist
@@ -194,10 +227,10 @@ class TestCornerPoints:
             ]
 
     def test_callers_stay_inside_the_branches(self, monkeypatch):
-        # regime_of, corner_points and allocate_streams ask only for existing branches
+        # regime_of, corner_points and allocate_streams ask only for existing corners
         asked = []
         for module in (bounds, alignment):
-            for name in ("corner_abscissa", "corner_height", "plateau_interval", "slope_interval"):
+            for name in ("corner_abscissa", "corner_height"):
                 if hasattr(module, name):
                     real = getattr(module, name)
 
@@ -220,8 +253,8 @@ class TestCornerPoints:
     @pytest.mark.parametrize(
         "helper,args",
         [("betas", (4.0,)), ("corner_abscissa", (4.0, 2)), ("corner_height", (4.0, 2)),
-         ("first_breakpoint", ("4",)), ("last_breakpoint", (4.5,)),
-         ("plateau_interval", (True, 2)), ("slope_interval", (np.float64(5), 2))],
+         ("breakpoints", ("4",)), ("breakpoints", (4.5,)),
+         ("breakpoints", (True,)), ("breakpoints", (np.float64(5),))],
     )
     def test_helpers_refuse_a_non_integer_k(self, helper, args):
         # these raised a bare TypeError, or read True as K = 1 and named no corner
@@ -231,7 +264,7 @@ class TestCornerPoints:
     @pytest.mark.parametrize("beta", [2.0, "2", True, None])
     def test_rejects_non_integer_beta(self, beta):
         # 2.0 raised a bare TypeError from comb or Fraction, or gave a float abscissa
-        for formula in (corner_abscissa, corner_height, plateau_interval, slope_interval):
+        for formula in (corner_abscissa, corner_height):
             with pytest.raises(ConfigurationError, match="beta must be an integer"):
                 formula(5, beta)
 

@@ -435,6 +435,24 @@ class TestEndToEnd:
             prepare(SystemConfig(5, 4, 11), 4, 0)  # K=5 has no beta=4 corner
         assert err.value.stage == "synthesis"
 
+    @pytest.mark.parametrize(
+        "K,M,N,beta", [(4, 3, 7, 1), (4, 3, 7, 7), (3, 2, 3, 1), (5, 4, 11, 4)]
+    )
+    def test_beta_without_a_corner_is_refused_before_any_draw(self, K, M, N, beta, monkeypatch):
+        # prepare named these in three texts, two of them after drawing the channels
+        def refused(cfg, seed):
+            raise AssertionError("channels drawn for a beta with no corner")
+
+        monkeypatch.setattr(simulation, "sample_channels", refused)
+        cfg = SystemConfig(K, M, N)
+        with pytest.raises(ConfigurationError) as expected:
+            allocate_streams(cfg, beta)
+        with pytest.raises(StageError) as err:
+            prepare(cfg, beta, 0)
+        assert err.value.stage == "synthesis"
+        assert type(err.value.cause) is ConfigurationError
+        assert str(err.value.cause) == str(expected.value)
+
     @pytest.mark.parametrize("beta", [2.0, "2", True, None])
     def test_non_integer_beta_is_a_configuration_error(self, beta):
         # 2.0 raised a bare TypeError from comb, as a seed of 2.0 would not

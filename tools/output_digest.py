@@ -69,6 +69,11 @@ BATTERY = [
     (["sweep", "--k", "5", "--grid", "1/2,11/5,7"], ".csv"),
     (["bound", "--k", "5", "--m", "10", "--n", "21"], None),
     (["bound", "--k", "5", "--m", "10", "--n", "21", "--json"], None),
+    # ratios on a breakpoint, which belong to the lower branch: the end of the relay-limited
+    # branch, of plateau 2 and of slope 3
+    (["bound", "--k", "5", "--m", "11", "--n", "20"], None),
+    (["bound", "--k", "5", "--m", "1", "--n", "2", "--json"], None),
+    (["bound", "--k", "5", "--m", "4", "--n", "13"], None),
 ]
 
 
