@@ -31,12 +31,12 @@ from .alignment import (
     verify_alignment_conditions,
 )
 from .bounds import breakpoints, corner_points, gap_report, regime_of, upper_bound
-from .channel import check_seed
 from .config import SystemConfig, check_integer
-from .errors import BroadcastInfeasibleError, ConfigurationError, YChannelError
+from .errors import ConfigurationError, YChannelError
 from .simulation import (
     RECOVERY_TOL,
-    SNR_DB_MAX,
+    _check_fit_grid,
+    _rated_pipelines,
     fit_slope,
     prepare,
     result_record,
@@ -100,15 +100,9 @@ def _ratio_grid(text: str) -> list[Fraction]:
 def _snr_grid(text: str) -> list[float]:
     try:
         grid = [float(p) for p in text.split(",") if p.strip()]
+        _check_fit_grid(grid)  # the grid fit_slope takes; a ConfigurationError is a ValueError
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}: {exc}") from exc
-    if len(grid) < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 SNR points, got {len(grid)}")
-    if not all(abs(snr) <= SNR_DB_MAX for snr in grid):
-        bound = f"[-{SNR_DB_MAX:g}, {SNR_DB_MAX:g}]"
-        raise argparse.ArgumentTypeError(f"SNR points must lie in {bound} dB: {text}")
-    if len(set(grid)) < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 distinct SNR points: {text}")
     return grid
 
 
@@ -120,11 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="DoF bounds and alignment relaying for K-user MIMO Y networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--k", type=_user_count, required=True, help="user count (>= 3)")
+    config.add_argument("--m", type=_positive_int, required=True, help="source antennas")
+    config.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
 
-    p_bound = sub.add_parser("bound", help="exact DoF upper bound for one config")
-    p_bound.add_argument("--k", type=_user_count, required=True, help="user count (>= 3)")
-    p_bound.add_argument("--m", type=_positive_int, required=True, help="source antennas")
-    p_bound.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
+    p_bound = sub.add_parser("bound", parents=[config], help="exact DoF upper bound for one config")
     p_bound.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p_sweep = sub.add_parser("sweep", help="CSV of bounds over an antenna-ratio grid")
@@ -140,18 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", type=str, help="write CSV here instead of stdout")
 
-    p_syn = sub.add_parser("synthesize", help="build and verify one alignment scheme")
-    p_syn.add_argument("--k", type=_user_count, required=True)
-    p_syn.add_argument("--m", type=_positive_int, required=True)
-    p_syn.add_argument("--n", type=_positive_int, required=True)
+    p_syn = sub.add_parser(
+        "synthesize", parents=[config], help="build and verify one alignment scheme"
+    )
     p_syn.add_argument("--beta", type=_positive_int, required=True)
     p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--out", type=str, help="write the scheme JSON here")
 
-    p_mc = sub.add_parser("montecarlo", help="noisy sum-rate sweep and DoF slope")
-    p_mc.add_argument("--k", type=_user_count, required=True)
-    p_mc.add_argument("--m", type=_positive_int, required=True)
-    p_mc.add_argument("--n", type=_positive_int, required=True)
+    p_mc = sub.add_parser("montecarlo", parents=[config], help="noisy sum-rate sweep and DoF slope")
     p_mc.add_argument("--beta", type=_positive_int, required=True)
     p_mc.add_argument("--seeds", type=_positive_int, required=True, help="seed count")
     p_mc.add_argument(
@@ -280,24 +271,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.k, args.m, args.n)
     grid = args.snr_grid
     seeds = [args.base_seed + s for s in range(args.seeds)]
-    check_seed(seeds[0])  # the whole range, before any seed is prepared
-    check_seed(seeds[-1])
-    records = []
-    for seed in seeds:
-        prep = prepare(cfg, args.beta, seed)
-        if prep.bc is None:
-            raise BroadcastInfeasibleError(f"no rate available at seed {seed}: {prep.bc_failure}")
-        records += map(result_record, simulate_grid(prep, grid))
+    results = []
+    for prep in _rated_pipelines(cfg, args.beta, seeds):
+        results += simulate_grid(prep, grid)
     # mean of the CSV sum_rate column per SNR point: the curve sum_rate_curve returns
-    rates = np.reshape([rec["sum_rate"] for rec in records], (len(seeds), len(grid)))
-    curve = rates.mean(axis=0)
+    curve = np.reshape([r.sum_rate for r in results], (len(seeds), len(grid))).mean(axis=0)
     slope = fit_slope(grid, curve)
     span = max(grid) - min(grid)
     if len(seeds) < 10 or span < 20.0:
         print("warning: low-confidence fit (few seeds or narrow SNR span)")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_records_csv(records, fh)
+            write_records_csv(map(result_record, results), fh)
         print(f"per-run records written to {args.out}")
     for snr, rate in zip(grid, curve):
         print(f"snr {snr:g} dB: mean sum rate {rate:.4f} bits/use")

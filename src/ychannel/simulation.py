@@ -32,6 +32,10 @@ gives.  The draws come in a fixed order: the relay's real parts, then its
 imaginary parts, then each user's.  ``simulate`` is the one-point grid, so
 a loop of ``simulate`` calls redoes the SNR-free work at every point.
 
+``_rated_pipelines`` is the one per-seed loop, behind ``sum_rate_curve`` and
+the ``montecarlo`` command; a ``prepare`` that batches many seeds belongs
+there.
+
 ``mac_phase``, ``decode_user`` and ``cancel_self_interference`` are single
 stages on the same stacks that ``simulate_grid`` does not call; the
 benchmark's span table names them.
@@ -42,7 +46,7 @@ from __future__ import annotations
 import csv
 import itertools
 import numbers
-from collections.abc import Mapping, Set
+from collections.abc import Iterable, Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -63,6 +67,7 @@ from .channel import (
     ChannelSet,
     _box_muller,
     apply_extension_plan,
+    check_seed,
     plan_extension,
     sample_channels,
     substream,
@@ -545,6 +550,15 @@ def pairwise_rates(prep: PreparedPipeline, snr_db: float) -> dict[tuple[int, int
     return dict(zip(message_order(prep.cfg.K)[0], rates.tolist()))
 
 
+def _rated_pipelines(cfg: SystemConfig, beta: int, seeds: list[int]):
+    """``prepare`` each seed in order, all checked first; a seed without a downlink stops."""
+    for seed in [check_seed(seed) for seed in seeds]:  # every seed before any is prepared
+        prep = prepare(cfg, beta, seed)
+        if prep.bc is None:
+            raise BroadcastInfeasibleError(f"no rate available at seed {seed}: {prep.bc_failure}")
+        yield prep
+
+
 def sum_rate_curve(
     cfg: SystemConfig, beta: int, seeds: list[int], snr_grid_db: list[float]
 ) -> np.ndarray:
@@ -553,10 +567,7 @@ def sum_rate_curve(
     if _check_sequence(seeds, "seeds") == 0 or len(snr_grid_db) == 0:
         raise ConfigurationError("need at least one seed and one SNR point")
     curves = []
-    for seed in seeds:
-        prep = prepare(cfg, beta, seed)
-        if prep.bc is None:
-            raise BroadcastInfeasibleError(f"no rate available at seed {seed}: {prep.bc_failure}")
+    for prep in _rated_pipelines(cfg, beta, seeds):
         curves.append([sum(pairwise_rates(prep, snr).values()) for snr in snr_grid_db])
     return np.mean(curves, axis=0)
 
@@ -601,7 +612,7 @@ def result_record(result: SimResult) -> dict:
     return {name: "" if v is None else v for name, v in zip(CSV_COLUMNS, values, strict=True)}
 
 
-def write_records_csv(records: list[dict], fh) -> None:
+def write_records_csv(records: Iterable[dict], fh) -> None:
     """Write records in the documented column order, LF line endings."""
     writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

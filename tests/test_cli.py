@@ -28,6 +28,7 @@ from ychannel import (
     assemble_scheme,
     end_to_end,
     estimate_dof_slope,
+    fit_slope,
     load_scheme,
     prepare,
     verify_alignment_conditions,
@@ -389,7 +390,7 @@ class TestMonteCarlo:
             "--seeds", "2", "--snr-grid", "40", "--out", str(out),
         )
         assert proc.returncode == 2
-        assert "at least 2 SNR points" in proc.stderr
+        assert "at least 2 distinct SNR points" in proc.stderr
         assert not out.exists()
 
     def test_repeated_point_grid_is_usage_error(self, tmp_path):
@@ -401,6 +402,19 @@ class TestMonteCarlo:
         assert proc.returncode == 2
         assert "at least 2 distinct SNR points" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["40", "30,30", "30,4000", "30,nan", ","])
+    def test_snr_grid_refusal_is_the_fit_text(self, text):
+        # the CLI kept its own count, range and distinct-point texts beside the library's
+        grid = [float(p) for p in text.split(",") if p.strip()]
+        with pytest.raises(ConfigurationError) as refusal:
+            fit_slope(grid, np.zeros(len(grid)))
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "1", f"--snr-grid={text}",
+        )
+        assert proc.returncode == 2
+        assert str(refusal.value) in proc.stderr
 
     def test_csv_keeps_the_requested_snr_points(self, tmp_path, capsys):
         # 3 dB and 4 dB do not survive a dB -> linear -> dB round trip
@@ -424,6 +438,7 @@ class TestMonteCarlo:
             return prepare(*args, **kwargs)
 
         monkeypatch.setattr(cli, "prepare", counted)
+        monkeypatch.setattr(simulation, "prepare", counted)
         out = tmp_path / "mc.csv"
         for base, count in ((2**64 - 2, "3"), (-1, "2")):
             code = cli.main([
@@ -549,6 +564,15 @@ class TestMonteCarlo:
             "--seeds", "2", "--snr-grid", "40,60",
         )
         assert run_cli_process(*args).stdout == run_cli_process(*args).stdout
+
+
+@pytest.mark.parametrize("command", ["bound", "synthesize", "montecarlo"])
+def test_config_flags_are_declared_once(command):
+    # synthesize and montecarlo showed --k, --m and --n without the help bound gives them
+    proc = run_cli(command, "--help")
+    assert proc.returncode == 0
+    for text in ("user count (>= 3)", "source antennas", "relay antennas"):
+        assert text in proc.stdout
 
 
 class TestParserReuse:

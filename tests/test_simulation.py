@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -691,6 +692,16 @@ class TestRates:
         monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigurationError, match="one SNR point"):
             sum_rate_curve(SystemConfig(4, 3, 7), 2, [1], [])
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [2**64, -1, 1.5, True], ids=["2^64", "-1", "1.5", "True"])
+    def test_every_seed_is_checked_before_any_is_prepared(self, bad, monkeypatch):
+        # seed 0 was prepared in full before the bad seed raised a "synthesis" StageError
+        calls = []
+        monkeypatch.setattr(simulation, "prepare", lambda *a, **k: calls.append(a))
+        for entry in (sum_rate_curve, estimate_dof_slope):
+            with pytest.raises(ConfigurationError, match=rf"^seed .*, got {re.escape(str(bad))}$"):
+                entry(SystemConfig(4, 3, 7), 2, [0, bad], [30.0, 40.0])
         assert calls == []
 
     def test_fit_slope_zero_rates(self):

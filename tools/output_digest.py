@@ -54,6 +54,9 @@ BATTERY = [
     # the source-side t = 7 plan loses rank structurally: the error text on stderr
     (["montecarlo", "--k", "4", "--m", "1", "--n", "2", "--beta", "2", "--seeds", "2", *GRID],
      None),
+    # a seed range that ends past 2^64, refused before any seed is prepared: no CSV
+    (["montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seeds", "3",
+      "--base-seed", "18446744073709551614", "--snr-grid", "40,50"], ".csv"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "7", "--beta", "2", "--seed", "1"], ".json"),
     (["synthesize", "--k", "5", "--m", "4", "--n", "13", "--beta", "3", "--seed", "2"], ".json"),
     (["synthesize", "--k", "4", "--m", "3", "--n", "8", "--beta", "2", "--seed", "3"], ".json"),
