@@ -4,7 +4,10 @@ Sampling is reproducible across platforms: every matrix gets its own
 Philox substream keyed by (seed, direction, node index), and normal
 variates come from a Box-Muller transform of the stream's uniforms.
 Philox is counter based, so the substreams are independent by key and the
-byte stream is stable across library versions.
+byte stream is stable across library versions.  That also lets a sampled
+set draw its downlink only when something reads it, so the uplink-only path
+(scheme construction, verification, MAC phase and relay decode) never pays
+for the K relay-to-source matrices.
 """
 
 from __future__ import annotations
@@ -144,20 +147,51 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.where(bad, np.nan, np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)))
 
 
+def _draw_stack(seed: int, label: int, K: int, rows: int, cols: int) -> np.ndarray:
+    """The read-only (K, rows, cols) stack of one direction's K matrices, in one pass."""
+    draws = _gaussian_rows(seed, [(label, i) for i in range(K)], rows * cols)
+    return _freeze(draws.reshape(K, rows, cols))
+
+
+class _DrawnOnFirstRead:
+    """The ``ChannelSet.downlink`` field: kept as given, or drawn from the seed on first read.
+
+    A frozen dataclass sets its fields with ``object.__setattr__``, which
+    reaches ``__set__``; plain assignment still raises ``FrozenInstanceError``.
+    """
+
+    def __get__(self, ch: ChannelSet | None, owner: type | None = None) -> np.ndarray | None:
+        if ch is None:
+            return None  # the field's default: draw on first read
+        try:
+            return vars(ch)["downlink"]
+        except KeyError:
+            K, M, N = ch.cfg.K, ch.cfg.M, ch.cfg.N
+            return vars(ch).setdefault("downlink", _draw_stack(ch.seed, LABEL_DOWNLINK, K, M, N))
+
+    def __set__(self, ch: ChannelSet, downlink: np.ndarray | None) -> None:
+        if downlink is not None:
+            vars(ch)["downlink"] = downlink
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """One realization of all uplink and downlink channel matrices.
 
     ``uplink`` is the (K, N, M) stack whose ``uplink[i]`` is the matrix from
     source i to the relay, and ``downlink`` the (K, M, N) stack whose
-    ``downlink[i]`` is the matrix from the relay to source i.  Immutable
-    once created; the arrays are write-locked.
+    ``downlink[i]`` is the matrix from the relay to source i.  A downlink
+    given to the constructor is kept as given.  Without one (``None``, as
+    ``sample_channels`` builds it), the first read of ``downlink`` draws the
+    K matrices of substreams ``(seed, LABEL_DOWNLINK, i)``, and every read
+    returns that one stack.  Immutable once created; the arrays are
+    write-locked.
     """
 
     cfg: SystemConfig
     seed: int
     uplink: np.ndarray
-    downlink: np.ndarray
+    downlink: np.ndarray | None = _DrawnOnFirstRead()
 
     @cached_property
     def uplink_norms(self) -> np.ndarray:
@@ -170,16 +204,15 @@ class ChannelSet:
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     """Draw an i.i.d. unit-variance complex Gaussian channel realization.
 
-    Deterministic given (cfg, seed).  Every entry is finite, and every
-    matrix has full rank with probability 1; a rank-deficient channel set
-    is rejected by the scheme construction.
+    Deterministic given (cfg, seed).  Only the K uplink matrices are drawn
+    here; the set draws its K downlink matrices on the first read of
+    ``downlink``, with the bytes a draw here would give.  Every entry is
+    finite, and every matrix has full rank with probability 1; a
+    rank-deficient channel set is rejected by the scheme construction.
     """
     seed = check_seed(seed)
-    K, M, N = cfg.K, cfg.M, cfg.N
-    keys = [(LABEL_UPLINK, i) for i in range(K)] + [(LABEL_DOWNLINK, i) for i in range(K)]
-    draws = _freeze(_gaussian_rows(seed, keys, N * M))
-    uplink, downlink = draws[:K].reshape(K, N, M), draws[K:].reshape(K, M, N)
-    return ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=downlink)
+    uplink = _draw_stack(seed, LABEL_UPLINK, cfg.K, cfg.N, cfg.M)
+    return ChannelSet(cfg=cfg, seed=seed, uplink=uplink)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Channel sampling, extension planning and plan application tests."""
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -23,12 +24,16 @@ from ychannel import (
     apply_extension_plan,
     assemble_scheme,
     corner_points,
+    mac_phase,
     make_frame,
     plan_extension,
     prepare,
+    relay_decode,
     sample_channels,
     simulate,
+    verify_alignment_conditions,
 )
+from ychannel import channel, simulation
 from ychannel.channel import (
     LABEL_DOWNLINK,
     LABEL_FRAME,
@@ -407,6 +412,7 @@ class TestChannelStacks:
             assert got.tobytes() == b"".join(np.ascontiguousarray(m).tobytes() for m in want)
             with pytest.raises(ValueError):
                 got[0, 0, 0] = 0
+        assert ch.downlink is ch.downlink
 
     # (5, 5, 12) is a t = 1 prefix deactivation, (5, 1, 3) a t = 5 relay-side
     # extension and (4, 4, 9) a t = 7 source-side one
@@ -430,6 +436,60 @@ class TestChannelStacks:
         extended = apply_extension_plan(sampled, plan)
         ups, downs = two_step_reference(reference, plan)
         self.assert_stacks(extended, ups, downs)
+        # a set built from its uplink first draws the same downlink on the first read
+        late = sample_channels(cfg, seed)
+        assert np.array_equal(late.uplink_norms, sampled.uplink_norms)
+        assert "downlink" not in vars(late)
+        self.assert_stacks(late, reference.uplink, reference.downlink)
+
+
+@pytest.fixture
+def downlink_draws(monkeypatch):
+    """The (label, index) keys of every downlink row ``_gaussian_rows`` draws from now on."""
+    drawn, real = [], channel._gaussian_rows
+
+    def recording(seed, keys, n):
+        drawn.extend(key for key in keys if key[0] == LABEL_DOWNLINK)
+        return real(seed, keys, n)
+
+    monkeypatch.setattr(channel, "_gaussian_rows", recording)
+    return drawn
+
+
+class TestDownlinkOnFirstRead:
+    """A sampled set draws its downlink on the first read; an explicit one is kept."""
+
+    @pytest.mark.parametrize("K, M, N, beta", [(4, 3, 7, 2), (6, 5, 21, 4)])
+    def test_the_uplink_only_path_draws_no_downlink(self, downlink_draws, K, M, N, beta):
+        cfg, seed = SystemConfig(K, M, N), 2
+        ch = sample_channels(cfg, seed)
+        scheme = assemble_scheme(ch, allocate_streams(cfg, beta), beta)
+        assert verify_alignment_conditions(scheme, ch).passed
+        frame = make_frame(scheme, seed)
+        relay_decode(scheme, mac_phase(scheme, ch, frame, 0.0))
+        assert downlink_draws == []
+        assert "downlink" not in vars(ch)
+
+    # (4, 3, 7) prepares at t = 1 and (5, 1, 3) at t = 5
+    @pytest.mark.parametrize("K, M, N, t", [(4, 3, 7, 1), (5, 1, 3, 5)])
+    def test_prepare_draws_each_downlink_row_once(self, downlink_draws, K, M, N, t):
+        prep = prepare(SystemConfig(K, M, N), 2, 1)
+        assert prep.t == t and prep.bc is not None
+        assert downlink_draws == [(LABEL_DOWNLINK, i) for i in range(K)]
+
+    def test_explicit_downlinks_are_kept(self, downlink_draws):
+        sampled = sample_channels(SystemConfig(4, 3, 7), 1)
+        cfg, seed, uplink = sampled.cfg, sampled.seed, sampled.uplink
+        given = np.ascontiguousarray(sampled.uplink.transpose(0, 2, 1))
+        matrices = tuple(given)  # as tests/test_simulation.py's ``transposed`` passes it
+        positional = ChannelSet(cfg, seed, uplink, given)
+        keyword = ChannelSet(cfg=cfg, seed=seed, uplink=uplink, downlink=matrices)
+        dual = simulation._dual_channels(positional)
+        replaced = dataclasses.replace(dual, uplink=dual.uplink[[1, 1, 2, 3]])
+        assert positional.downlink is given
+        assert keyword.downlink is matrices
+        assert replaced.downlink is dual.downlink
+        assert downlink_draws == []
 
 
 class TestPlanExtension:
