@@ -458,7 +458,10 @@ def assemble_schemes(members: tuple[ChannelSet, ...], beta: int) -> list[Alignme
     for ch in members:
         if ch.cfg != alloc.cfg:
             raise DimensionError(f"channel cfg {ch.cfg} does not match {alloc.cfg}")
-    H = np.array([ch.uplink for ch in members])  # B x K x N x M
+    if len(members) == 1:  # a view of a C-ordered stack, where stacking copies
+        H = np.ascontiguousarray(members[0].uplink)[None]  # B x K x N x M
+    else:
+        H = np.array([ch.uplink for ch in members])
     norms = _spectral_norms(H)
     if np.isnan(norms).any():
         b, g = np.argwhere(np.isnan(norms))[0]

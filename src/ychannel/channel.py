@@ -4,16 +4,19 @@ Sampling is reproducible across platforms: every matrix gets its own
 Philox substream keyed by (seed, direction, node index), and normal
 variates come from a Box-Muller transform of the stream's uniforms.
 Philox is counter based, so the substreams are independent by key and the
-byte stream is stable across library versions.  That also lets a sampled
-set draw its downlink only when something reads it, so the uplink-only path
-(scheme construction, verification, MAC phase and relay decode) never pays
-for the K relay-to-source matrices.
+byte stream is stable across library versions.  One generator per thread
+(``_keyed``), re-keyed into each substream's starting state, serves every
+seeded draw: channel rows, mixers, the symbol frame and the noise.  Keyed
+draws also let a sampled set draw its downlink only when something reads
+it, so the uplink-only path (scheme construction, verification, MAC phase
+and relay decode) never pays for the K relay-to-source matrices.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -78,6 +81,28 @@ def substream(seed: int, label: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, label, index)))
 
 
+_per_thread = threading.local()  # each thread's generator, built on its first draw
+
+
+def _keyed(seed: int, label: int, index: int = 0) -> np.random.Generator:
+    """The thread's one generator, re-keyed to draw what ``substream(seed, label, index)`` draws.
+
+    Re-keying restores the state ``Philox(key=...)`` starts in (counter 0,
+    an empty buffer, no saved 32-bit half) and skips the seed sequence that
+    a new bit generator builds.  The caller uses the generator only until
+    its next draw: the thread's next ``_keyed`` call re-keys the same object.
+    """
+    high, low = divmod(_key(seed, label, index), 1 << 64)
+    try:
+        rng, fresh = _per_thread.rng, _per_thread.fresh
+    except AttributeError:
+        rng = _per_thread.rng = np.random.Generator(np.random.Philox(key=0))
+        fresh = _per_thread.fresh = rng.bit_generator.state
+    fresh["state"]["key"] = np.array([low, high], dtype=np.uint64)
+    rng.bit_generator.state = fresh
+    return rng
+
+
 def _box_muller(uniforms: np.ndarray) -> np.ndarray:
     """(rows, n) complex Gaussians from (rows, 2, n) uniforms, overwritten on the way.
 
@@ -110,19 +135,12 @@ def _gaussian_rows(seed: int, keys: list[tuple[int, int]], n: int) -> np.ndarray
     """A (len(keys), n) array of complex Gaussians, one row per (label, index) key.
 
     Row r takes n radius uniforms, then n angle uniforms, from
-    ``substream(seed, *keys[r])``, but one Philox serves every row: it is
-    re-keyed per row into the state that ``Philox(key=...)`` starts in:
-    counter 0 and an empty buffer.  That skips the seed sequence every new
-    bit generator builds.
+    ``substream(seed, *keys[r])``; the thread's one generator serves every
+    row, re-keyed per row by ``_keyed``.
     """
     uniforms = np.empty((len(keys), 2, n))
-    rng = np.random.Generator(np.random.Philox(key=0))
-    fresh = rng.bit_generator.state
     for row, (label, index) in zip(uniforms, keys):
-        high, low = divmod(_key(seed, label, index), 1 << 64)
-        fresh["state"]["key"] = np.array([low, high], dtype=np.uint64)
-        rng.bit_generator.state = fresh
-        rng.random(out=row)
+        _keyed(seed, label, index).random(out=row)
     return _box_muller(uniforms)
 
 
@@ -174,7 +192,7 @@ class _DrawnOnFirstRead:
             vars(ch)["downlink"] = downlink
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One realization of all uplink and downlink channel matrices.
 
@@ -185,13 +203,19 @@ class ChannelSet:
     ``sample_channels`` builds it), the first read of ``downlink`` draws the
     K matrices of substreams ``(seed, LABEL_DOWNLINK, i)``, and every read
     returns that one stack.  Immutable once created; the arrays are
-    write-locked.
+    write-locked.  Two sets compare equal only when they are the same
+    object, and hash by identity.
     """
 
     cfg: SystemConfig
     seed: int
     uplink: np.ndarray
     downlink: np.ndarray | None = _DrawnOnFirstRead()
+
+    def __repr__(self) -> str:
+        """The dataclass repr without a draw: an undrawn downlink shows as None, as built."""
+        shown = (f"{f.name}={vars(self).get(f.name)!r}" for f in fields(self))
+        return f"{type(self).__name__}({', '.join(shown)})"
 
     @cached_property
     def uplink_norms(self) -> np.ndarray:

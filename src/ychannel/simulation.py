@@ -29,8 +29,10 @@ filters all K users in one product and takes two error maxima.  Each point
 re-keys the noise substream from the seed alone, so every point sees the
 same normals scaled to its own variance and gives what a one-point grid
 gives.  The draws come in a fixed order: the relay's real parts, then its
-imaginary parts, then each user's.  ``simulate`` is the one-point grid, so
-a loop of ``simulate`` calls redoes the SNR-free work at every point.
+imaginary parts, then each user's, all from the thread's one re-keyed
+generator (``channel._keyed``), as the frame is.  ``simulate`` is the
+one-point grid, so a loop of ``simulate`` calls redoes the SNR-free work
+at every point.
 
 ``_rated_pipelines`` is the one per-seed loop, behind ``sum_rate_curve`` and
 the ``montecarlo`` command; a ``prepare`` that batches many seeds belongs
@@ -66,11 +68,11 @@ from .channel import (
     LABEL_NOISE,
     ChannelSet,
     _box_muller,
+    _keyed,
     apply_extension_plan,
     check_seed,
     plan_extension,
     sample_channels,
-    substream,
 )
 from .config import SystemConfig
 from .errors import (
@@ -157,7 +159,7 @@ def make_frame(scheme: AlignmentScheme, seed: int) -> SymbolFrame:
     """Draw a deterministic frame of unit-variance complex Gaussian symbols, read-only."""
     K, x = scheme.cfg.K, scheme.alloc.per_pair
     # user by partner, count radius uniforms then count angle uniforms: one stream in order
-    uniforms = substream(seed, LABEL_FRAME).random((K * (K - 1), 2, x))
+    uniforms = _keyed(seed, LABEL_FRAME).random((K * (K - 1), 2, x))
     stack = _box_muller(uniforms).reshape(K, K - 1, x)
     stack.setflags(write=False)
     return SymbolFrame(stack)
@@ -483,10 +485,12 @@ def simulate_grid(prep: PreparedPipeline, snr_grid_db: list[float | None]) -> li
     observation = _uplink_sum(scheme, prep.ch, frame.stack)  # noiseless, for every point
     wanted = np.empty_like(frame.stack)  # entry (i, k): the stream s_ji user i wants from j
     wanted[received] = frame.stack[sent]
+    if bc is not None:
+        prep.ch.downlink  # drawn now, if at all: a draw in bc_phase would re-key the noise
     results = []
     for snr_db in snr_grid_db:
         sigma2 = 0.0 if snr_db is None else _stream_noise_var(scheme, snr_db)
-        rng = substream(seed, LABEL_NOISE)
+        rng = _keyed(seed, LABEL_NOISE)
         with _stage("mac"):
             y = observation + _awgn(rng, (scheme.cfg.N,), sigma2)
         with _stage("relay_decode"):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from ychannel import (
     allocate_streams,
     apply_extension_plan,
     assemble_scheme,
+    bc_phase,
     corner_points,
     mac_phase,
     make_frame,
@@ -31,6 +33,7 @@ from ychannel import (
     relay_decode,
     sample_channels,
     simulate,
+    simulate_grid,
     verify_alignment_conditions,
 )
 from ychannel import channel, simulation
@@ -38,6 +41,7 @@ from ychannel.channel import (
     LABEL_DOWNLINK,
     LABEL_FRAME,
     LABEL_MIXER,
+    LABEL_NOISE,
     LABEL_UPLINK,
     _box_muller,
     _gaussian_rows,
@@ -490,6 +494,125 @@ class TestDownlinkOnFirstRead:
         assert keyword.downlink is matrices
         assert replaced.downlink is dual.downlink
         assert downlink_draws == []
+
+    def test_equality_hash_and_repr_draw_nothing(self, downlink_draws):
+        # the generated __eq__ compared the stacks as a tuple and raised numpy's
+        # ambiguous-truth ValueError; it and the generated repr read the downlink
+        cfg = SystemConfig(4, 3, 7)
+        ch, twin = sample_channels(cfg, 1), sample_channels(cfg, 1)
+        assert ch == ch and ch != twin
+        assert len({ch, twin, ch}) == 2 and hash(ch) == hash(ch)
+        text = repr(ch)
+        assert "downlink" not in vars(ch)
+        assert text.startswith("ChannelSet(cfg=SystemConfig(K=4, M=3, N=7), seed=1, uplink=array(")
+        assert text.endswith(", downlink=None)")
+        assert downlink_draws == []
+        drawn = ch.downlink
+        assert repr(ch).endswith(f", downlink={drawn!r})")
+
+
+def thread_generator_mid_buffer() -> np.random.Generator:
+    """This thread's generator after one float and one 32-bit draw: mid-buffer, half saved."""
+    rng = channel._keyed(7, LABEL_UPLINK, 1)
+    rng.random()
+    rng.integers(0, 2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == (2, 1)
+    return rng
+
+
+class TestThreadGenerator:
+    """Every seeded draw comes from one re-keyed generator per thread, with a fresh one's bytes."""
+
+    def test_rekeying_resets_a_generator_left_mid_buffer(self):
+        rng = thread_generator_mid_buffer()
+        assert channel._keyed(7, LABEL_FRAME) is rng
+        np.testing.assert_equal(rng.bit_generator.state, substream(7, LABEL_FRAME).bit_generator.state)
+        want = substream(7, LABEL_FRAME).integers(0, 2**32, size=5, dtype=np.uint32)
+        assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tobytes() == want.tobytes()
+
+    def test_rows_and_frame_match_a_fresh_substream_per_key(self):
+        keys = [(LABEL_UPLINK, 2), (LABEL_DOWNLINK, 0), (LABEL_MIXER, 5), (LABEL_UPLINK, 2)]
+        thread_generator_mid_buffer()
+        rows = _gaussian_rows(11, keys, 6)
+        for row, key in zip(rows, keys, strict=True):
+            assert row.tobytes() == reference_gaussian(substream(11, *key), (6,)).tobytes()
+        cfg, seed = SystemConfig(4, 3, 7), 11
+        scheme = assemble_scheme(sample_channels(cfg, seed), allocate_streams(cfg, 2), 2)
+        thread_generator_mid_buffer()
+        stack = make_frame(scheme, seed).stack
+        rng = substream(seed, LABEL_FRAME)
+        for got in stack.reshape(-1, stack.shape[-1]):  # user by partner is the draw order
+            assert got.tobytes() == reference_gaussian(rng, got.shape).tobytes()
+
+    def test_a_noisy_point_matches_a_fresh_noise_substream(self, monkeypatch):
+        prep, snr_db = prepare(SystemConfig(4, 3, 7), 2, 3), 25.0
+        frame, _ = prep.frame
+        sigma2 = simulation._stream_noise_var(prep.scheme, snr_db)
+        rng = substream(prep.seed, LABEL_NOISE)  # the relay's normals, then the users'
+        want_y = mac_phase(prep.scheme, prep.ch, frame, sigma2, rng)
+        want = bc_phase(prep.bc, prep.ch, relay_decode(prep.scheme, want_y), sigma2, rng)
+        seen = []
+
+        def recorded_relay(scheme, y):
+            seen.append(y)
+            return relay_decode(scheme, y)
+
+        def recorded_bc(*args):
+            seen.append(bc_phase(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(simulation, "relay_decode", recorded_relay)
+        monkeypatch.setattr(simulation, "bc_phase", recorded_bc)
+        thread_generator_mid_buffer()
+        simulate_grid(prep, [snr_db])
+        assert [a.tobytes() for a in seen] == [want_y.tobytes(), want.tobytes()]
+
+    def test_a_pipeline_with_an_undrawn_downlink_keeps_its_noise(self):
+        # bc_phase reads the downlink between the relay's normals and the users'
+        prep = prepare(SystemConfig(4, 3, 7), 2, 3)
+        undrawn = dataclasses.replace(prep, ch=sample_channels(prep.cfg, prep.seed))
+        assert "downlink" not in vars(undrawn.ch)
+        grid = [20.0, None, 45.5]
+        assert simulate_grid(undrawn, grid) == simulate_grid(prep, grid)
+
+    def test_interleaved_threads_each_draw_their_own_bytes(self):
+        # each thread keys its generator, waits for the other to key its own, then draws
+        barrier = threading.Barrier(2, timeout=30)
+        drawn = {}
+
+        def worker(seed):
+            rows = []
+            for index in range(4):
+                rng = channel._keyed(seed, LABEL_UPLINK, index)
+                barrier.wait()
+                rows.append(rng.random(8))
+                barrier.wait()
+            drawn[seed] = rows
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for seed in (1, 2):
+            want = [substream(seed, LABEL_UPLINK, index).random(8) for index in range(4)]
+            assert [row.tobytes() for row in drawn[seed]] == [row.tobytes() for row in want]
+
+    def test_prepare_and_simulate_build_no_bit_generator(self, monkeypatch):
+        channel._keyed(0, LABEL_UPLINK)  # this thread's generator exists from here on
+        built, real = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        prep = prepare(SystemConfig(5, 1, 3), 2, 1)
+        results = simulate_grid(prep, [None, 20.0, 50.0])
+        assert prep.t == 5 and all(r.user_recovery_error is not None for r in results)
+        assert built == []
 
 
 class TestPlanExtension:

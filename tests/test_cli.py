@@ -383,38 +383,30 @@ class TestMonteCarlo:
         )
         assert proc.returncode == 2
 
-    def test_one_point_grid_is_usage_error(self, tmp_path):
-        out = tmp_path / "mc.csv"
-        proc = run_cli(
-            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
-            "--seeds", "2", "--snr-grid", "40", "--out", str(out),
-        )
-        assert proc.returncode == 2
-        assert "at least 2 distinct SNR points" in proc.stderr
-        assert not out.exists()
+    SNR_GRID_REFUSALS = {  # --snr-grid text: what its refusal names
+        "40": "at least 2 distinct SNR points",
+        "30,30": "at least 2 distinct SNR points",
+        "30,4000": "[-3000, 3000] dB",
+        "30,nan": "[-3000, 3000] dB",
+        ",": "at least 2 distinct SNR points",
+        "-4000,30": "[-3000, 3000] dB",
+    }
 
-    def test_repeated_point_grid_is_usage_error(self, tmp_path):
-        out = tmp_path / "mc.csv"
-        proc = run_cli(
-            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
-            "--seeds", "2", "--snr-grid", "30,30", "--out", str(out),
-        )
-        assert proc.returncode == 2
-        assert "at least 2 distinct SNR points" in proc.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ["40", "30,30", "30,4000", "30,nan", ","])
-    def test_snr_grid_refusal_is_the_fit_text(self, text):
+    @pytest.mark.parametrize("text", list(SNR_GRID_REFUSALS))
+    def test_snr_grid_refusal_is_the_fit_text(self, text, tmp_path):
         # the CLI kept its own count, range and distinct-point texts beside the library's
         grid = [float(p) for p in text.split(",") if p.strip()]
         with pytest.raises(ConfigurationError) as refusal:
             fit_slope(grid, np.zeros(len(grid)))
+        out = tmp_path / "mc.csv"
         proc = run_cli(
             "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
-            "--seeds", "1", f"--snr-grid={text}",
+            "--seeds", "1", f"--snr-grid={text}", "--out", str(out),
         )
         assert proc.returncode == 2
         assert str(refusal.value) in proc.stderr
+        assert self.SNR_GRID_REFUSALS[text] in proc.stderr
+        assert not out.exists()
 
     def test_csv_keeps_the_requested_snr_points(self, tmp_path, capsys):
         # 3 dB and 4 dB do not survive a dB -> linear -> dB round trip
@@ -522,16 +514,6 @@ class TestMonteCarlo:
         assert "t=7" in err and "reseed" not in err
         result = end_to_end(SystemConfig(4, 1, 1), 2, 0)
         assert result.t == 7 and result.relay_recovery_error <= RECOVERY_TOL
-
-    @pytest.mark.parametrize("grid", ["30,4000", "-4000,30", "30,nan"])
-    def test_snr_outside_float_range_is_usage_error(self, grid, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([
-                "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
-                "--seeds", "1", f"--snr-grid={grid}",
-            ])
-        assert exit_info.value.code == 2
-        assert "[-3000, 3000] dB" in capsys.readouterr().err
 
     def test_two_schemes_per_seed(self, monkeypatch, capsys):
         # one batch per seed, the uplink and its dual, and no scheme built alone

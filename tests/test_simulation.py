@@ -44,7 +44,7 @@ from ychannel import (
 )
 from ychannel import alignment, simulation
 from ychannel.alignment import message_order
-from ychannel.channel import ChannelSet
+from ychannel.channel import ChannelSet, substream
 from ychannel.simulation import CSV_COLUMNS, RECOVERY_TOL, result_record, write_records_csv
 
 
@@ -499,11 +499,11 @@ class TestEndToEnd:
         prep = prepare(SystemConfig(4, 3, 7), 2, 1)
         snr_db, draws = 30.0, 2000
         fresh = itertools.count(1)
-        substream = simulation.substream
+        keyed = simulation._keyed
 
         def noise_stream(seed, label, index=0):
             if label != simulation.LABEL_NOISE:
-                return substream(seed, label, index)
+                return keyed(seed, label, index)
             return np.random.default_rng(next(fresh))
 
         relay, received = [], []
@@ -516,7 +516,7 @@ class TestEndToEnd:
             received.append(bc_phase(*args))
             return received[-1]
 
-        monkeypatch.setattr(simulation, "substream", noise_stream)
+        monkeypatch.setattr(simulation, "_keyed", noise_stream)
         monkeypatch.setattr(simulation, "relay_decode", recorded_relay)
         monkeypatch.setattr(simulation, "bc_phase", recorded_bc)
         for _ in range(draws):
@@ -845,7 +845,7 @@ def per_stage_run(prep, snr_db):
     scheme, ch, bc = prep.scheme, prep.ch, prep.bc
     K, M, N, x = scheme.cfg.K, scheme.cfg.M, scheme.cfg.N, scheme.alloc.per_pair
     sigma2 = 0.0 if snr_db is None else (K - 1) * x * 10.0 ** (-snr_db / 10.0)
-    rng = simulation.substream(prep.seed, simulation.LABEL_NOISE)
+    rng = substream(prep.seed, simulation.LABEL_NOISE)
 
     def awgn(size):
         if sigma2 == 0.0:
@@ -952,13 +952,13 @@ class TestStackedSimulate:
         grid = [None, 20.0, 45.5, None, 70.0]
         want = simulate_grid(prep, grid)
         keyed = []
-        substream = simulation.substream
+        rekey = simulation._keyed
 
         def counted(seed, label, index=0):
             keyed.append((seed, label))
-            return substream(seed, label, index)
+            return rekey(seed, label, index)
 
-        monkeypatch.setattr(simulation, "substream", counted)
+        monkeypatch.setattr(simulation, "_keyed", counted)
         assert simulate_grid(prep, grid) == want
         assert keyed == [(1, simulation.LABEL_NOISE)] * len(grid)
         # every point is checked before any is run
