@@ -383,6 +383,26 @@ class TestMonteCarlo:
         )
         assert proc.returncode == 2
 
+    def test_one_point_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "40", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "at least 2 distinct SNR points" in proc.stderr
+        assert not out.exists()
+
+    def test_repeated_point_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        proc = run_cli(
+            "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+            "--seeds", "2", "--snr-grid", "30,30", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "at least 2 distinct SNR points" in proc.stderr
+        assert not out.exists()
+
     SNR_GRID_REFUSALS = {  # --snr-grid text: what its refusal names
         "40": "at least 2 distinct SNR points",
         "30,30": "at least 2 distinct SNR points",
@@ -514,6 +534,16 @@ class TestMonteCarlo:
         assert "t=7" in err and "reseed" not in err
         result = end_to_end(SystemConfig(4, 1, 1), 2, 0)
         assert result.t == 7 and result.relay_recovery_error <= RECOVERY_TOL
+
+    @pytest.mark.parametrize("grid", ["30,4000", "-4000,30", "30,nan"])
+    def test_snr_outside_float_range_is_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "montecarlo", "--k", "4", "--m", "3", "--n", "7", "--beta", "2",
+                "--seeds", "1", f"--snr-grid={grid}",
+            ])
+        assert exit_info.value.code == 2
+        assert "[-3000, 3000] dB" in capsys.readouterr().err
 
     def test_two_schemes_per_seed(self, monkeypatch, capsys):
         # one batch per seed, the uplink and its dual, and no scheme built alone
