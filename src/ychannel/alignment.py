@@ -401,7 +401,7 @@ def build_precoders(
     return precoders, sv[:, first, slots[0::2], 0], compressed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentScheme:
     """A fully assembled relaying scheme.
 

@@ -19,7 +19,6 @@ import csv
 import functools
 import json
 import numbers
-import re
 import sys
 from fractions import Fraction
 
@@ -60,40 +59,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# a decimal entry in exponent notation; Fraction expands 10**exponent before any check
-_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
-
-
-def _exponent_in_range(entry: str) -> bool:
-    """False when an entry d.f e X lands at or above 2^1000 whatever its digits.
-
-    Its value is int(df)·10^(X - len(f)), so a shift of 302 or more gives a
-    numerator of at least 10^302, and a shift of -(302 + len(df)) or less a
-    denominator above 10^302; 2^1000 is below both (a zero mantissa gives 0,
-    which is refused anyway).
-    """
-    form = _EXPONENT_FORM.fullmatch(entry)
-    if form is None:
-        return True
-    whole, frac, exponent = (g.replace("_", "") for g in form.groups(""))
-    try:
-        shift = int(exponent) - len(frac)
-    except ValueError:
-        return True  # an exponent int() refuses, so Fraction refuses it too
-    return -302 - len(whole + frac) < shift < 302
+def _ratio(entry: str) -> Fraction:
+    # Fraction computes 10**exponent before any check; a float holds every ratio
+    # _check_ratio_grid accepts as finite and nonzero, so this refuses none of them
+    if "e" in entry.lower() and float(entry) in (0.0, float("inf"), float("-inf")):
+        raise ValueError(f"{entry.strip()} is 0 or outside the float range")
+    return Fraction(entry)
 
 
 def _ratio_grid(text: str) -> list[Fraction]:
-    entries = [p for p in text.split(",") if p.strip()]
     try:
-        grid = [Fraction(p) for p in entries] if all(map(_exponent_in_range, entries)) else []
+        grid = [_ratio(p) for p in text.split(",") if p.strip()]
+        _check_ratio_grid(grid)  # the grid sweep_grid takes; a ConfigurationError is a ValueError
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad ratio grid {text!r}: {exc}") from exc
-    # N/M in lowest terms are antenna counts; the sweep prints them exactly and as floats
-    if not grid or not all(0 < r and max(r.numerator, r.denominator) < 2**1000 for r in grid):
-        raise argparse.ArgumentTypeError(
-            f"need positive ratios with numerator and denominator below 2^1000: {text!r}"
-        )
     return grid
 
 
@@ -175,25 +154,32 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analytic_grid_points(K: int) -> set[Fraction]:
-    # branch breakpoints and corner ratios, injected into every sweep so the piecewise
-    # kinks are never missed by sampling
-    return set(breakpoints(K)) | {c.abscissa for c in corner_points(K)}
+def _check_ratio_grid(grid: list) -> None:
+    """Refuse an empty grid, a ratio that is not a positive exact rational, and a
+    numerator or denominator of 2^1000 or more."""
+    if not grid:
+        raise ConfigurationError("the ratio grid is empty")
+    for r in grid:
+        exact = not isinstance(r, bool) and isinstance(r, numbers.Rational)
+        # N/M in lowest terms are antenna counts; the sweep prints them exactly and as
+        # floats. Checked first, so that no refusal prints more digits than str() allows
+        if exact and max(abs(r.numerator), r.denominator) >= 2**1000:
+            raise ConfigurationError("grid ratios need numerator and denominator below 2^1000")
+        if not exact or not r > 0:
+            raise ConfigurationError(f"grid ratios must be positive exact rationals, got {r}")
 
 
 def sweep_grid(
     K: int, grid: list[Fraction] | None = None, resolution: int | None = None
 ) -> list[Fraction]:
     """Sorted ratios: ``grid`` or ``resolution`` points over (0, K], and the analytic ones."""
-    points = _analytic_grid_points(K)
+    # branch breakpoints and corner ratios, injected into every sweep so the piecewise
+    # kinks are never missed by sampling
+    points = set(breakpoints(K)) | {c.abscissa for c in corner_points(K)}
     if grid is not None:
         if resolution is not None:
             raise ConfigurationError("give a ratio grid or a resolution, not both")
-        if not grid:
-            raise ConfigurationError("the ratio grid is empty")
-        for r in grid:
-            if isinstance(r, bool) or not isinstance(r, numbers.Rational) or not r > 0:
-                raise ConfigurationError(f"grid ratios must be positive exact rationals, got {r}")
+        _check_ratio_grid(grid)
         points.update(grid)
     else:
         steps = 100 if resolution is None else check_integer(resolution, "resolution")

@@ -134,7 +134,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolFrame:
     """One frame of symbols, the (K, K-1, x) stack user by partner: ``stack[i, k]`` is
     the stream s_ij that user i sends to its k-th partner j (k = j - (j > i))."""
@@ -148,7 +148,7 @@ class SymbolFrame:
         return {(i, j): self.stack[i, j - (j > i)] for i, j in pairs}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkCodedVector:
     """Stacked pairwise sums in the scheme's pair order."""
 
@@ -232,7 +232,7 @@ def relay_decode(scheme: AlignmentScheme, y: np.ndarray) -> NetworkCodedVector:
     return NetworkCodedVector(entries=entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BcScheme:
     """Downlink precoder, per-user receive filters and certification.
 
@@ -377,7 +377,7 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedPipeline:
     """What one channel realization fixes; noise plays no part in it.
 

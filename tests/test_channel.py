@@ -511,6 +511,21 @@ class TestDownlinkOnFirstRead:
         assert repr(ch).endswith(f", downlink={drawn!r})")
 
 
+@pytest.mark.parametrize(
+    "record",
+    [lambda prep: prep, lambda prep: prep.scheme, lambda prep: prep.bc,
+     lambda prep: prep.frame[0], lambda prep: prep.frame[1]],
+    ids=["PreparedPipeline", "AlignmentScheme", "BcScheme", "SymbolFrame", "NetworkCodedVector"],
+)
+def test_array_records_compare_by_identity(record):
+    # the generated __eq__ compared the arrays as a tuple and raised numpy's
+    # ambiguous-truth ValueError, and the generated __hash__ hashed the arrays
+    cfg = SystemConfig(4, 3, 7)
+    one, twin = record(prepare(cfg, 2, 1)), record(prepare(cfg, 2, 1))
+    assert one == one and one != twin
+    assert len({one, twin, one}) == 2 and hash(one) == hash(one)
+
+
 def thread_generator_mid_buffer() -> np.random.Generator:
     """This thread's generator after one float and one 32-bit draw: mid-buffer, half saved."""
     rng = channel._keyed(7, LABEL_UPLINK, 1)

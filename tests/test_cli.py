@@ -235,12 +235,17 @@ class TestSweep:
          (5, [Fraction(3), Fraction(-1)], "grid ratios must be positive exact rationals, got -1"),
          (5, [Fraction(0)], "grid ratios must be positive exact rationals, got 0"),
          (5, [Fraction(3), 2.5], "grid ratios must be positive exact rationals, got 2.5"),
-         (5, [True], "grid ratios must be positive exact rationals, got True")],
+         (5, [True], "grid ratios must be positive exact rationals, got True"),
+         (5, [Fraction(2**1100)], "numerator and denominator below 2\\^1000"),
+         (5, [Fraction(1, 2**1100)], "numerator and denominator below 2\\^1000"),
+         (5, [-(10**5000)], "numerator and denominator below 2\\^1000")],
     )
     def test_bad_k_or_explicit_grid_is_refused(self, K, grid, message):
         # 4.0 raised a bare TypeError, [] gave only the analytic points, -1
         # and 0 were reported as relay antenna counts by sweep_rows, 2.5 failed
-        # there with an AttributeError and True was taken as the ratio 1
+        # there with an AttributeError, True was taken as the ratio 1, 2^1100
+        # overflowed float() in sweep_rows, 2^-1100 printed a 0.0 row and -10^5000
+        # raised int's ValueError for too many digits while its refusal printed it
         with pytest.raises(ConfigurationError, match=message):
             cli.sweep_rows(5, cli.sweep_grid(K, grid=grid))
 
@@ -269,6 +274,28 @@ class TestSweep:
         code, stderr = grid_worker.sweep(grid, seconds=30)
         assert code == 2
         assert "usage:" in stderr and "Traceback" not in stderr
+
+    # entries at the edges of what a float holds: the exponent pre-parse must refuse
+    # no ratio whose numerator and denominator are below 2^1000
+    @pytest.mark.parametrize(
+        "text",
+        ["1.07e301", "1.08e301", "1e-301", "1e-302", "5e-324", "1e-320", "0e5", "1e400",
+         pytest.param("9" * 301, id="301_digits"), pytest.param("7" * 400, id="400_digits"),
+         "inf", "nan", "1/2e5"],
+    )
+    def test_grid_edge_entries_follow_the_exact_rule(self, text):
+        try:
+            ratio = Fraction(text)
+            accepted = 0 < ratio and max(ratio.numerator, ratio.denominator) < 2**1000
+        except ValueError:
+            accepted = False
+        proc = run_cli("sweep", "--k", "5", "--grid", text)
+        assert proc.returncode == (0 if accepted else 2)
+        if accepted:
+            expected = {str(r) for r in cli.sweep_grid(5, [ratio])}
+            assert {row["ratio"] for row in self.parse(proc.stdout)} == expected
+        else:
+            assert "usage:" in proc.stderr and f"bad ratio grid {text!r}" in proc.stderr
 
     def test_exponent_entries_keep_their_values(self):
         rows = self.parse(run_cli("sweep", "--k", "5", "--grid", "1e2,1/2,25e-3").stdout)

@@ -70,6 +70,11 @@ BATTERY = [
     (["sweep", "--k", "5", "--grid-auto", "100"], ".csv"),
     (["sweep", "--k", "6"], None),
     (["sweep", "--k", "5", "--grid", "1/2,11/5,7"], ".csv"),
+    # --grid refusals: an exponent a float reads as inf, refused before 10^x is computed,
+    # a ratio the grid rule refuses and a zero denominator
+    (["sweep", "--k", "5", "--grid", "1e9999999999"], None),
+    (["sweep", "--k", "5", "--grid", "0,1/2"], None),
+    (["sweep", "--k", "5", "--grid", "1/0"], None),
     (["bound", "--k", "5", "--m", "10", "--n", "21"], None),
     (["bound", "--k", "5", "--m", "10", "--n", "21", "--json"], None),
     # ratios on a breakpoint, which belong to the lower branch: the end of the relay-limited
